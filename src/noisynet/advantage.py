@@ -194,25 +194,6 @@ def advantage_upper_bound_check(a: dict, ch: Channel, f, mu: dict) -> dict:
 # -- sensitivity ------------------------------------------------------------
 
 
-class _BitCtx:
-    """Evaluate an expression whose atoms are own-input bit indices."""
-
-    def __init__(self, columns):
-        self.columns = columns
-
-    def own_input(self, index):
-        return self.columns[index]
-
-    def rx(self, t):
-        raise ValueError("pure boolean functions cannot read rx")
-
-    def rand(self, i):
-        raise ValueError("pure boolean functions cannot read randomness")
-
-    noise = rand
-    mask = rand
-
-
 def truth_table(f, n: int) -> np.ndarray:
     """Vector of f over all 2^n inputs (big-endian index order)."""
     if n > 20:
@@ -220,7 +201,15 @@ def truth_table(f, n: int) -> np.ndarray:
     idx = np.arange(2**n)
     if isinstance(f, exprs.Expr):
         cols = {i: ((idx >> (n - 1 - i)) & 1).astype(np.uint8) for i in range(n)}
-        vals = exprs.evaluate(f, _BitCtx(cols))
+
+        def value(atom):
+            if isinstance(atom, exprs.OwnInput):
+                return cols[atom.index]
+            if isinstance(atom, exprs.Received):
+                raise ValueError("pure boolean functions cannot read rx")
+            raise ValueError("pure boolean functions cannot read randomness")
+
+        vals = exprs.evaluate(f, value)
         return np.broadcast_to(np.asarray(vals, dtype=np.uint8), (2**n,))
     return np.array(
         [int(f(tuple((x >> (n - 1 - i)) & 1 for i in range(n)))) for x in idx],

@@ -32,11 +32,6 @@ class BitVector:
     def __hash__(self):
         return hash(self.bits)
 
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if len(other) != len(self):
-            raise ValueError("length mismatch")
-        return BitVector(a ^ b for a, b in zip(self.bits, other.bits))
-
     def __repr__(self):
         return f"BitVector({''.join(map(str, self.bits))!r})"
 
@@ -47,17 +42,9 @@ class BitVector:
     def from_string(cls, s: str) -> "BitVector":
         return cls(int(ch) for ch in s)
 
-    @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls((0,) * n)
-
     def to_index(self) -> int:
         """Big-endian integer encoding (first bit is most significant)."""
         idx = 0
         for b in self.bits:
             idx = (idx << 1) | b
         return idx
-
-    @classmethod
-    def from_index(cls, idx: int, n: int) -> "BitVector":
-        return cls((idx >> (n - 1 - i)) & 1 for i in range(n))

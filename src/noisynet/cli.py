@@ -48,18 +48,15 @@ def _read(path: str) -> str:
 
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker count; outputs do not depend on it.")
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON config file (used by the experiment subcommand).")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Output file; stdout when omitted.")
 @click.pass_context
-def cli(ctx, seed, threads, config_path, out_path):
+def cli(ctx, seed, config_path, out_path):
     """Noisy broadcast networks: sampling, protocols, reductions, trees."""
     ctx.obj = {
         "seed": seed,
-        "threads": threads,
         "config": config_path,
         "out": out_path,
     }
@@ -179,14 +176,18 @@ def reduce_cmd(ctx, protocol_file, stage, d_max):
         if tv > 1e-12:
             raise CheckFailure(f"simulation fidelity TV {tv:g} exceeds 1e-12")
         return
+    # the law protocol_to_read_once fixes randomness under: parity against
+    # uniform inputs in canonical order
+    f = adv_mod.parity_sign
+    mu = adv_mod.uniform_distribution(len(p.input_nodes()))
     if stage == "copy":
         p1, _ = reductions.to_semi_noisy(p)
-        p2, report = reductions.to_noisy_copy(p1, d_max)
+        p2, report = reductions.to_noisy_copy(p1, d_max, f=f, mu=mu)
         _echo_json({"stage": "copy", "T": p2.T, "report": report}, ctx.obj["out"])
         return
     if stage == "xnd":
         p1, _ = reductions.to_semi_noisy(p)
-        p2, _ = reductions.to_noisy_copy(p1, d_max)
+        p2, _ = reductions.to_noisy_copy(p1, d_max, f=f, mu=mu)
         art = reductions.to_xnd_tree(p2)
         tv = reductions.check_leaf_law(p2, art)
         _echo_json(

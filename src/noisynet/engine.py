@@ -11,6 +11,7 @@ the information the protocol uses rather than the raw receiver count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -41,6 +42,11 @@ class _Primitive:
         return self.key[0] != "chan"
 
 
+def _internal_key(node, atom) -> tuple:
+    """Primitive key of a ``Rand`` or ``Noise`` atom read by ``node``."""
+    return ("rand" if isinstance(atom, exprs.Rand) else "noise", node, atom.i)
+
+
 def _collect_primitives(p: Protocol, probes=()):
     """All random primitives read anywhere in the protocol (plus probes)."""
     prims: dict = {}
@@ -59,11 +65,10 @@ def _collect_primitives(p: Protocol, probes=()):
                     ("chan", node, atom.t), (1 - eps, eps)
                 )
             elif isinstance(atom, exprs.Rand):
-                prims[("rand", node, atom.i)] = _Primitive(
-                    ("rand", node, atom.i), (0.5, 0.5)
-                )
+                key = _internal_key(node, atom)
+                prims[key] = _Primitive(key, (0.5, 0.5))
             elif isinstance(atom, exprs.Noise):
-                key = ("noise", node, atom.i)
+                key = _internal_key(node, atom)
                 if key in noise_eps and noise_eps[key] != atom.eps:
                     raise ValueError(f"conflicting eps for noise atom {key}")
                 noise_eps[key] = atom.eps
@@ -120,6 +125,13 @@ def _sampled_arrays(prims, trials: int, rng):
 # -- simulation -------------------------------------------------------------
 
 
+def _own_bit(p: Protocol, x_bits: dict, node, index):
+    if index != 0:
+        raise ValueError("nodes hold a single input bit")
+    role = p.roles[node]
+    return x_bits[node] if isinstance(role, InputRole) else role.fixed_bit
+
+
 class _Sim:
     def __init__(self, p: Protocol, x_bits: dict, arrs: dict, mask_bits: dict):
         self.p = p
@@ -129,8 +141,15 @@ class _Sim:
         self.sent: list = []
         self._rx: dict = {}
 
-    def ctx(self, node):
-        return _NodeCtx(self, node)
+    def value(self, node, atom):
+        """The bits of ``atom`` as ``node`` reads them, one per grid row or trial."""
+        if isinstance(atom, exprs.Received):
+            return self.rx_value(node, atom.t)
+        if isinstance(atom, exprs.OwnInput):
+            return _own_bit(self.p, self.x_bits, node, atom.index)
+        if isinstance(atom, exprs.MaskBit):
+            return self.mask_bits[atom.src][self.arrs[("mask", atom.src)], atom.j]
+        return self.arrs[_internal_key(node, atom)]
 
     def rx_value(self, node, t):
         key = (node, t)
@@ -153,39 +172,14 @@ class _Sim:
         return val
 
     def run(self, probes=()):
+        def ev(node, expr):
+            return exprs.evaluate(expr, functools.partial(self.value, node))
+
         for tr in self.p.schedule:
-            self.sent.append(exprs.evaluate(tr.expr, self.ctx(tr.sender)))
-        output = exprs.evaluate(self.p.output_expr, self.ctx(self.p.output_node))
-        probe_vals = [exprs.evaluate(e, self.ctx(node)) for node, e in probes]
+            self.sent.append(ev(tr.sender, tr.expr))
+        output = ev(self.p.output_node, self.p.output_expr)
+        probe_vals = [ev(node, e) for node, e in probes]
         return output, probe_vals
-
-
-class _NodeCtx:
-    __slots__ = ("sim", "node")
-
-    def __init__(self, sim, node):
-        self.sim = sim
-        self.node = node
-
-    def own_input(self, index):
-        if index != 0:
-            raise ValueError("nodes hold a single input bit")
-        role = self.sim.p.roles[self.node]
-        if isinstance(role, InputRole):
-            return self.sim.x_bits[self.node]
-        return role.fixed_bit
-
-    def rx(self, t):
-        return self.sim.rx_value(self.node, t)
-
-    def rand(self, i):
-        return self.sim.arrs[("rand", self.node, i)]
-
-    def noise(self, i, eps):
-        return self.sim.arrs[("noise", self.node, i)]
-
-    def mask(self, src, j):
-        return self.sim.mask_bits[src][self.sim.arrs[("mask", src)], j]
 
 
 def _pack(values, length):
@@ -224,6 +218,12 @@ def assignment_key(p: Protocol, x_bits: dict) -> tuple:
 # -- channels ---------------------------------------------------------------
 
 
+def law_tv(a: dict, b: dict) -> float:
+    """Total variation distance between two laws (outcome -> probability);
+    an outcome missing from one side has probability 0 there."""
+    return 0.5 * sum(abs(a.get(c, 0.0) - b.get(c, 0.0)) for c in set(a) | set(b))
+
+
 @dataclass
 class Channel:
     """Exact (or estimated) outcome law per input assignment.
@@ -244,10 +244,7 @@ class Channel:
         """Max over inputs of the TV distance between matching rows."""
         worst = 0.0
         for key, row in self.rows.items():
-            orow = other.rows[key]
-            support = set(row) | set(orow)
-            tv = 0.5 * sum(abs(row.get(c, 0.0) - orow.get(c, 0.0)) for c in support)
-            worst = max(worst, tv)
+            worst = max(worst, law_tv(row, other.rows[key]))
         return worst
 
 
@@ -298,10 +295,6 @@ def exact_channel(
     return Channel(rows=rows, outcome=outcome, exact=True)
 
 
-def internal_primitives(p: Protocol) -> list:
-    return [pr for pr in _collect_primitives(p) if pr.internal]
-
-
 def sampled_channel(
     p: Protocol, inputs, trials: int, rng, outcome: str = "output"
 ) -> Channel:
@@ -344,43 +337,26 @@ def execute(p: Protocol, x_bits: dict, rng) -> ExecutionTrace:
     mask_cache: dict = {}
     rx: dict = {}
 
-    class Ctx:
-        def __init__(self, node):
-            self.node = node
-
-        def own_input(self, index):
-            if index != 0:
-                raise ValueError("nodes hold a single input bit")
-            role = p.roles[self.node]
-            return (
-                x_bits[self.node] if isinstance(role, InputRole) else role.fixed_bit
-            )
-
-        def rx(self, t):
-            return rx.get((self.node, t), 0)
-
-        def rand(self, i):
-            key = ("rand", self.node, i)
-            if key not in internal_cache:
-                internal_cache[key] = rng.spawn(*key).bernoulli(0.5)
-            return internal_cache[key]
-
-        def noise(self, i, eps):
-            key = ("noise", self.node, i)
-            if key not in internal_cache:
-                internal_cache[key] = rng.spawn(*key).bernoulli(eps)
-            return internal_cache[key]
-
-        def mask(self, src, j):
-            if src not in mask_cache:
-                mask_cache[src] = p.mask_sources[src].table.sample_mask(
-                    rng.spawn("mask", src)
+    def value(node, atom):
+        if isinstance(atom, exprs.Received):
+            return rx.get((node, atom.t), 0)
+        if isinstance(atom, exprs.OwnInput):
+            return _own_bit(p, x_bits, node, atom.index)
+        if isinstance(atom, exprs.MaskBit):
+            if atom.src not in mask_cache:
+                mask_cache[atom.src] = p.mask_sources[atom.src].table.sample_mask(
+                    rng.spawn("mask", atom.src)
                 )
-            return mask_cache[src][j]
+            return mask_cache[atom.src][atom.j]
+        key = _internal_key(node, atom)
+        if key not in internal_cache:
+            prob = 0.5 if isinstance(atom, exprs.Rand) else atom.eps
+            internal_cache[key] = rng.spawn(*key).bernoulli(prob)
+        return internal_cache[key]
 
     records = []
     for t, tr in enumerate(p.schedule):
-        sent = int(exprs.evaluate(tr.expr, Ctx(tr.sender)))
+        sent = int(exprs.evaluate(tr.expr, functools.partial(value, tr.sender)))
         received, noise = {}, {}
         eps = p.tx_eps(tr)
         for w in sorted(p.adjacency[tr.sender]):
@@ -392,7 +368,7 @@ def execute(p: Protocol, x_bits: dict, rng) -> ExecutionTrace:
                 received[w] = sent
             rx[(w, t)] = received[w]
         records.append(TransmissionRecord(tr.sender, sent, received, noise))
-    output = int(exprs.evaluate(p.output_expr, Ctx(p.output_node)))
+    output = int(exprs.evaluate(p.output_expr, functools.partial(value, p.output_node)))
     return ExecutionTrace(records=records, output=output)
 
 

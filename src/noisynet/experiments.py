@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from scipy.stats import binom
 
 from . import advantage as adv_mod
-from . import planar, random_instances, reductions, trees
+from . import engine, planar, random_instances, reductions, trees
 from .errors import EmptyS2, NoisyNetError, UndersizedCell
 from .noise import iid_noisy_law, regen_output_law, regen_table
 from .protocol import star_xor
@@ -259,10 +259,7 @@ def _e4_regeneration(cfg, rng):
                 c_law = {b: 1 - gamma, 1 - b: gamma}
                 got = regen_output_law(c_law, table)
                 want = iid_noisy_law(b, eps, t)
-                tv = 0.5 * sum(
-                    abs(got.get(v, 0.0) - want.get(v, 0.0))
-                    for v in set(got) | set(want)
-                )
+                tv = engine.law_tv(got, want)
                 rows.append(
                     ResultRow(
                         "E4",

@@ -15,9 +15,13 @@ Internal randomness comes in three flavors:
 * ``MaskBit(src, j)`` -- bit j of a categorical mask source attached to the
   protocol (a regeneration table outcome shared across its coordinates).
 
-Evaluation is generic over ints and numpy arrays, so the exact channel
-engine can evaluate an expression over a whole grid of noise assignments
-in one call.
+:func:`evaluate` reads every atom through one callable, ``value(atom)``,
+which returns the atom's bit as an int or as a numpy array of bits.  The
+connectives are generic over both, so the exact channel engine can
+evaluate an expression over a whole grid of noise assignments in one
+call.  The caller decides what an atom means: a sampled trace returns the
+bits it drew, the exact engine returns grid columns, and a pure boolean
+function raises ``ValueError`` for the atoms it cannot read.
 """
 
 from __future__ import annotations
@@ -107,47 +111,39 @@ class Table(Expr):
             raise ValueError("truth table must have 2^arity entries")
 
 
+#: The atom types: every leaf other than :class:`Const`.
+ATOMS = (OwnInput, Received, Rand, Noise, MaskBit)
+
+
 def mux(sel: Expr, if0: Expr, if1: Expr) -> Table:
     """sel == 0 -> if0, sel == 1 -> if1."""
     return Table(args=(sel, if0, if1), table=(0, 0, 1, 1, 0, 1, 0, 1))
 
 
-def evaluate(expr: Expr, ctx):
-    """Evaluate over a context providing atom values (ints or arrays).
-
-    ``ctx`` must implement own_input(index), rx(t), rand(i), noise(i, eps)
-    and mask(src, j).
-    """
+def evaluate(expr: Expr, value):
+    """Evaluate with atom bits from ``value(atom)`` (ints or arrays)."""
     if isinstance(expr, Const):
         return expr.value
-    if isinstance(expr, OwnInput):
-        return ctx.own_input(expr.index)
-    if isinstance(expr, Received):
-        return ctx.rx(expr.t)
-    if isinstance(expr, Rand):
-        return ctx.rand(expr.i)
-    if isinstance(expr, Noise):
-        return ctx.noise(expr.i, expr.eps)
-    if isinstance(expr, MaskBit):
-        return ctx.mask(expr.src, expr.j)
+    if isinstance(expr, ATOMS):
+        return value(expr)
     if isinstance(expr, Not):
-        return 1 ^ evaluate(expr.arg, ctx)
+        return 1 ^ evaluate(expr.arg, value)
     if isinstance(expr, Xor):
-        return reduce(lambda a, b: a ^ b, (evaluate(a, ctx) for a in expr.args))
+        return reduce(lambda a, b: a ^ b, (evaluate(a, value) for a in expr.args))
     if isinstance(expr, And):
-        return reduce(lambda a, b: a & b, (evaluate(a, ctx) for a in expr.args))
+        return reduce(lambda a, b: a & b, (evaluate(a, value) for a in expr.args))
     if isinstance(expr, Or):
-        return reduce(lambda a, b: a | b, (evaluate(a, ctx) for a in expr.args))
+        return reduce(lambda a, b: a | b, (evaluate(a, value) for a in expr.args))
     if isinstance(expr, Maj):
-        total = sum(evaluate(a, ctx) for a in expr.args)
+        total = sum(evaluate(a, value) for a in expr.args)
         return 1 * (total > len(expr.args) / 2)
     if isinstance(expr, Thresh):
-        total = sum(evaluate(a, ctx) for a in expr.args)
+        total = sum(evaluate(a, value) for a in expr.args)
         return 1 * (total >= expr.k)
     if isinstance(expr, Table):
         idx = 0
         for a in expr.args:
-            idx = (idx << 1) | evaluate(a, ctx)
+            idx = (idx << 1) | evaluate(a, value)
         import numpy as np
 
         if isinstance(idx, int):
@@ -162,7 +158,7 @@ def atoms(expr: Expr) -> set:
     stack = [expr]
     while stack:
         e = stack.pop()
-        if isinstance(e, (OwnInput, Received, Rand, Noise, MaskBit)):
+        if isinstance(e, ATOMS):
             out.add(e)
         elif isinstance(e, Not):
             stack.append(e.arg)
@@ -175,7 +171,7 @@ def substitute(expr: Expr, mapping) -> Expr:
     """Rewrite atoms via ``mapping(atom) -> Expr | None`` (None keeps it)."""
     if isinstance(expr, Const):
         return expr
-    if isinstance(expr, (OwnInput, Received, Rand, Noise, MaskBit)):
+    if isinstance(expr, ATOMS):
         repl = mapping(expr)
         return expr if repl is None else repl
     if isinstance(expr, Not):
@@ -208,7 +204,7 @@ def to_text(expr: Expr) -> str:
     if isinstance(expr, Rand):
         return f"rand[{expr.i}]"
     if isinstance(expr, Noise):
-        return f"noise[{expr.i},{expr.eps:g}]"
+        return f"noise[{expr.i},{float(expr.eps)!r}]"
     if isinstance(expr, MaskBit):
         return f"mask[{expr.src},{expr.j}]"
     if isinstance(expr, Not):

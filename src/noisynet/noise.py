@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from .bits import BitVector
 from .rng import RngStream
@@ -29,26 +28,9 @@ MAX_REGEN_T = 20
 _PAIR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class NoiseParam:
-    """Flip probability of the binary symmetric channel."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-
-
 def noisy_copy(b: int, eps: float, rng: RngStream) -> int:
     """Return ``b`` XOR an independent Bernoulli(eps) flip (one rng draw)."""
     return int(b) ^ rng.bernoulli(eps)
-
-
-def noisy_vector(x: BitVector, eps: float, rng: RngStream) -> BitVector:
-    """XOR each coordinate of ``x`` with an independent Bernoulli(eps) flip."""
-    flips = rng.bernoulli(eps, size=len(x))
-    return BitVector(b ^ int(f) for b, f in zip(x, flips))
 
 
 class RegenTable:

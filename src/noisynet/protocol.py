@@ -434,7 +434,7 @@ def cluster_sum(net, dec, r_local: int, r_up: int, eps: float = 0.1) -> Protocol
 
 
 def protocol_to_text(p: Protocol) -> str:
-    lines = [f"nodes {p.n_nodes}", f"eps {p.eps:g}", f"class {p.klass}"]
+    lines = [f"nodes {p.n_nodes}", f"eps {float(p.eps)!r}", f"class {p.klass}"]
     for v in range(p.n_nodes):
         role = p.roles[v]
         if isinstance(role, InputRole):
@@ -449,7 +449,7 @@ def protocol_to_text(p: Protocol) -> str:
         lines.append(f"masksrc {src.node} {src.table.to_json()}")
     for tr in p.schedule:
         flag = "" if tr.noisy else " noiseless"
-        epss = "" if tr.eps is None else f" eps={tr.eps:g}"
+        epss = "" if tr.eps is None else f" eps={float(tr.eps)!r}"
         lines.append(f"tx {tr.sender}{flag}{epss} := {exprs.to_text(tr.expr)}")
     lines.append(f"out {p.output_node} := {exprs.to_text(p.output_expr)}")
     return "\n".join(lines) + "\n"

@@ -151,12 +151,6 @@ def random_spaces(rng, k: int, max_size: int = 3) -> list:
     return out
 
 
-def uniform_bit_spaces(k: int) -> list:
-    return [
-        BlockSpace((0, 1), (0.5, 0.5), (1, -1)) for _ in range(k)
-    ]
-
-
 def random_oblivious_tree(rng, spaces, depth: int, arity: int = 2):
     """Full random oblivious tree: random level blocks, random branch
     functions per node."""

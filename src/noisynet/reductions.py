@@ -192,13 +192,7 @@ def check_simulation_fidelity(p: Protocol, p1: Protocol, report, cap_bits=24):
     new_probes = [pr for _, pr in report["probe_pairs"]]
     ch0 = engine.exact_channel(p, outcome="probes", probes=orig_probes, cap_bits=cap_bits)
     ch1 = engine.exact_channel(p1, outcome="probes", probes=new_probes, cap_bits=cap_bits)
-    worst = 0.0
-    for key in ch0.rows:
-        row0, row1 = ch0.rows[key], ch1.rows[key]
-        support = set(row0) | set(row1)
-        tv = 0.5 * sum(abs(row0.get(c, 0.0) - row1.get(c, 0.0)) for c in support)
-        worst = max(worst, tv)
-    return worst
+    return ch0.total_variation(ch1)
 
 
 # -- stage 2: noisy-copy -----------------------------------------------------
@@ -314,36 +308,14 @@ def fix_randomness(p: Protocol, f, mu, cap_bits=24):
     if not internal:
         return p, {"assignments": 1, "chosen": {}, "identity": True}
     external = [pr for pr in prims if not pr.internal]
-    ordered = internal + external
-    total = 1
-    for pr in ordered:
-        total *= pr.size
-    if total > 2**cap_bits:
-        raise engine.CapExceeded(
-            f"{total} noise assignments exceed 2^{cap_bits}", size=total
-        )
     # one joint grid with the internal primitives varying slowest, so each
     # internal assignment owns a contiguous slab of external outcomes
-    arrs = {}
-    stride = total
-    for pr in ordered:
-        stride //= pr.size
-        arrs[pr.key] = ((np.arange(total) // stride) % pr.size).astype(np.int64)
-    inner = 1
-    for pr in external:
-        inner *= pr.size
-    n_assign = total // inner
-    w_ext = np.ones(total)
-    for pr in external:
-        w_ext *= np.asarray(pr.probs)[arrs[pr.key]]
-    # probability of each internal assignment (mixed-radix decode)
-    sizes = [pr.size for pr in internal]
-    p_int = np.ones(n_assign)
-    for i in range(n_assign):
-        rest = i
-        for pr, size in zip(reversed(internal), reversed(sizes)):
-            rest, out = divmod(rest, size)
-            p_int[i] *= pr.probs[out]
+    arrs, _weights = engine._enumeration_arrays(internal + external, cap_bits)
+    int_arrs, p_int = engine._enumeration_arrays(internal, cap_bits)
+    _ext_arrs, ext_weights = engine._enumeration_arrays(external, cap_bits)
+    n_assign, inner = len(p_int), len(ext_weights)
+    total = n_assign * inner
+    w_ext = np.tile(ext_weights, n_assign)
 
     mask_bits = engine._mask_bit_matrices(p)
     corr = np.zeros(n_assign * 2)
@@ -363,19 +335,12 @@ def fix_randomness(p: Protocol, f, mu, cap_bits=24):
     advs = np.abs(corr).sum(axis=1)
     r_star = int(np.argmax(advs))  # first maximal assignment
     adv_before = float(np.abs((corr * p_int[:, None]).sum(axis=0)).sum())
-
-    chosen = {}
-    rest = r_star
-    for pr, size in zip(reversed(internal), reversed(sizes)):
-        rest, out = divmod(rest, size)
-        chosen[pr.key] = out
+    chosen = {pr.key: int(int_arrs[pr.key][r_star]) for pr in internal}
 
     def subst_for(node):
         def m(atom):
-            if isinstance(atom, exprs.Rand):
-                return Const(int(chosen[("rand", node, atom.i)]))
-            if isinstance(atom, Noise):
-                return Const(int(chosen[("noise", node, atom.i)]))
+            if isinstance(atom, (exprs.Rand, Noise)):
+                return Const(chosen[engine._internal_key(node, atom)])
             if isinstance(atom, MaskBit):
                 out = chosen[("mask", atom.src)]
                 return Const(int(mask_bits[atom.src][out, atom.j]))
@@ -445,38 +410,6 @@ class XndTreeArtifact:
                 vec.append(prob)
             out.append(np.array(vec))
         return out
-
-
-class _TreeCtx:
-    """Vectorized evaluation of a transmission over one block's values."""
-
-    def __init__(self, own, x_cols, z_cols, prefix_bits, t0_of, aux_new_index):
-        self.own = own
-        self.x_cols = x_cols  # input node -> array over values (or None)
-        self.z_cols = z_cols
-        self.prefix_bits = prefix_bits  # aux schedule index -> bit
-        self.t0_of = t0_of
-        self.aux_new_index = aux_new_index
-
-    def own_input(self, index):
-        return self.own
-
-    def rx(self, t):
-        if t in self.t0_of:
-            v = self.t0_of[t]
-            x = self.x_cols.get(v)
-            if x is None:
-                return 0
-            return x ^ self.z_cols[v]
-        return self.prefix_bits[self.aux_new_index[t]]
-
-    def rand(self, i):
-        raise ValueError("tree construction requires a deterministic protocol")
-
-    noise = rand
-
-    def mask(self, src, j):
-        raise ValueError("tree construction requires a deterministic protocol")
 
 
 def to_xnd_tree(
@@ -622,11 +555,19 @@ def to_xnd_tree(
         t, tr = aux_sched[level]
         sp = spaces[level_block[level]]
         x_cols, z_cols = level_columns(level)
-        role = p2.roles[tr.sender]
-        ctx = _TreeCtx(
-            role.fixed_bit, x_cols, z_cols, prefix_bits, t0_of, aux_new_index
-        )
-        out = exprs.evaluate(tr.expr, ctx)
+        own = p2.roles[tr.sender].fixed_bit
+
+        def value(atom):
+            if isinstance(atom, OwnInput):
+                return own
+            if not isinstance(atom, Received):
+                raise ValueError("tree construction requires a deterministic protocol")
+            if atom.t in t0_of:
+                v = t0_of[atom.t]
+                return x_cols[v] ^ z_cols[v] if v in x_cols else 0
+            return prefix_bits[aux_new_index[atom.t]]
+
+        out = exprs.evaluate(tr.expr, value)
         out = np.broadcast_to(np.asarray(out, dtype=np.int64), (sp.size,))
         return tuple(int(x) for x in out)
 
@@ -685,9 +626,7 @@ def check_leaf_law(p2: Protocol, art: XndTreeArtifact, cap_bits=24) -> float:
             for bit in path:
                 code = (code << 1) | bit
             tree_row[code] = tree_row.get(code, 0.0) + prob
-        support = set(row) | set(tree_row)
-        tv = 0.5 * sum(abs(row.get(c, 0.0) - tree_row.get(c, 0.0)) for c in support)
-        worst = max(worst, tv)
+        worst = max(worst, engine.law_tv(row, tree_row))
     return worst
 
 

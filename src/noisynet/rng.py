@@ -11,13 +11,27 @@ triple always reproduces the same draw regardless of thread schedule.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
 #: Generator family identifier, recorded in experiment metadata.
 RNG_VERSION = "philox4x64-sha256-v1"
 
-_KeyPart = "str | int"
+
+def _key_text(part) -> str:
+    """Text hashed for one key part; equal numbers give equal text on every
+    numpy version (``repr(np.int64(3))`` is ``'np.int64(3)'`` under numpy 2)."""
+    if isinstance(part, str):
+        return repr(str(part))
+    if isinstance(part, float):
+        return repr(float(part))
+    try:
+        return repr(operator.index(part))
+    except TypeError:
+        raise TypeError(
+            f"rng key parts must be str, int or float, not {type(part).__name__}"
+        ) from None
 
 
 def _derive_key(seed: int, key: tuple) -> np.ndarray:
@@ -26,7 +40,7 @@ def _derive_key(seed: int, key: tuple) -> np.ndarray:
     h.update(str(int(seed)).encode())
     for part in key:
         h.update(b"\x1f")
-        h.update(repr(part).encode())
+        h.update(_key_text(part).encode())
     digest = h.digest()
     return np.frombuffer(digest[:16], dtype=np.uint64)
 

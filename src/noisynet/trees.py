@@ -220,13 +220,6 @@ def evaluate(t, assignment) -> tuple:
     return tuple(path)
 
 
-def sample_assignment(spaces, rng) -> list:
-    """One value index per block, drawn from each block's law."""
-    return [
-        rng.spawn("block", j).choice_index(sp.probs) for j, sp in enumerate(spaces)
-    ]
-
-
 # -- leaf functionals -------------------------------------------------------
 
 
@@ -280,11 +273,6 @@ def tree_advantage(t, spaces, mu=None):
     value = sum(abs(v) for v in corr.values())
     weighting = {path: (1 if v >= 0 else -1) for path, v in corr.items()}
     return value, weighting
-
-
-def law_total_variation(law_a: dict, law_b: dict) -> float:
-    keys = set(law_a) | set(law_b)
-    return 0.5 * sum(abs(law_a.get(k, 0.0) - law_b.get(k, 0.0)) for k in keys)
 
 
 # -- rearrangements ---------------------------------------------------------
@@ -393,6 +381,16 @@ def move_to_root(t, spaces, mu=None):
     return out, witness, info
 
 
+def _strides(arities):
+    """Mixed-radix place values of a run's arities (first slowest), and
+    the run's outcome count."""
+    out, acc = [], 1
+    for a in reversed(arities):
+        out.append(acc)
+        acc *= a
+    return list(reversed(out)), acc
+
+
 def merge_superqueries(t):
     """Merge maximal runs of same-block levels into single superqueries.
 
@@ -413,13 +411,6 @@ def merge_superqueries(t):
         i = j + 1
     record = [(lb[i], ar[i:j]) for i, j in runs]
 
-    def strides(arities):
-        out, acc = [], 1
-        for a in reversed(arities):
-            out.append(acc)
-            acc *= a
-        return list(reversed(out)), acc
-
     memo: dict = {}
 
     def rec(v, run_idx):
@@ -430,7 +421,7 @@ def merge_superqueries(t):
             return got
         i, j = runs[run_idx]
         arities = ar[i:j]
-        st, total = strides(arities)
+        st, total = _strides(arities)
         if total > MAX_TREE_PATHS:
             raise TreeCapExceeded("superquery outcome space too large")
         block = v.block
@@ -472,13 +463,6 @@ def expand_superqueries(t, record):
     if len(record) != len(lb):
         raise ValueError("record length does not match tree depth")
 
-    def strides(arities):
-        out, acc = [], 1
-        for a in reversed(arities):
-            out.append(acc)
-            acc *= a
-        return list(reversed(out)), acc
-
     memo: dict = {}
 
     def rec(v, lvl):
@@ -490,7 +474,7 @@ def expand_superqueries(t, record):
         block, arities = record[lvl]
         if block != v.block:
             raise ValueError("record block mismatch")
-        st, total = strides(arities)
+        st, total = _strides(arities)
         if total != len(v.children):
             raise ValueError("record arities do not match node arity")
 

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from noisynet import random_instances as ri, trees
+from noisynet import random_instances as ri, reductions, trees
 from noisynet.cli import main
-from noisynet.protocol import protocol_to_text, star_xor
+from noisynet.protocol import protocol_from_text, protocol_to_text, star_xor
 from noisynet.rng import RngStream
 
 
@@ -107,6 +107,31 @@ def test_reduce_default_instance(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["monotone"] is True
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_reduce_copy_default_instance(capsys, seed):
+    code, out, _err = run(capsys, "--seed", seed, "reduce", "--stage", "copy")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["stage"] == "copy" and doc["report"]["fixed"] is not None
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_reduce_xnd_default_instance(capsys, seed):
+    code, out, _err = run(capsys, "--seed", seed, "reduce", "--stage", "xnd")
+    assert code == 0
+    assert json.loads(out)["leaf_law_tv"] <= 1e-12
+
+
+def test_protocol_text_keeps_every_digit_of_eps():
+    p1, _ = reductions.to_semi_noisy(star_xor(2, reps=1, eps=0.123456789))
+    p2, _ = reductions.to_noisy_copy(p1, 1, fix=False)
+    for p in (p1, p2):
+        q = protocol_from_text(protocol_to_text(p))
+        assert q.eps == p.eps
+        assert [tr.eps for tr in q.schedule] == [tr.eps for tr in p.schedule]
+        assert [tr.expr for tr in q.schedule] == [tr.expr for tr in p.schedule]
 
 
 def test_tree_collapse_on_unordered_is_check_failure(tmp_path, capsys):

@@ -10,6 +10,7 @@ from noisynet.engine import (
     error_probability,
     exact_channel,
     execute,
+    law_tv,
     parity_of_inputs,
     sampled_channel,
 )
@@ -119,3 +120,12 @@ def test_error_probability_mc_needs_rng():
         error_probability(p, parity_of_inputs, method="mc")
     with pytest.raises(ValueError):
         error_probability(p, parity_of_inputs, method="bogus")
+
+
+def test_law_tv():
+    law = {0: 0.25, 1: 0.75}
+    assert law_tv(law, dict(law)) == 0.0
+    assert law_tv({0: 1.0}, {1: 1.0}) == 1.0
+    assert law_tv({0: 0.5, 1: 0.5}, {0: 0.5, 2: 0.5}) == 0.5
+    assert law_tv({0: 0.5, 1: 0.5}, {0: 1.0}) == law_tv({0: 1.0}, {0: 0.5, 1: 0.5}) == 0.5
+    assert law_tv({}, {}) == 0.0

@@ -1,6 +1,9 @@
 """Expression DSL: evaluation, substitution, and text round trips."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisynet import exprs
 from noisynet.exprs import (
@@ -24,29 +27,19 @@ from noisynet.exprs import (
 )
 
 
-class Ctx:
-    def __init__(self, own=0, rx=None, rand=None, noise=None, mask=None):
-        self._own, self._rx = own, rx or {}
-        self._rand, self._noise, self._mask = rand or {}, noise or {}, mask or {}
+def ev(e, own=0, rx=None, rand=None, noise=None, mask=None):
+    def value(atom):
+        if isinstance(atom, OwnInput):
+            return own
+        if isinstance(atom, Received):
+            return rx[atom.t]
+        if isinstance(atom, Rand):
+            return rand[atom.i]
+        if isinstance(atom, Noise):
+            return noise[atom.i]
+        return mask[(atom.src, atom.j)]
 
-    def own_input(self, index):
-        return self._own
-
-    def rx(self, t):
-        return self._rx[t]
-
-    def rand(self, i):
-        return self._rand[i]
-
-    def noise(self, i, eps):
-        return self._noise[i]
-
-    def mask(self, src, j):
-        return self._mask[(src, j)]
-
-
-def ev(e, **kw):
-    return exprs.evaluate(e, Ctx(**kw))
+    return exprs.evaluate(e, value)
 
 
 def test_boolean_ops():
@@ -111,6 +104,7 @@ def test_substitute():
         Thresh((Received(0), Received(1), Received(2)), 2),
         mux(Received(0), Const(0), OwnInput(0)),
         Table((Received(0),), (1, 0)),
+        Noise(3, 0.123456789),
     ],
 )
 def test_text_round_trip(e):
@@ -131,3 +125,55 @@ def test_parse_errors():
 def test_table_arity_checked():
     with pytest.raises(ValueError):
         Table((Const(0),), (0, 1, 0))
+
+
+# -- properties --------------------------------------------------------------
+
+_leaves = st.one_of(
+    st.builds(Const, st.integers(0, 1)),
+    st.builds(OwnInput, st.integers(0, 3)),
+    st.builds(Received, st.integers(0, 20)),
+    st.builds(Rand, st.integers(0, 5)),
+    st.builds(Noise, st.integers(0, 5), st.floats(0.0, 1.0)),
+    st.builds(MaskBit, st.integers(0, 3), st.integers(0, 5)),
+)
+
+
+def _table(args):
+    n = 2 ** len(args)
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return bits.map(lambda table: Table(tuple(args), tuple(table)))
+
+
+def _compound(children):
+    args = st.lists(children, min_size=1, max_size=4).map(tuple)
+    return st.one_of(
+        children.map(Not),
+        args.map(Xor),
+        args.map(And),
+        args.map(Or),
+        args.map(Maj),
+        st.builds(Thresh, args, st.integers(0, 4)),
+        st.lists(children, min_size=1, max_size=3).flatmap(_table),
+    )
+
+
+expressions = st.recursive(_leaves, _compound, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions)
+def test_text_round_trip_property(e):
+    assert parse(to_text(e)) == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions, st.integers(0, 2**32 - 1))
+def test_array_evaluation_matches_scalar_evaluation(e, seed):
+    width = 8
+    gen = np.random.default_rng(seed)
+    columns = {a: gen.integers(0, 2, size=width) for a in exprs.atoms(e)}
+    got = np.broadcast_to(exprs.evaluate(e, columns.__getitem__), (width,))
+    for i in range(width):
+        want = exprs.evaluate(e, lambda atom: int(columns[atom][i]))
+        assert got[i] == want

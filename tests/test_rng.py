@@ -1,6 +1,7 @@
 """Determinism and independence of the keyed random streams."""
 
 import numpy as np
+import pytest
 
 from noisynet.rng import RNG_VERSION, RngStream
 
@@ -59,3 +60,16 @@ def test_choice_index_law():
 
 def test_version_tag():
     assert RNG_VERSION.startswith("philox")
+
+
+def test_numpy_scalar_key_parts_name_the_python_stream():
+    assert RngStream(0, (np.int64(3),)).random() == RngStream(0, (3,)).random()
+    assert RngStream(0, (np.float64(0.4),)).random() == RngStream(0, (0.4,)).random()
+    assert RngStream(0, (np.str_("a"),)).random() == RngStream(0, ("a",)).random()
+    assert RngStream(0, (3,)).random() != RngStream(0, ("3",)).random()
+
+
+def test_other_key_part_types_are_rejected():
+    for bad in [(1, 2), None, b"x"]:
+        with pytest.raises(TypeError):
+            RngStream(0, ("k", bad))

@@ -8,6 +8,7 @@ import pytest
 
 from noisynet import random_instances as ri
 from noisynet import trees
+from noisynet.engine import law_tv
 from noisynet.errors import TreeCapExceeded
 from noisynet.rng import RngStream
 from noisynet.trees import (
@@ -25,7 +26,6 @@ from noisynet.trees import (
     is_oblivious,
     is_ordered,
     is_read_once,
-    law_total_variation,
     leaf_correlations,
     leaf_law,
     level_blocks,
@@ -184,7 +184,7 @@ def test_merge_expand_round_trip_preserves_law():
         assert len(alternations(merged)) == len(alternations(t))
         back = expand_superqueries(merged, record)
         mus = [np.array(sp.probs) for sp in spaces]
-        tv = law_total_variation(leaf_law(t, mus), leaf_law(back, mus))
+        tv = law_tv(leaf_law(t, mus), leaf_law(back, mus))
         assert tv <= 1e-12
         a0, _ = tree_advantage(t, spaces)
         a1, _ = tree_advantage(merged, spaces)
