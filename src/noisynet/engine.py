@@ -411,14 +411,23 @@ def error_probability(
     if rng is None:
         raise ValueError("Monte-Carlo error estimation needs an rng stream")
     ch = sampled_channel(p, inputs, trials, rng, outcome="output")
-    per_input, upper = {}, 0.0
+    per_input = {}
     for key, row in ch.rows.items():
         err = 1.0 - row.get(f(key), 0.0)
-        sigma = math.sqrt(max(err * (1 - err), 1e-12) / trials)
-        per_input[key] = (err, (max(err - z * sigma, 0.0), min(err + z * sigma, 1.0)))
-        upper = max(upper, min(err + z * sigma, 1.0))
+        per_input[key] = (err, wilson_interval(err, trials, z))
     point = max(v[0] for v in per_input.values())
+    upper = max(v[1][1] for v in per_input.values())
     return ErrorEstimate(upper, "mc", per_input, ci=(point, upper), trials=trials)
+
+
+def wilson_interval(p_hat: float, n: int, z: float) -> tuple:
+    """Wilson score interval for a binomial proportion observed as ``p_hat``
+    over ``n`` trials (Wilson 1927).  Unlike the normal interval it keeps a
+    positive width when no or every trial succeeds."""
+    z2n = z * z / n
+    centre = (p_hat + z2n / 2) / (1 + z2n)
+    half = z / (1 + z2n) * math.sqrt(p_hat * (1 - p_hat) / n + z2n / (4 * n))
+    return (max(centre - half, 0.0), min(centre + half, 1.0))
 
 
 def parity_of_inputs(key: tuple) -> int:

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 
 class Expr:
     __slots__ = ()
@@ -141,11 +143,13 @@ def evaluate(expr: Expr, value):
         total = sum(evaluate(a, value) for a in expr.args)
         return 1 * (total >= expr.k)
     if isinstance(expr, Table):
+        wide = len(expr.args) > 8  # a uint8 index would wrap past 8 bits
         idx = 0
         for a in expr.args:
-            idx = (idx << 1) | evaluate(a, value)
-        import numpy as np
-
+            bit = evaluate(a, value)
+            if wide and not isinstance(bit, int):
+                bit = np.asarray(bit, dtype=np.int64)
+            idx = (idx << 1) | bit
         if isinstance(idx, int):
             return expr.table[idx]
         return np.asarray(expr.table, dtype=np.uint8)[idx]

@@ -15,8 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyS2, UndersizedCell
@@ -50,47 +53,47 @@ class PlanarNetwork:
             self._tree = cKDTree(self.positions)
         return self._tree
 
+    def _close(self, a, b):
+        """Whether nodes ``a`` and ``b`` (indices or index arrays) lie at
+        distance strictly below the radius: the one edge rule."""
+        p = self.positions
+        return np.linalg.norm(p[a] - p[b], axis=-1) < self.radius
+
     def neighbors(self, i: int) -> list:
         """Indices at distance < radius from node i (excluding i)."""
         if self.radius == 0:
             return []
-        cand = self.tree.query_ball_point(self.positions[i], self.radius)
-        p = self.positions
-        out = [
-            j
-            for j in cand
-            if j != i and np.linalg.norm(p[j] - p[i]) < self.radius
-        ]
-        return sorted(out)
+        cand = np.asarray(
+            self.tree.query_ball_point(self.positions[i], self.radius), dtype=np.intp
+        )
+        cand = cand[cand != i]
+        return np.sort(cand[self._close(i, cand)]).tolist()
+
+    def edge_array(self) -> np.ndarray:
+        """All edges as an (E, 2) array of i < j, in no particular order."""
+        if self.radius == 0:
+            return np.empty((0, 2), dtype=np.intp)
+        pairs = self.tree.query_pairs(self.radius, output_type="ndarray")
+        # query_pairs uses <=; enforce the strict-< rule.
+        return pairs[self._close(pairs[:, 0], pairs[:, 1])]
 
     def edge_pairs(self):
         """All edges as a sorted list of (i, j) with i < j."""
-        if self.radius == 0:
-            return []
-        pairs = self.tree.query_pairs(self.radius, output_type="ndarray")
-        if len(pairs):
-            # query_pairs uses <=; enforce the strict-< rule.
-            d = np.linalg.norm(
-                self.positions[pairs[:, 0]] - self.positions[pairs[:, 1]], axis=1
-            )
-            pairs = pairs[d < self.radius]
-        return sorted(map(tuple, pairs.tolist())) if len(pairs) else []
+        return sorted(map(tuple, self.edge_array().tolist()))
 
     @property
     def adjacency(self) -> dict:
         """node -> sorted neighbor list; built lazily and cached."""
         if self._adjacency is None:
-            adj = {i: [] for i in range(self.n_nodes)}
-            for i, j in self.edge_pairs():
-                adj[i].append(j)
-                adj[j].append(i)
-            self._adjacency = {i: sorted(v) for i, v in adj.items()}
+            e = self.edge_array()
+            both = np.concatenate([e, e[:, ::-1]])
+            self._adjacency = dict(
+                enumerate(_group(both[:, 0], both[:, 1], self.n_nodes))
+            )
         return self._adjacency
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        return float(np.linalg.norm(self.positions[i] - self.positions[j])) < self.radius
+        return i != j and bool(self._close(i, j))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -122,28 +125,22 @@ def sample_network(N: int, R: float, rng: RngStream) -> PlanarNetwork:
     return PlanarNetwork(positions, R, seed_record={"seed": rng.seed, "key": list(rng.key)})
 
 
+def _group(keys, values, n: int) -> list:
+    """For each key 0..n-1, the ascending list of the values paired with it."""
+    order = np.lexsort((values, keys))
+    bounds = np.searchsorted(keys[order], np.arange(n + 1)).tolist()
+    values = values[order].tolist()
+    return [values[bounds[k] : bounds[k + 1]] for k in range(n)]
+
+
 def is_connected(net: PlanarNetwork) -> bool:
-    """Whole-graph connectivity via union-find over the edge set."""
+    """Whole-graph connectivity of the strict-< edge set."""
     n = net.n_nodes
     if n <= 1:
         return True
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    components = n
-    for i, j in net.edge_pairs():
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            components -= 1
-            if components == 1:
-                return True
-    return components == 1
+    e = net.edge_array()
+    graph = coo_matrix((np.ones(len(e), dtype=np.int8), (e[:, 0], e[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False, return_labels=False) == 1
 
 
 def chernoff_bound(mu: float) -> float:
@@ -171,23 +168,27 @@ class Tessellation:
         return self.m * self.m
 
 
-def tessellate(net: PlanarNetwork) -> Tessellation:
+def _cells_per_side(net: PlanarNetwork) -> int:
     if net.radius > 1:
         raise ValueError("tessellation requires R <= 1")
-    m = int(math.floor(1.0 / net.radius))
+    return int(math.floor(1.0 / net.radius))
+
+
+def tessellate(net: PlanarNetwork) -> Tessellation:
+    m = _cells_per_side(net)
     side = 1.0 / m
-    cell_of = {}
-    members = {(r, c): [] for r in range(1, m + 1) for c in range(1, m + 1)}
-    for i, (x, y) in enumerate(net.positions):
-        col = min(max(1, int(math.ceil(x / side))), m)
-        row = min(max(1, int(math.ceil(y / side))), m)
-        cell_of[i] = (row, col)
-        members[(row, col)].append(i)
+    # column from x, row from y; ceil puts a gridline point in the lower cell
+    col, row = np.clip(np.ceil(net.positions / side), 1, m).astype(np.intp).T
+    groups = _group((row - 1) * m + (col - 1), np.arange(net.n_nodes), m * m)
+    cells = ((r, c) for r in range(1, m + 1) for c in range(1, m + 1))
+    members = dict(zip(cells, groups))
+    cell_of = dict(enumerate(zip(row.tolist(), col.tolist())))
     return Tessellation(m=m, side=side, cell_of=cell_of, members=members)
 
 
-def cell_neighborhood(tess: Tessellation, cell) -> list:
-    """Cells within distance < R of ``cell``: the 3x3 block, clipped.
+def cell_neighborhood(m: int, cell) -> list:
+    """Cells within distance < R of ``cell`` in an m x m tessellation: the
+    3x3 block, clipped.
 
     With cell side >= R this is exactly the set of cells whose closed
     regions come within R of the cell's region.
@@ -197,7 +198,7 @@ def cell_neighborhood(tess: Tessellation, cell) -> list:
     for dr in (-1, 0, 1):
         for dc in (-1, 0, 1):
             rr, cc = r + dr, c + dc
-            if 1 <= rr <= tess.m and 1 <= cc <= tess.m:
+            if 1 <= rr <= m and 1 <= cc <= m:
                 out.append((rr, cc))
     return out
 
@@ -289,7 +290,7 @@ def decompose(net: PlanarNetwork, tx_counts: dict, T: int) -> Decomposition:
     for cell in s1:
         load = sum(
             tx_counts.get(i, 0)
-            for nb in cell_neighborhood(tess, cell)
+            for nb in cell_neighborhood(tess.m, cell)
             for i in tess.members[nb]
         )
         if load < D:
@@ -306,9 +307,10 @@ def decompose(net: PlanarNetwork, tx_counts: dict, T: int) -> Decomposition:
         input_blocks.append(block)
         claimed.update(block)
     for cell, block in zip(s2, input_blocks):
+        block = set(block)
         aux = sorted(
             i
-            for nb in cell_neighborhood(tess, cell)
+            for nb in cell_neighborhood(tess.m, cell)
             for i in tess.members[nb]
             if i not in block
         )
@@ -348,42 +350,65 @@ def verify_decomposition(net: PlanarNetwork, dec: Decomposition) -> dict:
             report["p1_ok"] = False
             report["p1_witnesses"].append({"block": j, "size": len(blk)})
 
-    seen = {}
     all_blocks = (
         [("I", j + 1, b) for j, b in enumerate(dec.input_blocks)]
         + [("A", j + 1, b) for j, b in enumerate(dec.aux_blocks)]
         + [("A", 0, dec.aux0)]
     )
-    for kind, j, blk in all_blocks:
-        for v in blk:
-            if v in seen:
-                report["partition_ok"] = False
-                report["partition_witnesses"].append(
-                    {"node": v, "blocks": [seen[v], (kind, j)]}
-                )
-            seen[v] = (kind, j)
-    if len(seen) != net.n_nodes:
+    nodes = np.concatenate([np.asarray(b, dtype=np.int64) for _, _, b in all_blocks])
+    owner = np.repeat(np.arange(len(all_blocks)), [len(b) for _, _, b in all_blocks])
+    # in a stable sort by node, a repeated node follows its latest earlier entry
+    order = np.argsort(nodes, kind="stable")
+    again = nodes[order[1:]] == nodes[order[:-1]]
+    for here, before in sorted(zip(order[1:][again].tolist(), order[:-1][again].tolist())):
         report["partition_ok"] = False
-        missing = sorted(set(range(net.n_nodes)) - set(seen))
-        report["partition_witnesses"].append({"missing": missing[:10]})
+        report["partition_witnesses"].append(
+            {
+                "node": int(nodes[here]),
+                "blocks": [all_blocks[owner[i]][:2] for i in (before, here)],
+            }
+        )
+    distinct = np.delete(nodes[order], np.flatnonzero(again) + 1)
+    if len(distinct) != net.n_nodes:
+        report["partition_ok"] = False
+        missing = np.setdiff1d(np.arange(net.n_nodes), distinct)
+        report["partition_witnesses"].append({"missing": missing[:10].tolist()})
 
     for j, blk in enumerate(dec.input_blocks, start=1):
-        allowed = set(blk) | set(dec.aux_blocks[j - 1])
-        for v in blk:
-            for w in net.neighbors(v):
-                if w not in allowed:
-                    report["p2_ok"] = False
-                    report["p2_witnesses"].append({"block": j, "edge": [v, w]})
+        for v, w in _confinement_witnesses(net, blk, dec.aux_blocks[j - 1]):
+            report["p2_ok"] = False
+            report["p2_witnesses"].append({"block": j, "edge": [v, w]})
     report["ok"] = report["p1_ok"] and report["p2_ok"] and report["partition_ok"]
     return report
 
 
+def _confinement_witnesses(net: PlanarNetwork, blk, aux) -> list:
+    """Edges (v, w) from a node v of ``blk`` to a node w outside ``blk`` and
+    ``aux``, in the order of ``blk`` and then of w."""
+    if not len(blk) or net.radius == 0:
+        return []
+    blk = np.asarray(blk, dtype=np.intp)
+    inside = np.concatenate([blk, np.asarray(aux, dtype=np.intp)])
+    allowed = np.zeros(net.n_nodes, dtype=bool)
+    allowed[inside[(inside >= 0) & (inside < net.n_nodes)]] = True
+    cands = net.tree.query_ball_point(net.positions[blk], net.radius, return_sorted=False)
+    lens = np.fromiter(map(len, cands), dtype=np.intp, count=len(cands))
+    w = np.fromiter(chain.from_iterable(cands), dtype=np.intp, count=int(lens.sum()))
+    pos = np.repeat(np.arange(len(blk)), lens)
+    out = ~allowed[w]
+    pos, w = pos[out], w[out]
+    hit = net._close(blk[pos], w)
+    pos, w = pos[hit], w[hit]
+    order = np.lexsort((w, pos))
+    return list(zip(blk[pos[order]].tolist(), w[order].tolist()))
+
+
 def s1_neighborhoods_disjoint(net: PlanarNetwork, dec: Decomposition) -> bool:
     """Distinct selected cells must have disjoint cell neighborhoods."""
-    tess = tessellate(net)
+    m = _cells_per_side(net)
     seen = set()
     for cell in dec.cells:
-        nb = set(cell_neighborhood(tess, cell))
+        nb = set(cell_neighborhood(m, cell))
         if nb & seen:
             return False
         seen |= nb

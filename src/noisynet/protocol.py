@@ -297,7 +297,7 @@ def repetition_majority_parity(net, dec, r: int, eps: float = 0.1) -> Protocol:
         else max(inputs + dec.aux0 + [v for b in dec.aux_blocks for v in b]) + 1
     )
     if net is not None:
-        adjacency = {v: frozenset(net.neighbors(v)) for v in range(n_nodes)}
+        adjacency = {v: frozenset(nb) for v, nb in net.adjacency.items()}
     else:
         adjacency = complete_adjacency(n_nodes)
     aux_nodes = sorted(set(range(n_nodes)) - set(inputs))
@@ -348,7 +348,7 @@ def cluster_sum(net, dec, r_local: int, r_up: int, eps: float = 0.1) -> Protocol
     if r_local < 1 or r_up < 1:
         raise ValueError("repetition factors must be >= 1")
     n_nodes = net.n_nodes
-    adjacency = {v: frozenset(net.neighbors(v)) for v in range(n_nodes)}
+    adjacency = {v: frozenset(nb) for v, nb in net.adjacency.items()}
     inputs = set(v for blk in dec.input_blocks for v in blk)
     roles = {}
     for j, blk in enumerate(dec.input_blocks, start=1):

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from noisynet import advantage as adv
 from noisynet.engine import Channel, exact_channel, execute, input_order
-from noisynet.exprs import And, Maj, OwnInput, Xor
+from noisynet.exprs import And, Maj, OwnInput, Table, Xor
 from noisynet.protocol import star_xor
 from noisynet.rng import RngStream
 
@@ -154,6 +155,14 @@ def test_truth_table_expr_matches_callable():
         return 1 if sum(x) > 1.5 else 0
 
     assert list(adv.truth_table(f_expr, 3)) == list(adv.truth_table(f_call, 3))
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_truth_table_of_wide_table_matches_its_table(n):
+    # the table index has n bits: it must not wrap at 8 on uint8 columns
+    bits = np.random.default_rng(n).integers(0, 2, 2**n)
+    f = Table(tuple(OwnInput(i) for i in range(n)), tuple(bits.tolist()))
+    assert np.array_equal(adv.truth_table(f, n), bits)
 
 
 # -- closed-form bounds ------------------------------------------------------

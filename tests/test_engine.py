@@ -85,6 +85,31 @@ def test_monte_carlo_within_3_sigma():
     assert est.value >= truth - 1e-12  # reported upper confidence bound
 
 
+def test_monte_carlo_upper_bound_holds_at_zero_observed_errors():
+    # exact error 3.37e-8: 1e5 trials almost surely see no error at all
+    p = star_xor(1, reps=5, eps=0.0015)
+    exact = error_probability(p, parity_of_inputs, method="exact")
+    assert abs(exact.value - 3.37e-8) < 1e-10
+    est = error_probability(
+        p, parity_of_inputs, method="mc", trials=100_000,
+        rng=RngStream(20150209, ("zero-errors",)), z=5.0,
+    )
+    assert all(err == 0.0 for err, _ci in est.per_input.values())
+    assert est.value >= exact.value
+    for key, (_err, (lo, hi)) in est.per_input.items():
+        assert lo <= exact.per_input[key] <= hi
+
+
+def test_wilson_interval_closed_form():
+    n, z = 100_000, 5.0
+    lo, hi = engine.wilson_interval(0.0, n, z)
+    assert lo == 0.0 and math.isclose(hi, z * z / (n + z * z))
+    lo, hi = engine.wilson_interval(1.0, n, z)
+    assert math.isclose(hi, 1.0) and math.isclose(lo, n / (n + z * z))
+    lo, hi = engine.wilson_interval(0.5, n, z)
+    assert math.isclose(0.5 - lo, hi - 0.5)
+
+
 def test_exact_channel_rows_are_distributions():
     p = star_xor(2, reps=2, eps=0.15)
     for outcome in ("output", "transcript"):

@@ -51,6 +51,22 @@ def test_neighbors_match_edges():
     adj = net.adjacency
     for i, j in pairs:
         assert j in adj[i] and i in adj[j]
+    for i in range(net.n_nodes):
+        assert net.neighbors(i) == adj[i]
+    assert sum(map(len, adj.values())) == 2 * len(pairs)
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 1.5])
+def test_is_connected_matches_search_over_adjacency(factor):
+    N = 300
+    net = sample_network(N, factor * math.sqrt(math.log(N) / N), RngStream(9, (factor,)))
+    seen, stack = {0}, [0]
+    while stack:
+        for w in net.adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    assert is_connected(net) == (len(seen) == N)
 
 
 def test_positions_validated():
@@ -82,6 +98,21 @@ def test_tessellation_covers_all_nodes():
         assert (r - 1) * tess.side <= y <= r * tess.side + 1e-12
 
 
+def test_tessellation_of_gridline_points_follows_the_ceil_rule():
+    for m in (3, 5, 7):
+        grid = np.arange(m + 1) / m
+        pts = np.array([(x, y) for x in grid for y in grid] + [(0.5, 0.0), (1.0, 0.5)])
+        tess = tessellate(PlanarNetwork(pts, radius=1.0 / m))
+        assert tess.m == m
+        members = {(r, c): [] for r in range(1, m + 1) for c in range(1, m + 1)}
+        for i, (x, y) in enumerate(pts):
+            col = min(max(1, math.ceil(x / tess.side)), m)
+            row = min(max(1, math.ceil(y / tess.side)), m)
+            assert tess.cell_of[i] == (row, col)
+            members[(row, col)].append(i)
+        assert tess.members == members
+
+
 def test_chernoff_bound_values():
     assert math.isclose(chernoff_bound(20), math.exp(-3.0))
     assert chernoff_bound(0) == 1.0
@@ -104,6 +135,32 @@ def test_decompose_uniform_counts_properties():
     back = Decomposition.from_json(dec.to_json())
     assert back.input_blocks == dec.input_blocks
     assert back.cells == dec.cells
+
+
+def test_confinement_witnesses_match_brute_force():
+    N = 4000
+    R = math.sqrt(10 * math.log(N) / N)
+    net = sample_network(N, R, RngStream(5))
+    dec = decompose_for_uniform_counts(net)
+    # move every third aux node of each block into A_0
+    aux_blocks = [[v for i, v in enumerate(b) if i % 3] for b in dec.aux_blocks]
+    aux0 = sorted(dec.aux0 + [v for b in dec.aux_blocks for v in b[::3]])
+    bad = Decomposition(
+        dec.n, dec.k, dec.d, dec.D, dec.input_blocks, aux_blocks, aux0, dec.cells
+    )
+    report = verify_decomposition(net, bad)
+    p = net.positions
+    want = []
+    for j, blk in enumerate(bad.input_blocks, start=1):
+        allowed = set(blk) | set(bad.aux_blocks[j - 1])
+        for v in blk:
+            dist = np.sqrt(((p - p[v]) ** 2).sum(axis=1))
+            for w in np.flatnonzero(dist < R).tolist():
+                if w not in allowed:
+                    want.append({"block": j, "edge": [v, w]})
+    assert want
+    assert report["p2_witnesses"] == want
+    assert not report["p2_ok"] and report["p1_ok"] and report["partition_ok"]
 
 
 def test_decompose_rejects_wrong_total():
