@@ -20,7 +20,7 @@ import numpy as np
 
 from . import exprs
 from .errors import CapExceeded
-from .protocol import AuxRole, InputRole, Protocol
+from .protocol import InputRole, Protocol
 
 DEFAULT_CAP_BITS = 24
 
@@ -248,7 +248,7 @@ class Channel:
         return worst
 
 
-def _outcome_values(p, sim_output, sim_sent, outcome, probe_vals):
+def _outcome_values(sim_output, sim_sent, outcome, probe_vals):
     if outcome == "output":
         return [sim_output]
     if outcome == "transcript":
@@ -256,6 +256,18 @@ def _outcome_values(p, sim_output, sim_sent, outcome, probe_vals):
     if outcome == "probes":
         return probe_vals
     raise ValueError(f"unknown outcome kind {outcome!r}")
+
+
+def _outcome_law(p, x_bits, arrs, mask_bits, outcome, n, weights=None, probes=()):
+    """Law of ``outcome`` for one input over ``n`` grid rows of the given
+    ``weights``, or over ``n`` equally likely trials when ``weights`` is None."""
+    sim = _Sim(p, x_bits, arrs, mask_bits)
+    output, probe_vals = sim.run(probes=probes)
+    codes = _pack(_outcome_values(output, sim.sent, outcome, probe_vals), n)
+    agg = np.bincount(codes, weights=weights)
+    if weights is None:
+        agg = agg / n
+    return {int(c): float(agg[c]) for c in np.nonzero(agg)[0]}
 
 
 def exact_channel(
@@ -280,18 +292,12 @@ def exact_channel(
     for key, out_idx in fixed.items():
         arrs[key] = out_idx
     mask_bits = _mask_bit_matrices(p)
-    n = len(weights)
-    rows = {}
-    for x_bits in inputs:
-        sim = _Sim(p, x_bits, arrs, mask_bits)
-        output, probe_vals = sim.run(probes=probes)
-        values = _outcome_values(p, output, sim.sent, outcome, probe_vals)
-        codes = _pack(values, n)
-        row: dict = {}
-        agg = np.bincount(codes, weights=weights)
-        for c in np.nonzero(agg)[0]:
-            row[int(c)] = float(agg[c])
-        rows[assignment_key(p, x_bits)] = row
+    rows = {
+        assignment_key(p, x_bits): _outcome_law(
+            p, x_bits, arrs, mask_bits, outcome, len(weights), weights, probes
+        )
+        for x_bits in inputs
+    }
     return Channel(rows=rows, outcome=outcome, exact=True)
 
 
@@ -301,16 +307,13 @@ def sampled_channel(
     """Monte-Carlo estimate of the outcome law, vectorized over trials."""
     prims = _collect_primitives(p)
     mask_bits = _mask_bit_matrices(p)
-    rows = {}
-    for i, x_bits in enumerate(inputs):
-        arrs = _sampled_arrays(prims, trials, rng.spawn("mc", i))
-        sim = _Sim(p, x_bits, arrs, mask_bits)
-        output, probe_vals = sim.run()
-        values = _outcome_values(p, output, sim.sent, outcome, probe_vals)
-        codes = _pack(values, trials)
-        counts = np.bincount(codes)
-        row = {int(c): counts[c] / trials for c in np.nonzero(counts)[0]}
-        rows[assignment_key(p, x_bits)] = row
+    rows = {
+        assignment_key(p, x_bits): _outcome_law(
+            p, x_bits, _sampled_arrays(prims, trials, rng.spawn("mc", i)),
+            mask_bits, outcome, trials,
+        )
+        for i, x_bits in enumerate(inputs)
+    }
     return Channel(rows=rows, outcome=outcome, exact=False, meta={"trials": trials})
 
 
@@ -318,58 +321,19 @@ def sampled_channel(
 
 
 @dataclass
-class TransmissionRecord:
-    sender: int
-    sent: int
-    received: dict  # neighbor -> bit
-    noise: dict  # neighbor -> flip bit (empty for noiseless links)
-
-
-@dataclass
 class ExecutionTrace:
-    records: list
+    sent: list  # the bit of each transmission, in schedule order
     output: int
 
 
 def execute(p: Protocol, x_bits: dict, rng) -> ExecutionTrace:
-    """Sample one full run, with noise drawn for every neighbor."""
-    internal_cache: dict = {}
-    mask_cache: dict = {}
-    rx: dict = {}
-
-    def value(node, atom):
-        if isinstance(atom, exprs.Received):
-            return rx.get((node, atom.t), 0)
-        if isinstance(atom, exprs.OwnInput):
-            return _own_bit(p, x_bits, node, atom.index)
-        if isinstance(atom, exprs.MaskBit):
-            if atom.src not in mask_cache:
-                mask_cache[atom.src] = p.mask_sources[atom.src].table.sample_mask(
-                    rng.spawn("mask", atom.src)
-                )
-            return mask_cache[atom.src][atom.j]
-        key = _internal_key(node, atom)
-        if key not in internal_cache:
-            prob = 0.5 if isinstance(atom, exprs.Rand) else atom.eps
-            internal_cache[key] = rng.spawn(*key).bernoulli(prob)
-        return internal_cache[key]
-
-    records = []
-    for t, tr in enumerate(p.schedule):
-        sent = int(exprs.evaluate(tr.expr, functools.partial(value, tr.sender)))
-        received, noise = {}, {}
-        eps = p.tx_eps(tr)
-        for w in sorted(p.adjacency[tr.sender]):
-            if tr.noisy:
-                eta = rng.spawn("chan", t, w).bernoulli(eps)
-                noise[w] = eta
-                received[w] = sent ^ eta
-            else:
-                received[w] = sent
-            rx[(w, t)] = received[w]
-        records.append(TransmissionRecord(tr.sender, sent, received, noise))
-    output = int(exprs.evaluate(p.output_expr, functools.partial(value, p.output_node)))
-    return ExecutionTrace(records=records, output=output)
+    """Sample one full run: a batch of one through the Monte-Carlo sampler."""
+    arrs = _sampled_arrays(_collect_primitives(p), 1, rng)
+    # the one trial's draws as scalars: expressions evaluate faster on ints
+    draws = {key: int(a[0]) for key, a in arrs.items()}
+    sim = _Sim(p, x_bits, draws, _mask_bit_matrices(p))
+    output, _ = sim.run()
+    return ExecutionTrace(sent=[int(b) for b in sim.sent], output=int(output))
 
 
 # -- error probability ------------------------------------------------------

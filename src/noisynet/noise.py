@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 from .bits import BitVector
 from .rng import RngStream
@@ -56,7 +57,7 @@ class RegenTable:
     def validate(self):
         if len(self.probs) != 2**self.t:
             raise ValueError("table must cover all masks")
-        total = sum(self.probs.values())
+        total = math.fsum(self.probs.values())
         if abs(total - 1.0) > _PAIR_TOL:
             raise ValueError(f"mask probabilities sum to {total}, not 1")
         if any(p < -_PAIR_TOL for p in self.probs.values()):

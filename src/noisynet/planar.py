@@ -369,10 +369,14 @@ def verify_decomposition(net: PlanarNetwork, dec: Decomposition) -> dict:
             }
         )
     distinct = np.delete(nodes[order], np.flatnonzero(again) + 1)
-    if len(distinct) != net.n_nodes:
-        report["partition_ok"] = False
-        missing = np.setdiff1d(np.arange(net.n_nodes), distinct)
-        report["partition_witnesses"].append({"missing": missing[:10].tolist()})
+    inside = (distinct >= 0) & (distinct < net.n_nodes)
+    seen = np.zeros(net.n_nodes, dtype=bool)
+    seen[distinct[inside]] = True
+    missing = np.flatnonzero(~seen)
+    for name, ids in (("missing", missing), ("out_of_range", distinct[~inside])):
+        if len(ids):
+            report["partition_ok"] = False
+            report["partition_witnesses"].append({name: ids[:10].tolist()})
 
     for j, blk in enumerate(dec.input_blocks, start=1):
         for v, w in _confinement_witnesses(net, blk, dec.aux_blocks[j - 1]):

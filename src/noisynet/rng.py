@@ -16,7 +16,7 @@ import operator
 import numpy as np
 
 #: Generator family identifier, recorded in experiment metadata.
-RNG_VERSION = "philox4x64-sha256-v1"
+RNG_VERSION = "philox4x64-sha256-v2"
 
 
 def _key_text(part) -> str:

@@ -95,6 +95,21 @@ def test_advantage_exact(tmp_path, capsys):
     assert abs(doc["advantage"] - 0.64) < 1e-9
 
 
+def test_advantage_mc_repeats_under_a_seed(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text(protocol_to_text(star_xor(2, reps=1, eps=0.1)))
+    argv = ("--seed", "3", "advantage", "--protocol-file", str(path),
+            "--method", "mc", "--trials", "4000")
+    code, out, _err = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv)[1] == out
+    doc = json.loads(out)
+    assert doc["method"] == "monte-carlo"
+    # one trial's sign has variance 1 - 0.64^2, so 0.05 is about 4 standard
+    # deviations at 4000 trials
+    assert abs(doc["advantage"] - 0.64) < 0.05
+
+
 def test_advantage_missing_file_is_invalid_input(capsys):
     code, _out, err = run(
         capsys, "advantage", "--protocol-file", "/nonexistent/p.txt"

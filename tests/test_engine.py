@@ -1,11 +1,12 @@
 """Exact and sampled protocol execution against closed-form oracles."""
 
 import math
+from collections import Counter
 
 import pytest
 from scipy.stats import binom
 
-from noisynet import engine
+from noisynet import engine, random_instances as ri, reductions
 from noisynet.engine import (
     error_probability,
     exact_channel,
@@ -136,7 +137,49 @@ def test_execute_trace_is_deterministic():
     t1 = execute(p, {0: 1, 1: 0}, RngStream(5, ("trace",)))
     t2 = execute(p, {0: 1, 1: 0}, RngStream(5, ("trace",)))
     assert t1.output == t2.output
-    assert [r.sent for r in t1.records] == [r.sent for r in t2.records]
+    assert t1.sent == t2.sent
+
+
+def _law_case(name):
+    if name == "star_xor":
+        return star_xor(2, reps=2, eps=0.2)
+    if name.startswith("tiny"):
+        return ri.random_tiny_protocol(RngStream(7), int(name[4:]))
+    # noisy copy with its randomness left in: Noise atoms from the
+    # semi-noisy stage and MaskBit atoms from the regeneration masks
+    p = ri.random_tiny_protocol(RngStream(7), 1)
+    p1, _ = reductions.to_semi_noisy(p)
+    p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p), fix=False)
+    assert {"noise", "mask"} <= {pr.key[0] for pr in engine._collect_primitives(p2)}
+    return p2
+
+
+def _assert_counts_in_binomial_range(counts, row, n, alpha=1e-6):
+    """Every outcome's count over n runs lies in the central 1 - alpha range
+    of Binomial(n, p) at its exact probability p; an impossible outcome
+    must never occur."""
+    for c in set(counts) | set(row):
+        lo, hi = binom.interval(1 - alpha, n, min(row.get(c, 0.0), 1.0))
+        assert lo <= counts[c] <= hi, (c, dict(counts), row)
+
+
+@pytest.mark.parametrize("case", ["star_xor", "tiny0", "tiny1", "tiny2", "noisy_copy"])
+def test_execute_law_matches_exact_law(case):
+    p = _law_case(case)
+    outputs = exact_channel(p, outcome="output")
+    transcripts = exact_channel(p, outcome="transcript")
+    rng = RngStream(17, ("execute-law", case))
+    trials = 1000
+    for x_bits in engine.all_input_assignments(p):
+        key = engine.assignment_key(p, x_bits)
+        out, sent = Counter(), Counter()
+        for i in range(trials):
+            t = execute(p, x_bits, rng.spawn(*key, i))
+            out[t.output] += 1
+            # pack as the transcript outcome does: first transmission highest
+            sent[int("".join(map(str, t.sent)) or "0", 2)] += 1
+        _assert_counts_in_binomial_range(out, outputs.rows[key], trials)
+        _assert_counts_in_binomial_range(sent, transcripts.rows[key], trials)
 
 
 def test_error_probability_mc_needs_rng():

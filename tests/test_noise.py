@@ -63,6 +63,14 @@ def test_table_rejects_bad_eps_and_t():
         regen_table(2, 0.0)
 
 
+@pytest.mark.parametrize("t, eps", [(16, 0.1), (18, 0.01)])
+def test_large_table_passes_its_own_validation(t, eps):
+    """A plain running sum over 2^t masks drifts past the 1e-12 tolerance;
+    both tables raised 'mask probabilities sum to ...' in validate."""
+    table = regen_table(t, eps)
+    assert len(table.probs) == 2**t
+
+
 def test_table_json_round_trip():
     table = regen_table(2, 0.3)
     back = RegenTable.from_json(table.to_json())

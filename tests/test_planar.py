@@ -163,6 +163,27 @@ def test_confinement_witnesses_match_brute_force():
     assert not report["p2_ok"] and report["p1_ok"] and report["partition_ok"]
 
 
+def test_partition_reports_missing_and_out_of_range_ids():
+    N = 2000
+    R = math.sqrt(10 * math.log(N) / N)
+    net = sample_network(N, R, RngStream(1))
+    dec = decompose_for_uniform_counts(net)
+    # two nodes leave the blocks and two ids outside 0..N-1 come in, so the
+    # count of distinct ids is still N
+    aux_blocks = [list(b) for b in dec.aux_blocks]
+    gone = sorted([aux_blocks[0].pop(), aux_blocks[-1].pop()])
+    bad = Decomposition(
+        dec.n, dec.k, dec.d, dec.D, dec.input_blocks, aux_blocks,
+        dec.aux0 + [N + 7, -1], dec.cells,
+    )
+    report = verify_decomposition(net, bad)
+    assert not report["partition_ok"] and not report["ok"]
+    assert report["partition_witnesses"] == [
+        {"missing": gone},
+        {"out_of_range": [-1, N + 7]},
+    ]
+
+
 def test_decompose_rejects_wrong_total():
     net = sample_network(100, 0.4, RngStream(6))
     with pytest.raises(ValueError):
