@@ -137,6 +137,8 @@ def advantage_mc(
     sqrt(|C| / trials); the exact method is preferred whenever it fits.
     """
     validate_distribution(mu)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     keys = sorted(mu)
     probs = np.array([mu[k] for k in keys])
     gen = rng.spawn("mu").numpy_generator()

@@ -7,6 +7,16 @@ regeneration masks -- and pushes the whole assignment grid through the
 schedule with vectorized expression evaluation.  Primitives that no
 expression reads do not enlarge the grid, so the enumeration cost tracks
 the information the protocol uses rather than the raw receiver count.
+
+The grid is bit-sliced: each binary primitive is a column of packed
+``uint64`` words, 64 grid rows (or Monte-Carlo trials) per word, and
+expressions run on whole words with ``one = ONES`` (see :mod:`exprs`).
+Mask primitives keep one outcome index per row; a mask bit is packed the
+first time an expression reads it.  Outcome codes are unpacked for the
+first ``n`` rows only, so the pad rows of the last word never reach a
+law, and ``np.bincount`` adds the same weights in the same row order as
+an unpacked grid would.  ``execute`` runs the same schedule on Python
+ints with ``one = 1``: a batch of one.
 """
 
 from __future__ import annotations
@@ -82,6 +92,58 @@ def _collect_primitives(p: Protocol, probes=()):
     return [prims[k] for k in sorted(prims)]
 
 
+#: The value of a 1 bit in packed words: all 64 rows set.
+ONES = np.uint64(2**64 - 1)
+
+
+def _to_words(bits) -> np.ndarray:
+    """Pack 0/1 rows into ``uint64`` words, row r at bit r % 64 of word r // 64."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+    packed = np.concatenate([packed, np.zeros(-len(packed) % 8, np.uint8)])
+    return packed.view("<u8")
+
+
+def _column_words(stride: int, total: int) -> np.ndarray:
+    """Packed bits of a binary grid column that flips every ``stride`` rows."""
+    n_words = (total + 63) // 64
+    if stride % 64 == 0:  # each word lies inside one run
+        return np.where(np.arange(n_words) * 64 // stride % 2 == 1, ONES, np.uint64(0))
+    if 64 % stride == 0:  # every word holds the same runs
+        word = sum(1 << b for b in range(64) if b // stride % 2)
+        return np.full(n_words, word, dtype=np.uint64)
+    return _to_words(np.arange(total) // stride % 2)
+
+
+class _Draws:
+    """Values of the random primitives over ``n`` rows.
+
+    ``bits`` holds each binary primitive's bits and ``masks`` each mask
+    source's outcome indices (keyed ``("mask", src)``).  Packed draws hold
+    the bits as words and ``one = ONES``; a batch of one holds Python ints
+    and ``one = 1``.
+    """
+
+    def __init__(self, p: Protocol, n: int, bits: dict, masks: dict, packed=True):
+        self.n = n
+        self.packed = packed
+        self.one = ONES if packed else 1
+        self.bits = bits
+        self.masks = masks
+        self._p = p
+        self._mask_bits: dict = {}
+
+    @functools.cached_property
+    def _matrices(self) -> dict:
+        return _mask_bit_matrices(self._p)
+
+    def mask_bit(self, src: int, j: int):
+        key = (src, j)
+        if key not in self._mask_bits:
+            col = self._matrices[src][self.masks[("mask", src)], j]
+            self._mask_bits[key] = _to_words(col) if self.packed else int(col)
+        return self._mask_bits[key]
+
+
 def _mask_bit_matrices(p: Protocol) -> dict:
     out = {}
     for idx, src in enumerate(p.mask_sources):
@@ -91,35 +153,41 @@ def _mask_bit_matrices(p: Protocol) -> dict:
     return out
 
 
-def _enumeration_arrays(prims, cap_bits: int):
-    """Outcome-index array per primitive plus the joint weight vector."""
-    total = 1
-    for pr in prims:
-        total *= pr.size
+def _enumeration_arrays(p: Protocol, prims, cap_bits: int):
+    """Packed draws over the joint outcome grid of ``prims`` (the first one
+    varying slowest) and the grid's weight vector."""
+    total = math.prod(pr.size for pr in prims)
     if total > 2**cap_bits:
         raise CapExceeded(
             f"enumeration size {total} exceeds 2^{cap_bits}", size=total
         )
-    arrs, weights = {}, np.ones(total)
+    bits, masks, weights = {}, {}, np.ones(1)
     stride = total
     for pr in prims:
         stride //= pr.size
-        idx = (np.arange(total) // stride) % pr.size
-        arrs[pr.key] = idx.astype(np.int64)
-        weights *= np.asarray(pr.probs)[idx]
-    return arrs, weights
-
-
-def _sampled_arrays(prims, trials: int, rng):
-    gen = rng.numpy_generator()
-    arrs = {}
-    for pr in prims:
-        if pr.size == 2:
-            arrs[pr.key] = (gen.random(trials) < pr.probs[1]).astype(np.int64)
+        if pr.key[0] == "mask":
+            masks[pr.key] = np.arange(total) // stride % pr.size
         else:
-            arrs[pr.key] = gen.choice(pr.size, size=trials, p=np.asarray(pr.probs))
+            bits[pr.key] = _column_words(stride, total)
+        # each row's weight is 1.0 times its primitives' probabilities, in order
+        weights = np.multiply.outer(weights, pr.probs).ravel()
+    return _Draws(p, total, bits, masks), weights
+
+
+def _sampled_arrays(p: Protocol, prims, trials: int, rng, packed=True):
+    gen = rng.numpy_generator()
+    bits, masks = {}, {}
+    for pr in prims:
+        if pr.size == 2:  # a one-coordinate mask is drawn like a bit
+            draw = gen.random(trials) < pr.probs[1]
+        else:
+            draw = gen.choice(pr.size, size=trials, p=np.asarray(pr.probs))
+        if pr.key[0] == "mask":
+            masks[pr.key] = np.asarray(draw, dtype=np.intp) if packed else int(draw[0])
+        else:
+            bits[pr.key] = _to_words(draw) if packed else int(draw[0])
     rng.counter += trials * len(prims)
-    return arrs
+    return _Draws(p, trials, bits, masks, packed)
 
 
 # -- simulation -------------------------------------------------------------
@@ -133,23 +201,25 @@ def _own_bit(p: Protocol, x_bits: dict, node, index):
 
 
 class _Sim:
-    def __init__(self, p: Protocol, x_bits: dict, arrs: dict, mask_bits: dict):
+    """One run of the schedule for one input over every row of ``draws``."""
+
+    def __init__(self, p: Protocol, x_bits: dict, draws: _Draws):
         self.p = p
         self.x_bits = x_bits
-        self.arrs = arrs
-        self.mask_bits = mask_bits
+        self.draws = draws
+        self.one = draws.one
         self.sent: list = []
         self._rx: dict = {}
 
     def value(self, node, atom):
-        """The bits of ``atom`` as ``node`` reads them, one per grid row or trial."""
+        """The bits of ``atom`` as ``node`` reads them, in the draws' domain."""
         if isinstance(atom, exprs.Received):
             return self.rx_value(node, atom.t)
         if isinstance(atom, exprs.OwnInput):
-            return _own_bit(self.p, self.x_bits, node, atom.index)
+            return self.one if _own_bit(self.p, self.x_bits, node, atom.index) else 0
         if isinstance(atom, exprs.MaskBit):
-            return self.mask_bits[atom.src][self.arrs[("mask", atom.src)], atom.j]
-        return self.arrs[_internal_key(node, atom)]
+            return self.draws.mask_bit(atom.src, atom.j)
+        return self.draws.bits[_internal_key(node, atom)]
 
     def rx_value(self, node, t):
         key = (node, t)
@@ -165,15 +235,15 @@ class _Sim:
             if eps == 0.0:
                 val = self.sent[t]
             elif eps == 1.0:
-                val = 1 ^ self.sent[t]
+                val = self.one ^ self.sent[t]
             else:
-                val = self.sent[t] ^ self.arrs[("chan", node, t)]
+                val = self.sent[t] ^ self.draws.bits[("chan", node, t)]
         self._rx[key] = val
         return val
 
     def run(self, probes=()):
         def ev(node, expr):
-            return exprs.evaluate(expr, functools.partial(self.value, node))
+            return exprs.evaluate(expr, functools.partial(self.value, node), self.one)
 
         for tr in self.p.schedule:
             self.sent.append(ev(tr.sender, tr.expr))
@@ -182,15 +252,22 @@ class _Sim:
         return output, probe_vals
 
 
-def _pack(values, length):
-    """Pack a list of bit arrays/ints into integer codes."""
-    code = None
-    for v in values:
-        v = np.asarray(v, dtype=np.int64)
-        code = v if code is None else (code << 1) | v
-    if code is None:
-        code = np.int64(0)
-    return np.broadcast_to(np.asarray(code, dtype=np.int64), (length,))
+def _codes(values, n: int) -> np.ndarray:
+    """Outcome code of each of the first ``n`` rows: the row's bit in each
+    of ``values`` (packed words or constants), the first value highest."""
+    if not values:
+        return np.zeros(n, dtype=np.uint8)
+    words = np.empty((len(values), (n + 63) // 64), dtype="<u8")
+    for i, v in enumerate(values):
+        words[i] = v
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+    # the narrowest type that holds every code keeps the shifts cheap
+    m = len(values)
+    code = bits[0].astype(np.uint8 if m <= 8 else np.uint16 if m <= 16 else np.int64)
+    for row in bits[1:]:
+        code <<= 1
+        code |= row
+    return code
 
 
 # -- input assignments ------------------------------------------------------
@@ -258,16 +335,17 @@ def _outcome_values(sim_output, sim_sent, outcome, probe_vals):
     raise ValueError(f"unknown outcome kind {outcome!r}")
 
 
-def _outcome_law(p, x_bits, arrs, mask_bits, outcome, n, weights=None, probes=()):
-    """Law of ``outcome`` for one input over ``n`` grid rows of the given
-    ``weights``, or over ``n`` equally likely trials when ``weights`` is None."""
-    sim = _Sim(p, x_bits, arrs, mask_bits)
+def _outcome_law(p, x_bits, draws, outcome, weights=None, probes=()):
+    """Law of ``outcome`` for one input over the rows of ``draws`` with the
+    given ``weights``, or over equally likely trials when ``weights`` is None."""
+    sim = _Sim(p, x_bits, draws)
     output, probe_vals = sim.run(probes=probes)
-    codes = _pack(_outcome_values(output, sim.sent, outcome, probe_vals), n)
+    codes = _codes(_outcome_values(output, sim.sent, outcome, probe_vals), draws.n)
     agg = np.bincount(codes, weights=weights)
     if weights is None:
-        agg = agg / n
-    return {int(c): float(agg[c]) for c in np.nonzero(agg)[0]}
+        agg = agg / draws.n
+    nz = np.flatnonzero(agg)
+    return dict(zip(nz.tolist(), agg[nz].tolist()))
 
 
 def exact_channel(
@@ -276,25 +354,15 @@ def exact_channel(
     outcome: str = "output",
     probes=(),
     cap_bits: int = DEFAULT_CAP_BITS,
-    fixed: dict | None = None,
 ) -> Channel:
-    """Exact outcome law by enumerating all read random primitives.
-
-    ``fixed`` optionally pins primitives (key -> outcome index); those no
-    longer contribute to the enumeration grid.
-    """
+    """Exact outcome law by enumerating all read random primitives."""
     if inputs is None:
         inputs = all_input_assignments(p)
     prims = _collect_primitives(p, probes=probes)
-    fixed = fixed or {}
-    free = [pr for pr in prims if pr.key not in fixed]
-    arrs, weights = _enumeration_arrays(free, cap_bits)
-    for key, out_idx in fixed.items():
-        arrs[key] = out_idx
-    mask_bits = _mask_bit_matrices(p)
+    draws, weights = _enumeration_arrays(p, prims, cap_bits)
     rows = {
         assignment_key(p, x_bits): _outcome_law(
-            p, x_bits, arrs, mask_bits, outcome, len(weights), weights, probes
+            p, x_bits, draws, outcome, weights, probes
         )
         for x_bits in inputs
     }
@@ -305,12 +373,12 @@ def sampled_channel(
     p: Protocol, inputs, trials: int, rng, outcome: str = "output"
 ) -> Channel:
     """Monte-Carlo estimate of the outcome law, vectorized over trials."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     prims = _collect_primitives(p)
-    mask_bits = _mask_bit_matrices(p)
     rows = {
         assignment_key(p, x_bits): _outcome_law(
-            p, x_bits, _sampled_arrays(prims, trials, rng.spawn("mc", i)),
-            mask_bits, outcome, trials,
+            p, x_bits, _sampled_arrays(p, prims, trials, rng.spawn("mc", i)), outcome
         )
         for i, x_bits in enumerate(inputs)
     }
@@ -327,11 +395,10 @@ class ExecutionTrace:
 
 
 def execute(p: Protocol, x_bits: dict, rng) -> ExecutionTrace:
-    """Sample one full run: a batch of one through the Monte-Carlo sampler."""
-    arrs = _sampled_arrays(_collect_primitives(p), 1, rng)
-    # the one trial's draws as scalars: expressions evaluate faster on ints
-    draws = {key: int(a[0]) for key, a in arrs.items()}
-    sim = _Sim(p, x_bits, draws, _mask_bit_matrices(p))
+    """Sample one full run: a batch of one through the Monte-Carlo sampler,
+    on Python ints (expressions evaluate faster on ints than on words)."""
+    draws = _sampled_arrays(p, _collect_primitives(p), 1, rng, packed=False)
+    sim = _Sim(p, x_bits, draws)
     output, _ = sim.run()
     return ExecutionTrace(sent=[int(b) for b in sim.sent], output=int(output))
 

@@ -16,8 +16,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from scipy.stats import binom
-
 from . import advantage as adv_mod
 from . import engine, planar, random_instances, reductions, trees
 from .errors import EmptyS2, NoisyNetError, UndersizedCell
@@ -231,6 +229,9 @@ def _e2_decomposition(cfg, rng):
 
 
 def _e3_chernoff(cfg, rng):
+    # imported here: scipy.stats alone doubles the cost of ``import noisynet``
+    from scipy.stats import binom
+
     N = cfg.params["N"]
     rows = []
     for mu in cfg.params["mus"]:

@@ -16,20 +16,28 @@ Internal randomness comes in three flavors:
   protocol (a regeneration table outcome shared across its coordinates).
 
 :func:`evaluate` reads every atom through one callable, ``value(atom)``,
-which returns the atom's bit as an int or as a numpy array of bits.  The
-connectives are generic over both, so the exact channel engine can
-evaluate an expression over a whole grid of noise assignments in one
-call.  The caller decides what an atom means: a sampled trace returns the
-bits it drew, the exact engine returns grid columns, and a pure boolean
-function raises ``ValueError`` for the atoms it cannot read.
+and is generic over the domain of bits it returns, given the value of a
+1 bit as ``one``:
+
+* ``one=1`` with 0/1 ints -- one sampled trace, one decision-tree branch;
+* ``one=1`` with 0/1 numpy arrays -- one bit per element (truth tables);
+* ``one`` = all-ones ``uint64`` with packed words -- 64 rows per machine
+  word (bit-slicing, Biham 1997), the exact engine's enumeration grid.
+
+Every connective is written with ``^ & |`` and ``one`` only: ``Not`` is
+``one ^ x``, ``Maj`` and ``Thresh`` add their arguments with a bit-sliced
+ripple counter, and ``Table`` runs a Shannon mux tree compiled once per
+table.  These formulas are exact in all three domains.  The caller
+decides what an atom means: a sampled trace returns the bits it drew, the
+exact engine returns packed grid columns, and a pure boolean function
+raises ``ValueError`` for the atoms it cannot read.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from functools import reduce
-
-import numpy as np
 
 
 class Expr:
@@ -122,38 +130,88 @@ def mux(sel: Expr, if0: Expr, if1: Expr) -> Table:
     return Table(args=(sel, if0, if1), table=(0, 0, 1, 1, 0, 1, 0, 1))
 
 
-def evaluate(expr: Expr, value):
-    """Evaluate with atom bits from ``value(atom)`` (ints or arrays)."""
+def evaluate(expr: Expr, value, one=1):
+    """Evaluate with atom bits from ``value(atom)``; ``one`` is the value of
+    a 1 bit in their domain (1 for ints and 0/1 arrays, all-ones for packed
+    words)."""
     if isinstance(expr, Const):
-        return expr.value
+        return one if expr.value else 0
     if isinstance(expr, ATOMS):
         return value(expr)
     if isinstance(expr, Not):
-        return 1 ^ evaluate(expr.arg, value)
-    if isinstance(expr, Xor):
-        return reduce(lambda a, b: a ^ b, (evaluate(a, value) for a in expr.args))
-    if isinstance(expr, And):
-        return reduce(lambda a, b: a & b, (evaluate(a, value) for a in expr.args))
-    if isinstance(expr, Or):
-        return reduce(lambda a, b: a | b, (evaluate(a, value) for a in expr.args))
-    if isinstance(expr, Maj):
-        total = sum(evaluate(a, value) for a in expr.args)
-        return 1 * (total > len(expr.args) / 2)
-    if isinstance(expr, Thresh):
-        total = sum(evaluate(a, value) for a in expr.args)
-        return 1 * (total >= expr.k)
+        return one ^ evaluate(expr.arg, value, one)
+    if isinstance(expr, (Xor, And, Or)):
+        return functools.reduce(
+            _FOLDS[type(expr)], (evaluate(a, value, one) for a in expr.args)
+        )
+    if isinstance(expr, (Maj, Thresh)):
+        # a Maj tie (even arity, half the bits set) is 0
+        k = len(expr.args) // 2 + 1 if isinstance(expr, Maj) else expr.k
+        return _at_least(k, [evaluate(a, value, one) for a in expr.args], one)
     if isinstance(expr, Table):
-        wide = len(expr.args) > 8  # a uint8 index would wrap past 8 bits
-        idx = 0
-        for a in expr.args:
-            bit = evaluate(a, value)
-            if wide and not isinstance(bit, int):
-                bit = np.asarray(bit, dtype=np.int64)
-            idx = (idx << 1) | bit
-        if isinstance(idx, int):
-            return expr.table[idx]
-        return np.asarray(expr.table, dtype=np.uint8)[idx]
+        bits = [evaluate(a, value, one) for a in expr.args]
+        return _mux_tree(_shannon(expr.table), bits, one)
     raise TypeError(f"not an expression: {expr!r}")
+
+
+_FOLDS = {Xor: operator.xor, And: operator.and_, Or: operator.or_}
+
+
+def _at_least(k: int, bits: list, one):
+    """Whether at least ``k`` of ``bits`` are 1.
+
+    A ripple-carry counter keeps the running count as little-endian bit
+    slices, so no sum can wrap; the count is then compared with ``k`` from
+    its low bit up."""
+    if k <= 0:
+        return one
+    if k > len(bits):
+        return 0
+    # ints are 0/1, or only 0 among words, so their plain sum is exact
+    if all(type(b) is int for b in bits):
+        return one if sum(bits) >= k else 0
+    count: list = []
+    for j, carry in enumerate(bits, 1):
+        for i, c in enumerate(count):
+            count[i], carry = c ^ carry, c & carry
+        if j & (j - 1) == 0:  # j is a power of two: the count gains a bit
+            count.append(carry)
+    # compare from the low bit up, ge meaning "count >= k" on the bits seen
+    # so far: where k has a 1 the count needs a 1 as well, where k has a 0 a
+    # 1 in the count settles it.  Below k's lowest 1 the answer is yes.
+    low = (k & -k).bit_length() - 1
+    ge = count[low]
+    for i in range(low + 1, len(count)):
+        ge = count[i] & ge if k >> i & 1 else count[i] | ge
+    return ge
+
+
+@functools.lru_cache(maxsize=1024)
+def _shannon(table: tuple):
+    """A truth table as a mux tree: a constant 0 or 1, or a triple
+    ``(m, if0, if1)`` that selects on the first of the table's last ``m``
+    arguments.  Equal halves fold into one subtree."""
+    half = len(table) // 2
+    if half == 0:
+        return table[0]
+    if table[:half] == table[half:]:
+        return _shannon(table[:half])
+    m = len(table).bit_length() - 1
+    return (m, _shannon(table[:half]), _shannon(table[half:]))
+
+
+def _mux_tree(node, bits: list, one):
+    """Evaluate a :func:`_shannon` tree on the table's argument bits."""
+    if not isinstance(node, tuple):
+        return one if node else 0
+    m, if0, if1 = node
+    s = bits[-m]
+    if type(s) is int:  # 0/1, or only 0 among words: it picks one side
+        return _mux_tree(if1 if s else if0, bits, one)
+    if if0 == 0 and if1 == 1:
+        return s
+    a, b = _mux_tree(if0, bits, one), _mux_tree(if1, bits, one)
+    return a ^ (s & (a ^ b))  # a where s is 0, b where s is 1
 
 
 def atoms(expr: Expr) -> set:

@@ -310,32 +310,34 @@ def fix_randomness(p: Protocol, f, mu, cap_bits=24):
     external = [pr for pr in prims if not pr.internal]
     # one joint grid with the internal primitives varying slowest, so each
     # internal assignment owns a contiguous slab of external outcomes
-    arrs, _weights = engine._enumeration_arrays(internal + external, cap_bits)
-    int_arrs, p_int = engine._enumeration_arrays(internal, cap_bits)
-    _ext_arrs, ext_weights = engine._enumeration_arrays(external, cap_bits)
+    draws, _weights = engine._enumeration_arrays(p, internal + external, cap_bits)
+    _int_draws, p_int = engine._enumeration_arrays(p, internal, cap_bits)
+    _ext_draws, ext_weights = engine._enumeration_arrays(p, external, cap_bits)
     n_assign, inner = len(p_int), len(ext_weights)
     total = n_assign * inner
     w_ext = np.tile(ext_weights, n_assign)
 
-    mask_bits = engine._mask_bit_matrices(p)
     corr = np.zeros(n_assign * 2)
     outer_codes = (np.arange(total) // inner) * 2
     for x_key, px in mu.items():
         if px == 0.0:
             continue
         x_bits = dict(zip(engine.input_order(p), x_key))
-        sim = engine._Sim(p, x_bits, arrs, mask_bits)
+        sim = engine._Sim(p, x_bits, draws)
         output, _probes = sim.run()
-        codes = np.broadcast_to(np.asarray(output, dtype=np.int64), (total,))
         corr += np.bincount(
-            outer_codes + codes, weights=px * f(tuple(x_key)) * w_ext,
+            outer_codes + engine._codes([output], total),
+            weights=px * f(tuple(x_key)) * w_ext,
             minlength=n_assign * 2,
         )
     corr = corr.reshape(n_assign, 2)
     advs = np.abs(corr).sum(axis=1)
     r_star = int(np.argmax(advs))  # first maximal assignment
     adv_before = float(np.abs((corr * p_int[:, None]).sum(axis=0)).sum())
-    chosen = {pr.key: int(int_arrs[pr.key][r_star]) for pr in internal}
+    # the internal grid is mixed-radix, first primitive slowest
+    outcomes = np.unravel_index(r_star, [pr.size for pr in internal])
+    chosen = {pr.key: int(out) for pr, out in zip(internal, outcomes)}
+    mask_bits = engine._mask_bit_matrices(p)
 
     def subst_for(node):
         def m(atom):

@@ -4,8 +4,10 @@ Every random draw in this package comes from an :class:`RngStream`, which is
 a thin wrapper around numpy's Philox counter-based generator.  A stream is
 identified by a 64-bit seed and a key tuple (domain tag plus integer
 indices); the Philox key is derived by hashing both, so streams with
-distinct keys are statistically independent and a given (seed, key, counter)
-triple always reproduces the same draw regardless of thread schedule.
+distinct keys are statistically independent and a given (seed, key) pair
+always reproduces the same sequence of draws regardless of thread schedule.
+``RngStream.counter`` only tallies the values a stream has drawn: it does
+not address a draw, and setting it does not move the stream.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 
 from noisynet import advantage as adv
 from noisynet.engine import Channel, exact_channel, execute, input_order
-from noisynet.exprs import And, Maj, OwnInput, Table, Xor
+from noisynet.exprs import And, Maj, OwnInput, Table, Thresh, Xor
 from noisynet.protocol import star_xor
 from noisynet.rng import RngStream
 
@@ -163,6 +163,23 @@ def test_truth_table_of_wide_table_matches_its_table(n):
     bits = np.random.default_rng(n).integers(0, 2, 2**n)
     f = Table(tuple(OwnInput(i) for i in range(n)), tuple(bits.tolist()))
     assert np.array_equal(adv.truth_table(f, n), bits)
+
+
+@pytest.mark.parametrize(
+    "f", [Thresh((OwnInput(0),) * 256, 1), Maj((OwnInput(0),) * 258)],
+    ids=["thresh-256", "maj-258"],
+)
+def test_truth_table_counts_past_255(f):
+    # x0 = 1 sets all 256 (258) arguments; a count held in 8 bits wraps to 0 (2)
+    assert list(adv.truth_table(f, 2)) == [0, 0, 1, 1]
+
+
+def test_advantage_mc_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials"):
+        adv.advantage_mc(
+            lambda x, r: 0, adv.parity_sign, adv.uniform_distribution(1), 0,
+            RngStream(0, ("t",)),
+        )
 
 
 # -- closed-form bounds ------------------------------------------------------

@@ -110,6 +110,23 @@ def test_advantage_mc_repeats_under_a_seed(tmp_path, capsys):
     assert abs(doc["advantage"] - 0.64) < 0.05
 
 
+def test_run_protocol_mc_zero_trials_is_invalid_input(capsys):
+    code, _out, err = run(capsys, "run-protocol", "--method", "mc", "--trials", "0")
+    assert code == 1
+    assert "trials" in err
+
+
+def test_advantage_mc_zero_trials_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text(protocol_to_text(star_xor(2, reps=1, eps=0.1)))
+    code, _out, err = run(
+        capsys, "advantage", "--protocol-file", str(path),
+        "--method", "mc", "--trials", "0",
+    )
+    assert code == 1
+    assert "trials" in err
+
+
 def test_advantage_missing_file_is_invalid_input(capsys):
     code, _out, err = run(
         capsys, "advantage", "--protocol-file", "/nonexistent/p.txt"

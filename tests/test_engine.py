@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.stats import binom
 
@@ -132,6 +133,24 @@ def test_sampled_channel_close_to_exact():
             assert abs(mc.rows[key].get(c, 0.0) - pr) < 0.02
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3, 32, 64, 96, 128])
+@pytest.mark.parametrize("total", [1, 63, 64, 65, 384])
+def test_grid_column_words_unpack_to_the_column(stride, total):
+    rows = np.arange(total)
+    words = engine._column_words(stride, total)
+    assert np.array_equal(engine._codes([words], total), rows // stride % 2)
+
+
+def test_sampled_channel_rejects_zero_trials():
+    p = star_xor(1, reps=1, eps=0.1)
+    with pytest.raises(ValueError, match="trials"):
+        sampled_channel(p, engine.all_input_assignments(p), 0, RngStream(23))
+    with pytest.raises(ValueError, match="trials"):
+        error_probability(
+            p, parity_of_inputs, method="mc", trials=0, rng=RngStream(23)
+        )
+
+
 def test_execute_trace_is_deterministic():
     p = star_xor(2, reps=2, eps=0.3)
     t1 = execute(p, {0: 1, 1: 0}, RngStream(5, ("trace",)))
@@ -146,11 +165,15 @@ def _law_case(name):
     if name.startswith("tiny"):
         return ri.random_tiny_protocol(RngStream(7), int(name[4:]))
     # noisy copy with its randomness left in: Noise atoms from the
-    # semi-noisy stage and MaskBit atoms from the regeneration masks
-    p = ri.random_tiny_protocol(RngStream(7), 1)
+    # semi-noisy stage and MaskBit atoms from the regeneration masks; at
+    # d = 1 every mask has one coordinate, so it is drawn like a bit
+    d1 = name == "noisy_copy_d1"
+    p = ri.random_tiny_protocol(RngStream(7), 2 if d1 else 1)
     p1, _ = reductions.to_semi_noisy(p)
-    p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p), fix=False)
-    assert {"noise", "mask"} <= {pr.key[0] for pr in engine._collect_primitives(p2)}
+    p2, _ = reductions.to_noisy_copy(p1, 1 if d1 else ri.max_input_sends(p), fix=False)
+    prims = engine._collect_primitives(p2)
+    assert {"noise", "mask"} <= {pr.key[0] for pr in prims}
+    assert not d1 or {pr.size for pr in prims if pr.key[0] == "mask"} == {2}
     return p2
 
 
@@ -163,7 +186,9 @@ def _assert_counts_in_binomial_range(counts, row, n, alpha=1e-6):
         assert lo <= counts[c] <= hi, (c, dict(counts), row)
 
 
-@pytest.mark.parametrize("case", ["star_xor", "tiny0", "tiny1", "tiny2", "noisy_copy"])
+@pytest.mark.parametrize(
+    "case", ["star_xor", "tiny0", "tiny1", "tiny2", "noisy_copy", "noisy_copy_d1"]
+)
 def test_execute_law_matches_exact_law(case):
     p = _law_case(case)
     outputs = exact_channel(p, outcome="output")
@@ -180,6 +205,16 @@ def test_execute_law_matches_exact_law(case):
             sent[int("".join(map(str, t.sent)) or "0", 2)] += 1
         _assert_counts_in_binomial_range(out, outputs.rows[key], trials)
         _assert_counts_in_binomial_range(sent, transcripts.rows[key], trials)
+
+
+def test_sampled_channel_law_with_one_coordinate_masks():
+    p = _law_case("noisy_copy_d1")
+    exact = exact_channel(p)
+    trials = 2000
+    mc = sampled_channel(p, engine.all_input_assignments(p), trials, RngStream(29))
+    for key, row in mc.rows.items():
+        counts = Counter({c: round(freq * trials) for c, freq in row.items()})
+        _assert_counts_in_binomial_range(counts, exact.rows[key], trials)
 
 
 def test_error_probability_mc_needs_rng():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisynet import exprs
+from noisynet import engine, exprs
 from noisynet.exprs import (
     And,
     Const,
@@ -174,6 +174,19 @@ def test_array_evaluation_matches_scalar_evaluation(e, seed):
     gen = np.random.default_rng(seed)
     columns = {a: gen.integers(0, 2, size=width) for a in exprs.atoms(e)}
     got = np.broadcast_to(exprs.evaluate(e, columns.__getitem__), (width,))
+    for i in range(width):
+        want = exprs.evaluate(e, lambda atom: int(columns[atom][i]))
+        assert got[i] == want
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])  # partial and whole words
+@settings(max_examples=200, deadline=None)
+@given(expressions, st.integers(0, 2**32 - 1))
+def test_packed_evaluation_matches_scalar_evaluation(width, e, seed):
+    gen = np.random.default_rng(seed)
+    columns = {a: gen.integers(0, 2, size=width) for a in exprs.atoms(e)}
+    words = {a: engine._to_words(col) for a, col in columns.items()}
+    got = engine._codes([exprs.evaluate(e, words.__getitem__, engine.ONES)], width)
     for i in range(width):
         want = exprs.evaluate(e, lambda atom: int(columns[atom][i]))
         assert got[i] == want
