@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exprs
+from . import exprs, noise
 from .errors import CapExceeded
 from .protocol import InputRole, Protocol
 
@@ -84,11 +84,8 @@ def _collect_primitives(p: Protocol, probes=()):
                 noise_eps[key] = atom.eps
                 prims[key] = _Primitive(key, (1 - atom.eps, atom.eps))
             elif isinstance(atom, exprs.MaskBit):
-                src = p.mask_sources[atom.src]
                 key = ("mask", atom.src)
-                prims[key] = _Primitive(
-                    key, tuple(prob for _, prob in src.table.outcomes())
-                )
+                prims[key] = _Primitive(key, p.mask_sources[atom.src].table.index_probs)
     return [prims[k] for k in sorted(prims)]
 
 
@@ -132,25 +129,13 @@ class _Draws:
         self._p = p
         self._mask_bits: dict = {}
 
-    @functools.cached_property
-    def _matrices(self) -> dict:
-        return _mask_bit_matrices(self._p)
-
     def mask_bit(self, src: int, j: int):
         key = (src, j)
         if key not in self._mask_bits:
-            col = self._matrices[src][self.masks[("mask", src)], j]
+            t = self._p.mask_sources[src].table.t
+            col = noise.mask_bit(self.masks[("mask", src)], t, j)
             self._mask_bits[key] = _to_words(col) if self.packed else int(col)
         return self._mask_bits[key]
-
-
-def _mask_bit_matrices(p: Protocol) -> dict:
-    out = {}
-    for idx, src in enumerate(p.mask_sources):
-        out[idx] = np.array(
-            [list(mask) for mask, _ in src.table.outcomes()], dtype=np.uint8
-        )
-    return out
 
 
 def _enumeration_arrays(p: Protocol, prims, cap_bits: int):

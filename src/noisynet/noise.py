@@ -12,18 +12,24 @@ obtained by solving, for each complementary pair of masks (u, ~u),
 
 which is the unique mask law, independent of the received bit, with the
 required property.  Nonnegativity of the solution holds for eps < 1/2.
+
+A mask's probability depends only on its weight |u|, so a table keeps the
+t+1 weight probabilities ``p_w``.  A mask is named by its outcome index:
+outcome i is the mask whose bits are the t big-endian bits of i (bit 0 is
+the most significant), and :func:`mask_bit` is the one decoder.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 
-from .bits import BitVector
 from .rng import RngStream
 
-#: Largest supported regeneration block; tables are stored explicitly.
+#: Largest supported regeneration block: the engine enumerates all 2^t
+#: outcomes of a mask source.
 MAX_REGEN_T = 20
 
 _PAIR_TOL = 1e-12
@@ -34,64 +40,72 @@ def noisy_copy(b: int, eps: float, rng: RngStream) -> int:
     return int(b) ^ rng.bernoulli(eps)
 
 
+def mask_bit(index, t: int, j: int):
+    """Bit ``j`` of the t-bit mask with outcome ``index`` (an int or an
+    index array): bit j of the big-endian binary expansion of the index."""
+    if not 0 <= j < t:
+        raise ValueError(f"mask bit {j} outside a {t}-bit mask")
+    return (index >> (t - 1 - j)) & 1
+
+
 class RegenTable:
     """Mask distribution over {0,1}^t used by :func:`regenerate`.
 
-    ``probs`` maps each mask (as a BitVector) to its probability.  The table
-    satisfies, for every mask u with complement ~u and gamma = eps**t,
-    ``(1-gamma) p[u] + gamma p[~u] == eps^|u| (1-eps)^(t-|u|)``.
+    ``p_w[w]`` is the probability of each mask of weight w.  The table
+    satisfies, for every weight w and gamma = eps**t,
+    ``(1-gamma) p_w[w] + gamma p_w[t-w] == eps^w (1-eps)^(t-w)``.
     """
 
-    def __init__(self, t: int, epsilon: float, probs: dict):
+    def __init__(self, t: int, epsilon: float, p_w):
         self.t = t
         self.epsilon = epsilon
-        self.probs = dict(probs)
-        self._masks = sorted(self.probs, key=BitVector.to_index)
-        self._prob_list = [self.probs[m] for m in self._masks]
+        self.p_w = tuple(p_w)
         self.validate()
 
-    @property
-    def gamma(self) -> float:
-        return self.epsilon**self.t
+    @functools.cached_property
+    def index_probs(self) -> tuple:
+        """The probability of each outcome index, in index order."""
+        return tuple(self.p_w[i.bit_count()] for i in range(2**self.t))
 
     def validate(self):
-        if len(self.probs) != 2**self.t:
-            raise ValueError("table must cover all masks")
-        total = math.fsum(self.probs.values())
+        t, eps, gamma = self.t, self.epsilon, self.epsilon**self.t
+        if not 0.0 < eps < 0.5:
+            raise ValueError(f"regeneration requires 0 < eps < 1/2, got {eps}")
+        if len(self.p_w) != t + 1:
+            raise ValueError(f"a {t}-bit table needs {t + 1} weight probabilities")
+        total = math.fsum(math.comb(t, w) * p for w, p in enumerate(self.p_w))
         if abs(total - 1.0) > _PAIR_TOL:
             raise ValueError(f"mask probabilities sum to {total}, not 1")
-        if any(p < -_PAIR_TOL for p in self.probs.values()):
+        if any(p < -_PAIR_TOL for p in self.p_w):
             raise ValueError("negative mask probability")
-        eps, t, gamma = self.epsilon, self.t, self.gamma
-        for u, p in self.probs.items():
-            comp = BitVector(1 - b for b in u)
-            w = sum(u)
+        for w, p in enumerate(self.p_w):
             target = eps**w * (1 - eps) ** (t - w)
-            got = (1 - gamma) * p + gamma * self.probs[comp]
+            got = (1 - gamma) * p + gamma * self.p_w[t - w]
             if abs(got - target) > _PAIR_TOL:
-                raise ValueError(f"pair equation violated at mask {u.to_string()}")
+                raise ValueError(f"pair equation violated at mask weight {w}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "t": self.t,
-                "epsilon": self.epsilon,
-                "probs": {m.to_string(): p for m, p in self.probs.items()},
-            }
-        )
+        probs = {format(i, f"0{self.t}b"): p for i, p in enumerate(self.index_probs)}
+        return json.dumps({"t": self.t, "epsilon": self.epsilon, "probs": probs})
 
     @classmethod
     def from_json(cls, text: str) -> "RegenTable":
         obj = json.loads(text)
-        probs = {BitVector.from_string(s): p for s, p in obj["probs"].items()}
-        return cls(obj["t"], obj["epsilon"], probs)
-
-    def sample_mask(self, rng: RngStream) -> BitVector:
-        return self._masks[rng.choice_index(self._prob_list)]
-
-    def outcomes(self):
-        """(mask, probability) pairs in index order."""
-        return list(zip(self._masks, self._prob_list))
+        if not isinstance(obj, dict) or set(obj) != {"t", "epsilon", "probs"}:
+            raise ValueError("a table holds exactly t, epsilon and probs")
+        t, probs = obj["t"], obj["probs"]
+        if type(t) is not int or not 1 <= t <= MAX_REGEN_T or type(probs) is not dict:
+            raise ValueError(f"a table needs t in 1..{MAX_REGEN_T} and a probs map")
+        p_w: dict = {}
+        for mask, p in probs.items():
+            if len(mask) != t or set(mask) - {"0", "1"} or type(p) not in (int, float):
+                raise ValueError(f"bad entry {mask!r}: {p!r} in a {t}-bit table")
+            w = mask.count("1")
+            if p_w.setdefault(w, p) != p:
+                raise ValueError(f"masks of weight {w} differ in probability")
+        if len(probs) != 2**t:
+            raise ValueError("table must cover all masks")
+        return cls(t, obj["epsilon"], [p_w[w] for w in range(t + 1)])
 
 
 def regen_table(t: int, eps: float) -> RegenTable:
@@ -100,59 +114,56 @@ def regen_table(t: int, eps: float) -> RegenTable:
     Requires 1 <= t <= MAX_REGEN_T and 0 < eps < 1/2; for eps >= 1/2 the
     solved system can go negative and the construction is rejected.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if t > MAX_REGEN_T:
-        raise ValueError(f"t={t} exceeds the supported maximum {MAX_REGEN_T}")
+    if not 1 <= t <= MAX_REGEN_T:
+        raise ValueError(f"t must be in 1..{MAX_REGEN_T}, got {t}")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"regeneration requires 0 < eps < 1/2, got {eps}")
     gamma = eps**t
     if gamma < 1e-300:
         raise ValueError(f"eps**t underflows for t={t}, eps={eps}")
-    probs = {}
-    for mask_bits in itertools.product((0, 1), repeat=t):
-        u = BitVector(mask_bits)
-        w = sum(mask_bits)
-        # Solve the 2x2 pair system for (p[u], p[~u]).
+    p_w = []
+    for w in range(t + 1):
+        # Solve the 2x2 pair system for (p[u], p[~u]) at |u| = w.
         p = (
             (1 - gamma) * eps**w * (1 - eps) ** (t - w)
             - gamma * eps ** (t - w) * (1 - eps) ** w
         ) / (1 - 2 * gamma)
-        probs[u] = max(p, 0.0)
-    return RegenTable(t, eps, probs)
+        p_w.append(max(p, 0.0))
+    return RegenTable(t, eps, p_w)
 
 
-def regenerate(c: int, table: RegenTable, rng: RngStream) -> BitVector:
+def _xor_mask(c: int, index: int, t: int) -> tuple:
+    """The t bits of ``c`` XOR the mask with outcome ``index``."""
+    return tuple(int(c) ^ mask_bit(index, t, j) for j in range(t))
+
+
+def regenerate(c: int, table: RegenTable, rng: RngStream) -> tuple:
     """Expand one gamma-noisy copy into ``t`` eps-noisy copies.
 
     ``c`` must be a gamma-noisy copy of the source with gamma = eps**t;
     under that precondition the output law equals t independent eps-noisy
     copies of the source bit.
     """
-    mask = table.sample_mask(rng)
-    return BitVector(int(c) ^ m for m in mask)
+    return _xor_mask(c, rng.choice_index(table.index_probs), table.t)
 
 
 def regen_output_law(c_law: dict, table: RegenTable) -> dict:
     """Exact output law of :func:`regenerate` for an input bit law.
 
-    ``c_law`` maps bit -> probability; the result maps BitVector -> prob.
+    ``c_law`` maps bit -> probability; the result maps bit tuple -> prob.
     Used by tests to compare against the iid product law by enumeration.
     """
     out: dict = {}
     for c, pc in c_law.items():
-        for mask, pm in table.outcomes():
-            v = BitVector(int(c) ^ m for m in mask)
+        for i, pm in enumerate(table.index_probs):
+            v = _xor_mask(c, i, table.t)
             out[v] = out.get(v, 0.0) + pc * pm
     return out
 
 
 def iid_noisy_law(b: int, eps: float, t: int) -> dict:
     """Law of t independent eps-noisy copies of bit ``b``."""
-    out = {}
-    for bits in itertools.product((0, 1), repeat=t):
-        p = 1.0
-        for y in bits:
-            p *= eps if y != b else 1 - eps
-        out[BitVector(bits)] = p
-    return out
+    return {
+        bits: math.prod(eps if y != b else 1 - eps for y in bits)
+        for bits in itertools.product((0, 1), repeat=t)
+    }

@@ -169,8 +169,8 @@ class Tessellation:
 
 
 def _cells_per_side(net: PlanarNetwork) -> int:
-    if net.radius > 1:
-        raise ValueError("tessellation requires R <= 1")
+    if not 0 < net.radius <= 1:
+        raise ValueError(f"tessellation requires 0 < R <= 1, got R = {net.radius}")
     return int(math.floor(1.0 / net.radius))
 
 

@@ -121,19 +121,22 @@ class Protocol:
             for w in nb:
                 if v not in self.adjacency.get(w, frozenset()):
                     raise ValueError(f"adjacency not symmetric at ({v},{w})")
+        # noise levels must lie in [0, 1]; NaN fails every comparison
+        if not 0.0 <= self.eps <= 1.0:
+            raise ValueError(f"eps = {self.eps!r} is outside [0, 1]")
         for i, tr in enumerate(self.schedule):
-            for atom in exprs.atoms(tr.expr):
+            if tr.eps is not None and not 0.0 <= tr.eps <= 1.0:
+                raise ValueError(f"transmission {i} eps = {tr.eps!r} is outside [0, 1]")
+        # the output expression comes last, at index T
+        for i, (_node, expr) in enumerate(self.all_expressions()):
+            where = f"transmission {i}" if i < self.T else "the output expression"
+            for atom in exprs.atoms(expr):
                 if isinstance(atom, Received) and atom.t >= i:
-                    raise ValueError(
-                        f"transmission {i} reads rx[{atom.t}] (dangling index)"
-                    )
-                if isinstance(atom, exprs.MaskBit) and atom.src >= len(
-                    self.mask_sources
-                ):
-                    raise ValueError(f"transmission {i} reads unknown mask source")
-        for atom in exprs.atoms(self.output_expr):
-            if isinstance(atom, Received) and atom.t >= self.T:
-                raise ValueError("output expression reads a dangling rx index")
+                    raise ValueError(f"{where} reads rx[{atom.t}] (dangling index)")
+                if isinstance(atom, exprs.MaskBit) and atom.src >= len(self.mask_sources):
+                    raise ValueError(f"{where} reads unknown mask source")
+                if isinstance(atom, exprs.Noise) and not 0.0 <= atom.eps <= 1.0:
+                    raise ValueError(f"{where} noise eps = {atom.eps!r} is outside [0, 1]")
         if self.schedule and self.schedule[-1].sender != self.output_node:
             raise ValueError("output node must send the last transmission")
         if self.klass in (SEMI_NOISY, NOISY_COPY):

@@ -39,7 +39,7 @@ from . import advantage as adv_mod
 from . import engine, exprs, trees
 from .errors import TreeCapExceeded
 from .exprs import Const, MaskBit, Noise, OwnInput, Received, Xor, mux
-from .noise import regen_table
+from .noise import mask_bit, regen_table
 from .protocol import (
     NOISY_COPY,
     SEMI_NOISY,
@@ -337,15 +337,14 @@ def fix_randomness(p: Protocol, f, mu, cap_bits=24):
     # the internal grid is mixed-radix, first primitive slowest
     outcomes = np.unravel_index(r_star, [pr.size for pr in internal])
     chosen = {pr.key: int(out) for pr, out in zip(internal, outcomes)}
-    mask_bits = engine._mask_bit_matrices(p)
 
     def subst_for(node):
         def m(atom):
             if isinstance(atom, (exprs.Rand, Noise)):
                 return Const(chosen[engine._internal_key(node, atom)])
             if isinstance(atom, MaskBit):
-                out = chosen[("mask", atom.src)]
-                return Const(int(mask_bits[atom.src][out, atom.j]))
+                t = p.mask_sources[atom.src].table.t
+                return Const(mask_bit(chosen[("mask", atom.src)], t, atom.j))
             return None
 
         return m

@@ -166,6 +166,42 @@ def test_protocol_text_keeps_every_digit_of_eps():
         assert [tr.expr for tr in q.schedule] == [tr.expr for tr in p.schedule]
 
 
+_NOISY_TEXT = """nodes 2
+eps 0.1
+node 0 input block=1
+node 1 aux fix=0
+edge 0 1
+tx 0 eps=0.2 := in
+tx 1 := xor(rx[0],noise[0,0.3])
+out 1 := xor(rx[0],noise[0,0.3])
+"""
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [("eps 0.1", "eps 1.5"), ("eps=0.2", "eps=-0.1"), ("0,0.3]", "0,2.0]")],
+    ids=["protocol", "transmission", "noise_atom"],
+)
+def test_protocol_text_rejects_noise_outside_unit_interval(good, bad):
+    protocol_from_text(_NOISY_TEXT)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        protocol_from_text(_NOISY_TEXT.replace(good, bad))
+
+
+@pytest.mark.parametrize("eps", ["1.5", "-0.1"])
+def test_run_protocol_eps_outside_unit_interval_is_invalid_input(capsys, eps):
+    code, out, err = run(capsys, "run-protocol", "--eps", eps)
+    assert code == 1 and out == ""
+    assert "outside [0, 1]" in err
+
+
+def test_decompose_single_node_is_invalid_input(capsys):
+    # the default radius sqrt(10 ln N / N) is 0 at N = 1
+    code, _out, err = run(capsys, "decompose", "--n", "1")
+    assert code == 1
+    assert err.startswith("error:") and "R" in err
+
+
 def test_tree_collapse_on_unordered_is_check_failure(tmp_path, capsys):
     spaces = [trees.uniform_bit_space(), trees.uniform_bit_space()]
     t = trees.Node(
