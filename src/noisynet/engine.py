@@ -138,15 +138,24 @@ class _Draws:
         return self._mask_bits[key]
 
 
-def _enumeration_arrays(p: Protocol, prims, cap_bits: int):
+def _grid_weights(prims) -> np.ndarray:
+    """Weight of each row of the joint outcome grid of ``prims`` (the first
+    one varying slowest): 1.0 times its primitives' probabilities, in order."""
+    weights = np.ones(1)
+    for pr in prims:
+        weights = np.multiply.outer(weights, pr.probs).ravel()
+    return weights
+
+
+def _enumeration_arrays(p: Protocol, prims, cap_bits: int) -> _Draws:
     """Packed draws over the joint outcome grid of ``prims`` (the first one
-    varying slowest) and the grid's weight vector."""
+    varying slowest); :func:`_grid_weights` gives the rows' weights."""
     total = math.prod(pr.size for pr in prims)
     if total > 2**cap_bits:
         raise CapExceeded(
             f"enumeration size {total} exceeds 2^{cap_bits}", size=total
         )
-    bits, masks, weights = {}, {}, np.ones(1)
+    bits, masks = {}, {}
     stride = total
     for pr in prims:
         stride //= pr.size
@@ -154,9 +163,7 @@ def _enumeration_arrays(p: Protocol, prims, cap_bits: int):
             masks[pr.key] = np.arange(total) // stride % pr.size
         else:
             bits[pr.key] = _column_words(stride, total)
-        # each row's weight is 1.0 times its primitives' probabilities, in order
-        weights = np.multiply.outer(weights, pr.probs).ravel()
-    return _Draws(p, total, bits, masks), weights
+    return _Draws(p, total, bits, masks)
 
 
 def _sampled_arrays(p: Protocol, prims, trials: int, rng, packed=True):
@@ -178,13 +185,6 @@ def _sampled_arrays(p: Protocol, prims, trials: int, rng, packed=True):
 # -- simulation -------------------------------------------------------------
 
 
-def _own_bit(p: Protocol, x_bits: dict, node, index):
-    if index != 0:
-        raise ValueError("nodes hold a single input bit")
-    role = p.roles[node]
-    return x_bits[node] if isinstance(role, InputRole) else role.fixed_bit
-
-
 class _Sim:
     """One run of the schedule for one input over every row of ``draws``."""
 
@@ -201,7 +201,9 @@ class _Sim:
         if isinstance(atom, exprs.Received):
             return self.rx_value(node, atom.t)
         if isinstance(atom, exprs.OwnInput):
-            return self.one if _own_bit(self.p, self.x_bits, node, atom.index) else 0
+            role = self.p.roles[node]
+            own = self.x_bits[node] if isinstance(role, InputRole) else role.fixed_bit
+            return self.one if own else 0
         if isinstance(atom, exprs.MaskBit):
             return self.draws.mask_bit(atom.src, atom.j)
         return self.draws.bits[_internal_key(node, atom)]
@@ -344,7 +346,7 @@ def exact_channel(
     if inputs is None:
         inputs = all_input_assignments(p)
     prims = _collect_primitives(p, probes=probes)
-    draws, weights = _enumeration_arrays(p, prims, cap_bits)
+    draws, weights = _enumeration_arrays(p, prims, cap_bits), _grid_weights(prims)
     rows = {
         assignment_key(p, x_bits): _outcome_law(
             p, x_bits, draws, outcome, weights, probes

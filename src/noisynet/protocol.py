@@ -133,6 +133,8 @@ class Protocol:
             for atom in exprs.atoms(expr):
                 if isinstance(atom, Received) and atom.t >= i:
                     raise ValueError(f"{where} reads rx[{atom.t}] (dangling index)")
+                if isinstance(atom, OwnInput) and atom.index != 0:
+                    raise ValueError(f"{where} reads in[{atom.index}]; nodes hold one input bit")
                 if isinstance(atom, exprs.MaskBit) and atom.src >= len(self.mask_sources):
                     raise ValueError(f"{where} reads unknown mask source")
                 if isinstance(atom, exprs.Noise) and not 0.0 <= atom.eps <= 1.0:

@@ -310,9 +310,9 @@ def fix_randomness(p: Protocol, f, mu, cap_bits=24):
     external = [pr for pr in prims if not pr.internal]
     # one joint grid with the internal primitives varying slowest, so each
     # internal assignment owns a contiguous slab of external outcomes
-    draws, _weights = engine._enumeration_arrays(p, internal + external, cap_bits)
-    _int_draws, p_int = engine._enumeration_arrays(p, internal, cap_bits)
-    _ext_draws, ext_weights = engine._enumeration_arrays(p, external, cap_bits)
+    draws = engine._enumeration_arrays(p, internal + external, cap_bits)
+    p_int = engine._grid_weights(internal)
+    ext_weights = engine._grid_weights(external)
     n_assign, inner = len(p_int), len(ext_weights)
     total = n_assign * inner
     w_ext = np.tile(ext_weights, n_assign)
@@ -384,7 +384,7 @@ class XndTreeArtifact:
     block_ids: list  # original 1-based block index per tree block
     block_nodes: list  # input nodes per tree block, x-part order
     lambdas: list  # per tree block: sorted aux senders with a noise vector
-    leaf_weighting: dict  # transcript path -> +/-1, from the last bit
+    noise_probs: list  # per tree block: each value's noise-vector probability
     eps_d: float
     report: dict = field(default_factory=dict)
 
@@ -399,17 +399,8 @@ class XndTreeArtifact:
             nb = len(self.block_nodes[b])
             x_part = tuple(x_key[pos : pos + nb])
             pos += nb
-            vec = []
-            for val in sp.values:
-                if val[0] != x_part:
-                    vec.append(0.0)
-                    continue
-                prob = 1.0
-                for zvec in val[1]:
-                    for zb in zvec:
-                        prob *= self.eps_d if zb else 1.0 - self.eps_d
-                vec.append(prob)
-            out.append(np.array(vec))
+            match = np.array([val[0] == x_part for val in sp.values])
+            out.append(np.where(match, self.noise_probs[b], 0.0))
         return out
 
 
@@ -421,12 +412,16 @@ def to_xnd_tree(
 
     Each auxiliary transmission becomes one level; its sender's reads of
     the input broadcasts appear as x XOR z with one noise vector z per
-    (block, sender) pair shared across that sender's levels.  Reads of
-    broadcasts from non-neighbors evaluate to 0 in the protocol; the
-    tree's query simply ignores those coordinates and the pair is
-    recorded as an added edge (the adjacency normalization).  Levels
-    reading no input at all are assigned the first block; their branch
-    is constant across its values.
+    (block, sender) pair shared across that sender's levels.  A level's
+    branch depends only on the block value and the earlier transcript
+    bits its expression reads, so each level is evaluated once, as a
+    table with one row per assignment of those bits; every prefix's node
+    takes the row its bits index.  Reads of transmissions from
+    non-neighbors are 0, as in the protocol; for the input broadcasts
+    the tree's query ignores those coordinates and the pair is recorded
+    as an added edge (the adjacency normalization).  Levels reading no
+    input at all are assigned the first block; their branch is constant
+    across its values.
     """
     if p2.klass != NOISY_COPY:
         raise ValueError("expects a noisy-copy protocol")
@@ -456,20 +451,28 @@ def to_xnd_tree(
     block_index = {j: i for i, j in enumerate(block_ids)}
     node_block = {v: j for j, vs in blocks.items() for v in vs}
 
-    # per level: the block it reads, its ignored (non-adjacent) reads
+    # per level: the block it reads, the input broadcasts and the earlier
+    # levels it adjacently reads
     level_block: list = []
     level_reads: list = []
+    level_bits: list = []
     added_edges: list = []
     lambdas = [set() for _ in block_ids]
     for t, tr in aux_sched:
         read_blocks = set()
-        reads = {}
+        reads = set()
+        bits = set()
         for atom in exprs.atoms(tr.expr):
-            if isinstance(atom, Received) and atom.t in t0_of:
-                v = t0_of[atom.t]
-                if p2.is_neighbor(tr.sender, v):
-                    read_blocks.add(node_block[v])
-                    reads[v] = atom.t
+            if not isinstance(atom, Received):
+                continue
+            sender = p2.schedule[atom.t].sender
+            if not p2.is_neighbor(tr.sender, sender):
+                continue
+            if atom.t in t0_of:
+                read_blocks.add(node_block[sender])
+                reads.add(sender)
+            else:
+                bits.add(aux_new_index[atom.t])
         if aux_block_of and tr.sender in aux_block_of:
             declared = aux_block_of[tr.sender]
             if read_blocks - {declared}:
@@ -486,6 +489,7 @@ def to_xnd_tree(
         b = block_index[j]
         level_block.append(b)
         level_reads.append(reads)
+        level_bits.append(sorted(bits))
         if reads:
             lambdas[b].add(tr.sender)
             for v in blocks[j]:
@@ -497,7 +501,7 @@ def to_xnd_tree(
     if mu_blocks is None:
         mu_blocks = [None] * len(block_ids)
     spaces = []
-    value_index = []
+    noise_probs = []
     for b, j in enumerate(block_ids):
         nodes = blocks[j]
         nb = len(nodes)
@@ -505,7 +509,7 @@ def to_xnd_tree(
         if 2 ** (nb * (1 + nz)) > MAX_BLOCK_SPACE:
             raise TreeCapExceeded(f"block {j} extended value space too large")
         mu_j = mu_blocks[b]
-        values, probs, hs = [], [], []
+        values, probs, hs, pzs = [], [], [], []
         for x in itertools.product((0, 1), repeat=nb):
             px = mu_j[x] if mu_j is not None else 0.5**nb
             for zs in itertools.product(
@@ -518,88 +522,57 @@ def to_xnd_tree(
                 values.append((x, zs))
                 probs.append(px * pz)
                 hs.append(-1 if sum(x) % 2 else 1)
+                pzs.append(pz)
         spaces.append(
             trees.BlockSpace(tuple(values), tuple(probs), tuple(hs))
         )
-        value_index.append({val: i for i, val in enumerate(values)})
+        noise_probs.append(np.array(pzs))
 
-    # per-level branch tables as a function of the prefix bits they read;
-    # only the coordinates the sender adjacently read are exposed, the
-    # query ignores the rest (they were 0 in the protocol)
-    col_cache: dict = {}
-
-    def level_columns(level):
-        got = col_cache.get(level)
-        if got is not None:
-            return got
-        t, tr = aux_sched[level]
+    # one branch table per level: rows index the read transcript bits
+    # (big-endian over the sorted levels), columns the block values
+    tables = []
+    for level, (_t, tr) in enumerate(aux_sched):
         b = level_block[level]
         sp = spaces[b]
-        nodes = blocks[block_ids[b]]
-        x_cols, z_cols = {}, {}
-        sender = tr.sender
-        if level_reads[level]:
-            li = lambdas[b].index(sender)
-            for vi, v in enumerate(nodes):
-                if v not in level_reads[level]:
-                    continue
-                x_cols[v] = np.array(
-                    [val[0][vi] for val in sp.values], dtype=np.int64
-                )
-                z_cols[v] = np.array(
-                    [val[1][li][vi] for val in sp.values], dtype=np.int64
-                )
-        col_cache[level] = (x_cols, z_cols)
-        return col_cache[level]
-
-    def branch_for(level, prefix_bits):
-        t, tr = aux_sched[level]
-        sp = spaces[level_block[level]]
-        x_cols, z_cols = level_columns(level)
-        own = p2.roles[tr.sender].fixed_bit
+        bits = level_bits[level]
+        row = np.arange(2 ** len(bits))[:, None]
+        shift = {k: len(bits) - 1 - i for i, k in enumerate(bits)}
+        reads = level_reads[level]
+        li = lambdas[b].index(tr.sender) if reads else None
+        cols = {  # input node -> x XOR z over the block's values
+            v: np.array([x[vi] ^ zs[li][vi] for x, zs in sp.values])
+            for vi, v in enumerate(blocks[block_ids[b]])
+            if v in reads
+        }
 
         def value(atom):
             if isinstance(atom, OwnInput):
-                return own
-            if not isinstance(atom, Received):
-                raise ValueError("tree construction requires a deterministic protocol")
+                return p2.roles[tr.sender].fixed_bit
             if atom.t in t0_of:
-                v = t0_of[atom.t]
-                return x_cols[v] ^ z_cols[v] if v in x_cols else 0
-            return prefix_bits[aux_new_index[atom.t]]
+                return cols.get(t0_of[atom.t], 0)
+            k = aux_new_index[atom.t]
+            return row >> shift[k] & 1 if k in shift else 0
 
-        out = exprs.evaluate(tr.expr, value)
-        out = np.broadcast_to(np.asarray(out, dtype=np.int64), (sp.size,))
-        return tuple(int(x) for x in out)
-
-    memo: dict = {}
+        out = np.broadcast_to(exprs.evaluate(tr.expr, value), (len(row), sp.size))
+        tables.append([tuple(r) for r in out.tolist()])
 
     def build(prefix):
         i = len(prefix)
         if i == T:
             return trees._LEAF
-        key = prefix
-        got = memo.get(key)
-        if got is not None:
-            return got
-        branch = branch_for(i, prefix)
+        r = 0
+        for k in level_bits[i]:
+            r = r << 1 | prefix[k]
         children = (build(prefix + (0,)), build(prefix + (1,)))
-        node = trees.Node(level_block[i], branch, children)
-        memo[key] = node
-        return node
+        return trees.Node(level_block[i], tables[i][r], children)
 
-    root = build(())
-    leaf_weighting = {
-        path: (1 if path[-1] == 0 else -1)
-        for path in itertools.product((0, 1), repeat=T)
-    }
     return XndTreeArtifact(
-        root=root,
+        root=build(()),
         spaces=spaces,
         block_ids=block_ids,
         block_nodes=[blocks[j] for j in block_ids],
         lambdas=lambdas,
-        leaf_weighting=leaf_weighting,
+        noise_probs=noise_probs,
         eps_d=eps_d,
         report={
             "depth": T,
@@ -710,6 +683,7 @@ def protocol_to_read_once(
             "ordered": adv_ordered,
             "read_once": adv_ro,
         },
+        # the slack absorbs rounding only: steps reach -2.2e-15 on the chain
         "monotone": bool(
             adv0 <= adv1 + 1e-9
             and adv1 <= adv2 + 1e-9

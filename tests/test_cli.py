@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisynet import random_instances as ri, reductions, trees
 from noisynet.cli import main
@@ -166,6 +168,21 @@ def test_protocol_text_keeps_every_digit_of_eps():
         assert [tr.expr for tr in q.schedule] == [tr.expr for tr in p.schedule]
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 999))
+def test_protocol_text_round_trips(seed, index):
+    # the unfixed noisy-copy stage has masksrc lines and eps= broadcasts,
+    # the semi-noisy stage noiseless transmissions
+    p = ri.random_tiny_protocol(RngStream(seed), index)
+    p1, _ = reductions.to_semi_noisy(p)
+    p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p), fix=False)
+    for q in (p1, p2):
+        text = protocol_to_text(q)
+        back = protocol_from_text(text)
+        assert protocol_to_text(back) == text
+        assert back.schedule == q.schedule
+
+
 _NOISY_TEXT = """nodes 2
 eps 0.1
 node 0 input block=1
@@ -193,6 +210,20 @@ def test_run_protocol_eps_outside_unit_interval_is_invalid_input(capsys, eps):
     code, out, err = run(capsys, "run-protocol", "--eps", eps)
     assert code == 1 and out == ""
     assert "outside [0, 1]" in err
+
+
+def test_own_input_index_other_than_zero_is_invalid_input(tmp_path, capsys):
+    # a node holds one input bit: the engine and the tree read in[0] only
+    text = _NOISY_TEXT.replace("tx 0 eps=0.2 := in", "tx 0 eps=0.2 := in[1]")
+    with pytest.raises(ValueError, match=r"in\[1\]"):
+        protocol_from_text(text)
+    path = tmp_path / "p.txt"
+    for body, want in ((_NOISY_TEXT, 0), (text, 1)):
+        path.write_text(body)
+        code, _out, err = run(
+            capsys, "run-protocol", "--builder", "file", "--protocol-file", str(path)
+        )
+        assert code == want, err
 
 
 def test_decompose_single_node_is_invalid_input(capsys):

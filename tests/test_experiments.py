@@ -1,5 +1,6 @@
 """Experiment configs, CSV round trips, and scenario determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -79,6 +80,24 @@ def test_rerun_byte_identical():
     a = ex.render_csv(ex.run_experiment(cfg("E4", seed=5)))
     b = ex.render_csv(ex.run_experiment(cfg("E4", seed=5)))
     assert a == b
+
+
+#: sha256 of the seed-0 CSV text; a change that moves a byte of an
+#: experiment's output (a float's summation order included) fails here
+_CSV_SHA256 = {
+    "E4": "ad3aa64c33b612d1417dd05a5848fe98cf275e85c2551f5a631f83b124b75838",
+    "E5": "7dbc0bc022f5b7158342d473562c62462dc7510a336862239686a15c95f8a6b2",
+    "E6": "869e5bc3b1baad4cf19647a10ccebcba74247d36a94d39bf857b86597721a6c8",
+    "E7": "5a02e7cca807e4090ffee5e47bc1426b5847bd2f9efacf5cc43b0f6c0baa4e37",
+    "E8": "615ecd6dbf358e868ab9d86ec51233738274221bc6662bbdb4587a4a6704518d",
+}
+
+
+@pytest.mark.parametrize("eid", sorted(_CSV_SHA256))
+def test_csv_bytes_are_pinned_at_seed_0(eid):
+    params = {"instances": 40} if eid == "E5" else {}
+    text = ex.render_csv(ex.run_experiment(cfg(eid, **params)))
+    assert hashlib.sha256(text.encode()).hexdigest() == _CSV_SHA256[eid]
 
 
 def test_parse_rejects_foreign_header():

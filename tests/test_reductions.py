@@ -12,6 +12,7 @@ from noisynet.protocol import (
     InputRole,
     Protocol,
     Transmission,
+    protocol_from_text,
     star_adjacency,
     star_xor,
 )
@@ -208,6 +209,19 @@ def test_xnd_tree_depth_one_single_transmission():
     a_t, _w = trees.tree_advantage(art.root, art.spaces)
     assert abs(a_p - (1 - 2 * eps)) <= 1e-12
     assert abs(a_t - a_p) <= 1e-12
+
+
+def test_xnd_tree_reads_a_non_neighbor_transmission_as_zero():
+    """Aux nodes 1 and 2 are not adjacent, so node 2's rx[1] is 0 in the
+    protocol and must be 0 in the tree, not the transcript bit."""
+    p2 = protocol_from_text(
+        "nodes 3\neps 0.01\nclass noisy-copy\n"
+        "node 0 input block=1\nnode 1 aux fix=0\nnode 2 aux fix=0\n"
+        "edge 0 1\nedge 0 2\ntx 0 := in\ntx 1 noiseless := rx[0]\n"
+        "tx 2 noiseless := xor(rx[1],rx[0])\nout 2 := xor(rx[1],rx[0])\n"
+    )
+    art = reductions.to_xnd_tree(p2)
+    assert reductions.check_leaf_law(p2, art) <= 1e-12
 
 
 # -- full chain --------------------------------------------------------------
