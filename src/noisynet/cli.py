@@ -94,6 +94,8 @@ def gen_network(ctx, n_nodes, radius):
 @click.pass_context
 def decompose_cmd(ctx, network_path, n_nodes):
     """Decompose a network into certified input blocks (uniform counts)."""
+    if network_path is None and n_nodes < 1:
+        raise click.ClickException("--n must be >= 1")
     if network_path:
         net = planar.PlanarNetwork.from_json(_read(network_path))
     else:

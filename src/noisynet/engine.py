@@ -17,6 +17,15 @@ first ``n`` rows only, so the pad rows of the last word never reach a
 law, and ``np.bincount`` adds the same weights in the same row order as
 an unpacked grid would.  ``execute`` runs the same schedule on Python
 ints with ``one = 1``: a batch of one.
+
+The input assignment is the slowest grid axis: one ``_Sim`` pass runs
+many inputs, each own-input bit a packed column, and an exact channel is
+one dense ``(inputs x 2^m)`` array of outcome-code probabilities from one
+``np.bincount`` per pass.  Each input keeps its own contiguous run of
+rows, so its row of the law holds the same floats as a pass of its own.
+A pass holds as many inputs as fit in ``PASS_ROWS`` rows (or one input
+whose grid is larger): longer passes save little time and raise peak
+memory.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +42,11 @@ from .errors import CapExceeded
 from .protocol import InputRole, Protocol
 
 DEFAULT_CAP_BITS = 24
+#: Rows of (inputs x grid) in one exact pass.  A ``chain`` round runs
+#: about as fast with 2^24-row passes but peaks at 103 MB of RSS against
+#: 85 MB at 2^16 rows; one input per pass also peaks at 85 MB but takes
+#: about 1.4x as long.
+PASS_ROWS = 2**16
 
 
 # -- primitives -------------------------------------------------------------
@@ -147,37 +161,52 @@ def _grid_weights(prims) -> np.ndarray:
     return weights
 
 
-def _enumeration_arrays(p: Protocol, prims, cap_bits: int) -> _Draws:
-    """Packed draws over the joint outcome grid of ``prims`` (the first one
-    varying slowest); :func:`_grid_weights` gives the rows' weights."""
-    total = math.prod(pr.size for pr in prims)
-    if total > 2**cap_bits:
+def _enumeration_arrays(p: Protocol, prims, cap_bits: int, reps: int = 1) -> _Draws:
+    """Packed draws over ``reps`` copies of the joint outcome grid of
+    ``prims`` (the first one varying slowest); :func:`_grid_weights` gives
+    one grid's weights.  Every column's period divides the grid, so the
+    copies are the grid's rows again."""
+    grid = math.prod(pr.size for pr in prims)
+    if grid > 2**cap_bits:
         raise CapExceeded(
-            f"enumeration size {total} exceeds 2^{cap_bits}", size=total
+            f"enumeration size {grid} exceeds 2^{cap_bits}", size=grid
         )
+    n = reps * grid
     bits, masks = {}, {}
-    stride = total
+    stride = grid
     for pr in prims:
         stride //= pr.size
         if pr.key[0] == "mask":
-            masks[pr.key] = np.arange(total) // stride % pr.size
+            masks[pr.key] = np.arange(n) // stride % pr.size
         else:
-            bits[pr.key] = _column_words(stride, total)
-    return _Draws(p, total, bits, masks)
+            bits[pr.key] = _column_words(stride, n)
+    return _Draws(p, n, bits, masks)
 
 
 def _sampled_arrays(p: Protocol, prims, trials: int, rng, packed=True):
     gen = rng.numpy_generator()
     bits, masks = {}, {}
-    for pr in prims:
-        if pr.size == 2:  # a one-coordinate mask is drawn like a bit
-            draw = gen.random(trials) < pr.probs[1]
-        else:
-            draw = gen.choice(pr.size, size=trials, p=np.asarray(pr.probs))
-        if pr.key[0] == "mask":
-            masks[pr.key] = np.asarray(draw, dtype=np.intp) if packed else int(draw[0])
-        else:
-            bits[pr.key] = _to_words(draw) if packed else int(draw[0])
+    if packed:
+        for pr in prims:
+            if pr.size == 2:  # a one-coordinate mask is drawn like a bit
+                draw = gen.random(trials) < pr.probs[1]
+            else:
+                draw = gen.choice(pr.size, size=trials, p=np.asarray(pr.probs))
+            if pr.key[0] == "mask":
+                masks[pr.key] = np.asarray(draw, dtype=np.intp)
+            else:
+                bits[pr.key] = _to_words(draw)
+    else:
+        # a batch of one: one uniform per primitive, mapped to an outcome as
+        # the calls above map it (``Generator.choice`` searches the
+        # normalised cumulative sum), so the draws are the same
+        for pr, u in zip(prims, gen.random(len(prims)).tolist()):
+            if pr.size == 2:
+                draw = int(u < pr.probs[1])
+            else:
+                cdf = np.cumsum(pr.probs)
+                draw = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+            (masks if pr.key[0] == "mask" else bits)[pr.key] = draw
     rng.counter += trials * len(prims)
     return _Draws(p, trials, bits, masks, packed)
 
@@ -186,7 +215,12 @@ def _sampled_arrays(p: Protocol, prims, trials: int, rng, packed=True):
 
 
 class _Sim:
-    """One run of the schedule for one input over every row of ``draws``."""
+    """One run of the schedule over every row of ``draws``.
+
+    ``x_bits`` maps each input node to its bit in the draws' domain: a
+    0/1 int for a batch of one, packed words (one input per run of rows)
+    otherwise.
+    """
 
     def __init__(self, p: Protocol, x_bits: dict, draws: _Draws):
         self.p = p
@@ -202,8 +236,9 @@ class _Sim:
             return self.rx_value(node, atom.t)
         if isinstance(atom, exprs.OwnInput):
             role = self.p.roles[node]
-            own = self.x_bits[node] if isinstance(role, InputRole) else role.fixed_bit
-            return self.one if own else 0
+            if isinstance(role, InputRole):
+                return self.x_bits[node]
+            return self.one if role.fixed_bit else 0
         if isinstance(atom, exprs.MaskBit):
             return self.draws.mask_bit(atom.src, atom.j)
         return self.draws.bits[_internal_key(node, atom)]
@@ -283,56 +318,108 @@ def assignment_key(p: Protocol, x_bits: dict) -> tuple:
 
 
 def law_tv(a: dict, b: dict) -> float:
-    """Total variation distance between two laws (outcome -> probability);
-    an outcome missing from one side has probability 0 there."""
+    """Total variation distance between two dict laws (outcome ->
+    probability); an outcome missing from one side has probability 0
+    there.  Channels compare their dense laws instead
+    (:meth:`Channel.total_variation`)."""
     return 0.5 * sum(abs(a.get(c, 0.0) - b.get(c, 0.0)) for c in set(a) | set(b))
 
 
-@dataclass
 class Channel:
     """Exact (or estimated) outcome law per input assignment.
 
-    ``rows`` maps an input key (bit tuple in canonical input order) to a
-    dict outcome -> probability.
+    ``law[i, c]`` is the probability of outcome code ``c`` on input
+    ``keys[i]`` (a bit tuple in canonical input order); a code packs the
+    outcome's bits, the first highest, so ``law`` has 2^m columns.
+    ``Channel(rows=...)`` takes the law as one dict outcome -> probability
+    per input key instead; its outcomes are then any sortable labels, and
+    ``labels[c]`` names column ``c``.
     """
 
-    rows: dict
-    outcome: str = "output"
-    exact: bool = True
-    meta: dict = field(default_factory=dict)
+    def __init__(
+        self, keys=(), law=None, outcome="output", exact=True, meta=None, *, rows=None
+    ):
+        self.labels = None
+        self._rows = None
+        if rows is not None:
+            keys = list(rows)
+            self.labels = sorted({c for row in rows.values() for c in row})
+            column = {c: j for j, c in enumerate(self.labels)}
+            law = np.zeros((len(keys), len(self.labels)))
+            for i, row in enumerate(rows.values()):
+                for c, pc in row.items():
+                    law[i, column[c]] = pc
+            self._rows = dict(rows)
+        self.keys = [tuple(k) for k in keys]
+        self.law = np.asarray(law, dtype=float)
+        self.outcome = outcome
+        self.exact = exact
+        self.meta = {} if meta is None else meta
+
+    @property
+    def rows(self) -> dict:
+        """Input key -> dict outcome -> probability, zero outcomes left out
+        and the others in ascending column order; built on first read."""
+        if self._rows is None:
+            self._rows = {
+                key: {c: pc for c, pc in enumerate(vec) if pc}
+                for key, vec in zip(self.keys, self.law.tolist())
+            }
+        return self._rows
 
     def row(self, key):
         return self.rows[tuple(key)]
 
     def total_variation(self, other: "Channel") -> float:
-        """Max over inputs of the TV distance between matching rows."""
-        worst = 0.0
-        for key, row in self.rows.items():
-            worst = max(worst, law_tv(row, other.rows[key]))
-        return worst
+        """Max over inputs of the TV distance between the rows of one key."""
+        theirs = other.law
+        if other.keys != self.keys:
+            position = {k: i for i, k in enumerate(other.keys)}
+            theirs = theirs[[position[k] for k in self.keys]]
+        if other.labels != self.labels or theirs.shape != self.law.shape:
+            raise ValueError("the channels' outcome columns differ")
+        return float((0.5 * np.abs(self.law - theirs).sum(axis=1)).max(initial=0.0))
 
 
-def _outcome_values(sim_output, sim_sent, outcome, probe_vals):
-    if outcome == "output":
-        return [sim_output]
-    if outcome == "transcript":
-        return sim_sent
-    if outcome == "probes":
-        return probe_vals
-    raise ValueError(f"unknown outcome kind {outcome!r}")
+def _outcome_bits(p: Protocol, outcome: str, probes) -> int:
+    """How many bits the code of ``outcome`` packs."""
+    sizes = {"output": 1, "transcript": len(p.schedule), "probes": len(probes)}
+    if outcome not in sizes:
+        raise ValueError(f"unknown outcome kind {outcome!r}")
+    return sizes[outcome]
 
 
-def _outcome_law(p, x_bits, draws, outcome, weights=None, probes=()):
-    """Law of ``outcome`` for one input over the rows of ``draws`` with the
-    given ``weights``, or over equally likely trials when ``weights`` is None."""
+def _input_words(p: Protocol, inputs, rows: int) -> dict:
+    """Each input node's bit, packed over ``rows`` rows per input of
+    ``inputs`` in turn."""
+    return {
+        v: _to_words(np.repeat([x[v] for x in inputs], rows)) for v in input_order(p)
+    }
+
+
+def _outcome_codes(p, x_bits, draws, outcome, probes=()) -> np.ndarray:
+    """Outcome code of each row of ``draws`` in one run of the schedule."""
     sim = _Sim(p, x_bits, draws)
     output, probe_vals = sim.run(probes=probes)
-    codes = _codes(_outcome_values(output, sim.sent, outcome, probe_vals), draws.n)
-    agg = np.bincount(codes, weights=weights)
-    if weights is None:
-        agg = agg / draws.n
-    nz = np.flatnonzero(agg)
-    return dict(zip(nz.tolist(), agg[nz].tolist()))
+    values = {"output": [output], "transcript": sim.sent, "probes": probe_vals}
+    return _codes(values[outcome], draws.n)
+
+
+def _exact_passes(
+    p: Protocol, prims, inputs, outcome="output", probes=(), cap_bits=DEFAULT_CAP_BITS
+):
+    """Yield ``(i, codes)`` per pass: the outcome codes of the inputs
+    ``inputs[i:i + k]`` over the enumeration grid of ``prims``, the input
+    varying slowest, so each input owns one contiguous run of grid rows."""
+    grid = math.prod(pr.size for pr in prims)
+    per_pass = max(1, PASS_ROWS // grid)
+    draws = None
+    for i in range(0, len(inputs), per_pass):
+        chunk = inputs[i : i + per_pass]
+        if draws is None or draws.n != len(chunk) * grid:
+            draws = _enumeration_arrays(p, prims, cap_bits, reps=len(chunk))
+        x_bits = _input_words(p, chunk, grid)
+        yield i, _outcome_codes(p, x_bits, draws, outcome, probes)
 
 
 def exact_channel(
@@ -342,18 +429,29 @@ def exact_channel(
     probes=(),
     cap_bits: int = DEFAULT_CAP_BITS,
 ) -> Channel:
-    """Exact outcome law by enumerating all read random primitives."""
+    """Exact outcome law by enumerating all read random primitives, the
+    inputs as the slowest grid axis; at most ``2^cap_bits`` grid rows per
+    input and law entries in all."""
     if inputs is None:
         inputs = all_input_assignments(p)
-    prims = _collect_primitives(p, probes=probes)
-    draws, weights = _enumeration_arrays(p, prims, cap_bits), _grid_weights(prims)
-    rows = {
-        assignment_key(p, x_bits): _outcome_law(
-            p, x_bits, draws, outcome, weights, probes
+    width = 2 ** _outcome_bits(p, outcome, probes)
+    if len(inputs) * width > 2**cap_bits:
+        raise CapExceeded(
+            f"law size {len(inputs)} x {width} exceeds 2^{cap_bits}",
+            size=len(inputs) * width,
         )
-        for x_bits in inputs
-    }
-    return Channel(rows=rows, outcome=outcome, exact=True)
+    prims = _collect_primitives(p, probes=probes)
+    weights = _grid_weights(prims)
+    grid = len(weights)
+    law = np.empty((len(inputs), width))
+    for i, codes in _exact_passes(p, prims, inputs, outcome, probes, cap_bits):
+        k = len(codes) // grid
+        index = np.repeat(np.arange(k) * width, grid) + codes
+        law[i : i + k] = np.bincount(
+            index, weights=np.tile(weights, k), minlength=k * width
+        ).reshape(k, width)
+    keys = [assignment_key(p, x_bits) for x_bits in inputs]
+    return Channel(keys, law, outcome=outcome, exact=True)
 
 
 def sampled_channel(
@@ -362,14 +460,15 @@ def sampled_channel(
     """Monte-Carlo estimate of the outcome law, vectorized over trials."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    width = 2 ** _outcome_bits(p, outcome, ())
     prims = _collect_primitives(p)
-    rows = {
-        assignment_key(p, x_bits): _outcome_law(
-            p, x_bits, _sampled_arrays(p, prims, trials, rng.spawn("mc", i)), outcome
-        )
-        for i, x_bits in enumerate(inputs)
-    }
-    return Channel(rows=rows, outcome=outcome, exact=False, meta={"trials": trials})
+    law = np.empty((len(inputs), width))
+    for i, x_bits in enumerate(inputs):
+        draws = _sampled_arrays(p, prims, trials, rng.spawn("mc", i))
+        codes = _outcome_codes(p, _input_words(p, [x_bits], trials), draws, outcome)
+        law[i] = np.bincount(codes, minlength=width) / trials
+    keys = [assignment_key(p, x_bits) for x_bits in inputs]
+    return Channel(keys, law, outcome=outcome, exact=False, meta={"trials": trials})
 
 
 # -- sampled execution ------------------------------------------------------

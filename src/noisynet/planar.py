@@ -35,8 +35,8 @@ class PlanarNetwork:
             raise ValueError("positions must be an (N, 2) array")
         if positions.size and (positions.min() < 0.0 or positions.max() > 1.0):
             raise ValueError("positions must lie in the unit square")
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not radius >= 0:  # NaN fails too
+            raise ValueError(f"radius must be >= 0, got {radius}")
         self.positions = positions
         self.radius = float(radius)
         self.seed_record = seed_record
@@ -119,8 +119,6 @@ def sample_network(N: int, R: float, rng: RngStream) -> PlanarNetwork:
     """N iid uniform positions in the unit square with radius-R adjacency."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if R < 0:
-        raise ValueError("R must be >= 0")
     positions = rng.numpy_generator().random((N, 2))
     return PlanarNetwork(positions, R, seed_record={"seed": rng.seed, "key": list(rng.key)})
 

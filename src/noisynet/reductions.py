@@ -310,26 +310,29 @@ def fix_randomness(p: Protocol, f, mu, cap_bits=24):
     external = [pr for pr in prims if not pr.internal]
     # one joint grid with the internal primitives varying slowest, so each
     # internal assignment owns a contiguous slab of external outcomes
-    draws = engine._enumeration_arrays(p, internal + external, cap_bits)
     p_int = engine._grid_weights(internal)
     ext_weights = engine._grid_weights(external)
     n_assign, inner = len(p_int), len(ext_weights)
-    total = n_assign * inner
+    grid = n_assign * inner
     w_ext = np.tile(ext_weights, n_assign)
+    support = [(x_key, px) for x_key, px in mu.items() if px != 0.0]
+    order = engine.input_order(p)
+    inputs = [dict(zip(order, x_key)) for x_key, _px in support]
+    signed = np.array([px * f(tuple(x_key)) for x_key, px in support])
 
+    # bins (input, internal assignment, output bit) over the input-axis
+    # passes; each input's correlations are added in ``mu`` order
     corr = np.zeros(n_assign * 2)
-    outer_codes = (np.arange(total) // inner) * 2
-    for x_key, px in mu.items():
-        if px == 0.0:
-            continue
-        x_bits = dict(zip(engine.input_order(p), x_key))
-        sim = engine._Sim(p, x_bits, draws)
-        output, _probes = sim.run()
-        corr += np.bincount(
-            outer_codes + engine._codes([output], total),
-            weights=px * f(tuple(x_key)) * w_ext,
-            minlength=n_assign * 2,
-        )
+    outer_codes = (np.arange(grid) // inner) * 2
+    passes = engine._exact_passes(p, internal + external, inputs, cap_bits=cap_bits)
+    for i, codes in passes:
+        k = len(codes) // grid
+        index = np.repeat(np.arange(k) * n_assign * 2, grid)
+        index += np.tile(outer_codes, k) + codes
+        weights = np.multiply.outer(signed[i : i + k], w_ext).ravel()
+        per_input = np.bincount(index, weights=weights, minlength=k * n_assign * 2)
+        for row in per_input.reshape(k, -1):
+            corr += row
     corr = corr.reshape(n_assign, 2)
     advs = np.abs(corr).sum(axis=1)
     r_star = int(np.argmax(advs))  # first maximal assignment
@@ -591,17 +594,14 @@ def check_leaf_law(p2: Protocol, art: XndTreeArtifact, cap_bits=24) -> float:
         if isinstance(p2.roles[tr.sender], AuxRole):
             probes.append((tr.sender, tr.expr))
     ch = engine.exact_channel(p2, outcome="probes", probes=probes, cap_bits=cap_bits)
-    worst = 0.0
-    for key, row in ch.rows.items():
-        law = trees.leaf_law(art.root, art.conditionals_for(key))
-        tree_row = {}
-        for path, prob in law.items():
+    tree_law = np.zeros_like(ch.law)
+    for i, key in enumerate(ch.keys):
+        for path, prob in trees.leaf_law(art.root, art.conditionals_for(key)).items():
             code = 0
             for bit in path:
                 code = (code << 1) | bit
-            tree_row[code] = tree_row.get(code, 0.0) + prob
-        worst = max(worst, engine.law_tv(row, tree_row))
-    return worst
+            tree_law[i, code] += prob
+    return ch.total_variation(engine.Channel(ch.keys, tree_law))
 
 
 # -- full chain --------------------------------------------------------------
@@ -651,9 +651,11 @@ def protocol_to_read_once(
     p2, rep2 = to_noisy_copy(p1, d, f=f, mu=mu, cap_bits=cap_bits)
     adv2 = stage_advantage(p2, f, mu, cap_bits)
     art = to_xnd_tree(p2, aux_block_of=aux_block_of, mu_blocks=mu_list)
-    adv_tree, _w = trees.tree_advantage(art.root, art.spaces)
     ordered, cert = trees.reorder(art.root, art.spaces)
-    adv_ordered, _w = trees.tree_advantage(ordered, art.spaces)
+    # each step logs the advantage before it; the last entry, the ordered
+    # tree's
+    adv_tree = cert[0]["advantage_before"] if len(cert) > 1 else cert[0]["advantage"]
+    adv_ordered = cert[-1]["advantage"]
     readonce, _rec = trees.collapse_to_read_once(ordered)
     adv_ro, _weighting, alphas = trees.readonce_advantage(readonce, art.spaces)
 

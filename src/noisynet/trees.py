@@ -529,9 +529,9 @@ def reorder(t, spaces):
     cert = []
     current = t
     guard = (len(spaces) * max(1, len(level_blocks(t)))) ** 2 + 1
+    adv_before, _ = tree_advantage(current, spaces)
     for _step in range(guard):
         alts = alternations(current)
-        adv_before, _ = tree_advantage(current, spaces)
         if not alts:
             cert.append({"alternations": 0, "advantage": adv_before})
             return current, cert
@@ -576,6 +576,7 @@ def reorder(t, spaces):
                 "info": {k: v for k, v in info.items() if k != "chosen_path"},
             }
         )
+        adv_before = adv_after  # the next step starts from this tree
     raise RuntimeError("reorder failed to terminate within its bound")
 
 

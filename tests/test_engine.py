@@ -1,14 +1,19 @@
 """Exact and sampled protocol execution against closed-form oracles."""
 
+import hashlib
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from noisynet import engine, random_instances as ri, reductions
 from noisynet.engine import (
+    Channel,
     error_probability,
     exact_channel,
     execute,
@@ -232,3 +237,90 @@ def test_law_tv():
     assert law_tv({0: 0.5, 1: 0.5}, {0: 0.5, 2: 0.5}) == 0.5
     assert law_tv({0: 0.5, 1: 0.5}, {0: 1.0}) == law_tv({0: 1.0}, {0: 0.5, 1: 0.5}) == 0.5
     assert law_tv({}, {}) == 0.0
+
+
+def test_channel_from_rows_keeps_its_labels():
+    ch = Channel(rows={(0,): {"a": 0.75, "b": 0.25}, (1,): {"b": 1.0}})
+    assert ch.labels == ["a", "b"]
+    assert ch.law.tolist() == [[0.75, 0.25], [0.0, 1.0]]
+    assert ch.row((0,)) == {"a": 0.75, "b": 0.25}
+    other = Channel(rows={(1,): {"a": 0.5, "b": 0.5}, (0,): {"a": 0.75, "b": 0.25}})
+    assert ch.total_variation(other) == 0.5
+    with pytest.raises(ValueError, match="columns"):
+        ch.total_variation(Channel([(0,), (1,)], np.eye(2)))
+
+
+_LAW_ROW = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(
+    lambda row: sum(row) > 0
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_channel_tv_is_the_max_law_tv_over_rows(data):
+    m = data.draw(st.integers(0, 3), label="bits")
+    keys = list(itertools.product((0, 1), repeat=2))[: data.draw(st.integers(1, 4))]
+
+    def law():
+        rows = [data.draw(_LAW_ROW) for _ in keys]
+        dense = np.zeros((len(keys), 2**m))
+        for i, row in enumerate(rows):
+            row = row[: 2**m]
+            dense[i, : len(row)] = np.array(row) / max(sum(row), 1e-300)
+        return dense
+
+    a, b = Channel(keys, law()), Channel(keys[::-1], law()[::-1])
+    want = max(law_tv(a.rows[key], b.rows[key]) for key in keys)
+    assert abs(a.total_variation(b) - want) <= 1e-15
+
+
+def _pass_case(name):
+    """(protocol, probes) for the pass-size invariance test."""
+    kind, index = name.split("-")
+    p = ri.random_tiny_protocol(RngStream(13), int(index))
+    p1, report = reductions.to_semi_noisy(p)
+    if kind == "tiny":
+        return p, [pr for pr, _ in report["probe_pairs"]]
+    if kind == "semi":
+        return p1, [pr for _, pr in report["probe_pairs"]]
+    p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p), fix=False)
+    aux = [(tr.sender, tr.expr) for tr in p2.schedule if tr.sender not in p2.input_nodes()]
+    return p2, aux
+
+
+@pytest.mark.parametrize("outcome", ["output", "transcript", "probes"])
+@pytest.mark.parametrize(
+    "case", ["tiny-0", "tiny-3", "semi-0", "semi-3", "copy-0", "copy-3"]
+)
+def test_exact_law_does_not_depend_on_the_pass_size(monkeypatch, case, outcome):
+    p, probes = _pass_case(case)
+    probes = probes if outcome == "probes" else ()
+    grid = math.prod(pr.size for pr in engine._collect_primitives(p, probes))
+    laws = []
+    # one input per pass, three per pass (the last one short), all in one
+    for rows in (1, 3 * grid, 2**30):
+        monkeypatch.setattr(engine, "PASS_ROWS", rows)
+        laws.append(exact_channel(p, outcome=outcome, probes=probes).law)
+    assert len(engine.all_input_assignments(p)) % 3 != 0
+    for law in laws[1:]:
+        assert np.array_equal(law, laws[0])
+    assert np.allclose(laws[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+#: sha256 of the repr of 200 ``execute`` transcripts, as the per-primitive
+#: draws gave them; the one-uniform-per-primitive batch of one must match
+_EXECUTE_SHA256 = {
+    "star_xor": "d24e4d7958da5db75961509fd9818a7527ab28dd6c13ef0b02b4fc4067210764",
+    "noisy_copy": "a238e94951459708a07888b3b6dceea9ffc76aa90c67cd15d11a55e65ad8a156",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXECUTE_SHA256))
+def test_execute_transcripts_are_pinned(case):
+    p = star_xor(3, reps=2, eps=0.2) if case == "star_xor" else _law_case(case)
+    xs = engine.all_input_assignments(p)
+    traces = []
+    for i in range(200):
+        t = execute(p, xs[i % len(xs)], RngStream(5, ("execute-pin", case, i)))
+        traces.append((t.sent, t.output))
+    assert hashlib.sha256(repr(traces).encode()).hexdigest() == _EXECUTE_SHA256[case]

@@ -85,6 +85,9 @@ def test_rerun_byte_identical():
 #: sha256 of the seed-0 CSV text; a change that moves a byte of an
 #: experiment's output (a float's summation order included) fails here
 _CSV_SHA256 = {
+    "E1": "309e043091bac572869d3a4b9b7fab4af9181997f6a1e2c6e33878e838e855b5",
+    "E2": "5812f75f2d23da17f2c75d2dac44d3287520a13d60dd32c9e6c95cbc1239234c",
+    "E3": "5b7e45ee6cd472ed4c6bcd379cf5a189efc236589aff5ec5f3d92330d6e48f5e",
     "E4": "ad3aa64c33b612d1417dd05a5848fe98cf275e85c2551f5a631f83b124b75838",
     "E5": "7dbc0bc022f5b7158342d473562c62462dc7510a336862239686a15c95f8a6b2",
     "E6": "869e5bc3b1baad4cf19647a10ccebcba74247d36a94d39bf857b86597721a6c8",

@@ -1,5 +1,7 @@
 """The protocol transformation chain and its exactness guarantees."""
 
+import math
+
 import pytest
 
 from noisynet import advantage as adv
@@ -148,6 +150,29 @@ def test_fix_randomness_averaging_property():
         # the reported advantage is the exact advantage of the fixed protocol
         got = reductions.stage_advantage(fixed, parity, mu)
         assert abs(got - rep["advantage"]) <= 1e-9
+    assert found >= 3
+
+
+def test_fix_randomness_does_not_depend_on_the_pass_size(monkeypatch):
+    """Each input's correlations are added in mu order, however many
+    inputs share a pass, so the reports are the same floats."""
+    rng = RngStream(29)
+    found = 0
+    for i in range(20):
+        p = ri.random_tiny_protocol(rng, i)
+        p1, _ = reductions.to_semi_noisy(p)
+        mu = adv.uniform_distribution(len(p1.input_nodes()))
+        p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p), fix=False)
+        if p2.is_deterministic() or len(mu) < 4:
+            continue
+        found += 1
+        grid = math.prod(pr.size for pr in engine._collect_primitives(p2))
+        reports = []
+        # one input per pass, three per pass (the last one short), all in one
+        for rows in (1, 3 * grid, 2**30):
+            monkeypatch.setattr(engine, "PASS_ROWS", rows)
+            reports.append(reductions.fix_randomness(p2, parity, mu)[1])
+        assert reports[1] == reports[0] and reports[2] == reports[0]
     assert found >= 3
 
 
