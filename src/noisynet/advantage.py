@@ -82,41 +82,39 @@ class AdvantageEstimate:
     ci: tuple | None = None
     level: float | None = None
     seed_record: dict | None = None
-    weighting: dict | None = None
+    weighting: np.ndarray | None = None
     extra: dict = field(default_factory=dict)
 
 
 def advantage_exact(ch: Channel, f, mu: dict) -> AdvantageEstimate:
-    """Exact advantage of a finite channel, plus the achieving weighting.
+    """Exact advantage of a finite channel, plus the achieving weighting
+    (+/-1 per outcome code).
 
     ``f`` maps input keys to +/-1 and ``mu`` assigns them probabilities.
     """
     validate_distribution(mu)
-    corr: dict = {}
+    row_of = {key: i for i, key in enumerate(ch.keys)}
+    corr = np.zeros(ch.law.shape[1])
     for x, px in mu.items():
         if px == 0.0:
             continue
-        row = ch.rows[tuple(x)]
-        fx = f(x)
-        for c, pc in row.items():
-            corr[c] = corr.get(c, 0.0) + px * fx * pc
-    value = sum(abs(v) for v in corr.values())
-    weighting = {c: (1 if v >= 0 else -1) for c, v in corr.items()}
+        corr += (px * f(x)) * ch.law[row_of[tuple(x)]]
+    # one term at a time over ascending codes: np.sum would pair them up
+    value = sum(abs(v) for v in corr.tolist())
+    weighting = np.where(corr >= 0, 1, -1)
     return AdvantageEstimate(value=value, method="exact", weighting=weighting)
 
 
 def advantage_bruteforce(ch: Channel, f, mu: dict) -> float:
     """Max over all sign weightings; oracle for small outcome sets."""
-    outcomes = sorted({c for row in ch.rows.values() for c in row})
-    if len(outcomes) > 16:
+    width = ch.law.shape[1]
+    if width > 16:
         raise ValueError("outcome set too large for brute force")
+    row_of = {key: i for i, key in enumerate(ch.keys)}
     best = 0.0
-    for signs in itertools.product((-1, 1), repeat=len(outcomes)):
-        a = dict(zip(outcomes, signs))
-        total = sum(
-            mu[x] * f(x) * sum(a[c] * pc for c, pc in ch.rows[tuple(x)].items())
-            for x in mu
-        )
+    for signs in itertools.product((-1, 1), repeat=width):
+        a = np.array(signs, dtype=float)
+        total = sum(mu[x] * f(x) * float(ch.law[row_of[tuple(x)]] @ a) for x in mu)
         best = max(best, abs(total))
     return best
 
@@ -174,23 +172,6 @@ def advantage_mc(
         level=level,
         seed_record={"seed": rng.seed, "key": list(rng.key)},
     )
-
-
-def advantage_upper_bound_check(a: dict, ch: Channel, f, mu: dict) -> dict:
-    """Check |E[f a(A)]| <= max|a| * adv for an explicit weighting."""
-    validate_distribution(mu)
-    for v in a.values():
-        if abs(v) > 1 + 1e-12:
-            raise ValueError("weighting values must lie in [-1, 1]")
-    lhs = abs(
-        sum(
-            mu[x] * f(x) * sum(a.get(c, 0.0) * pc for c, pc in ch.rows[tuple(x)].items())
-            for x in mu
-        )
-    )
-    amax = max((abs(v) for v in a.values()), default=0.0)
-    rhs = amax * advantage_exact(ch, f, mu).value
-    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + 1e-12}
 
 
 # -- sensitivity ------------------------------------------------------------

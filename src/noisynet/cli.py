@@ -29,13 +29,17 @@ class CheckFailure(Exception):
     """A property/certification check failed on otherwise valid input."""
 
 
-def _echo_json(obj, out=None):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=str)
+def _emit(text: str, out=None):
+    """Write ``text`` to the file ``out``, or to stdout when none is given."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        click.echo(text)
+        click.echo(text, nl=False)
+
+
+def _echo_json(obj, out=None):
+    _emit(json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n", out)
 
 
 def _read(path: str) -> str:
@@ -75,12 +79,7 @@ def gen_network(ctx, n_nodes, radius):
         radius = math.sqrt(10 * math.log(n_nodes) / n_nodes)
     rng = RngStream(ctx.obj["seed"], ("cli", "gen-network"))
     net = planar.sample_network(n_nodes, radius, rng)
-    out = ctx.obj["out"]
-    if out:
-        with open(out, "w") as fh:
-            fh.write(net.to_json() + "\n")
-    else:
-        click.echo(net.to_json())
+    _emit(net.to_json() + "\n", ctx.obj["out"])
     click.echo(
         f"N={n_nodes} R={radius:.6g} connected={planar.is_connected(net)}",
         err=True,
@@ -305,13 +304,7 @@ def bounds_cmd(ctx, gks, alpha, min_s):
     for name, args, value in rows:
         arg_text = ";".join(f"{a:.12g}" for a in args)
         lines.append(f"{name},{arg_text},{value:.12g}")
-    text = "\n".join(lines) + "\n"
-    out = ctx.obj["out"]
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit("\n".join(lines) + "\n", ctx.obj["out"])
 
 
 @cli.command("experiment")
@@ -329,13 +322,7 @@ def experiment_cmd(ctx, exp_id):
     else:
         raise click.ClickException("provide --config or --experiment")
     rows = experiments.run_experiment(cfg)
-    out = ctx.obj["out"] or cfg.out
-    text = experiments.render_csv(rows)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(experiments.render_csv(rows), ctx.obj["out"] or cfg.out)
     bad = [r for r in rows if r.ok is False]
     if bad:
         raise CheckFailure(

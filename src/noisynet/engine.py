@@ -317,68 +317,23 @@ def assignment_key(p: Protocol, x_bits: dict) -> tuple:
 # -- channels ---------------------------------------------------------------
 
 
-def law_tv(a: dict, b: dict) -> float:
-    """Total variation distance between two dict laws (outcome ->
-    probability); an outcome missing from one side has probability 0
-    there.  Channels compare their dense laws instead
-    (:meth:`Channel.total_variation`)."""
-    return 0.5 * sum(abs(a.get(c, 0.0) - b.get(c, 0.0)) for c in set(a) | set(b))
-
-
 class Channel:
     """Exact (or estimated) outcome law per input assignment.
 
     ``law[i, c]`` is the probability of outcome code ``c`` on input
     ``keys[i]`` (a bit tuple in canonical input order); a code packs the
     outcome's bits, the first highest, so ``law`` has 2^m columns.
-    ``Channel(rows=...)`` takes the law as one dict outcome -> probability
-    per input key instead; its outcomes are then any sortable labels, and
-    ``labels[c]`` names column ``c``.
     """
 
-    def __init__(
-        self, keys=(), law=None, outcome="output", exact=True, meta=None, *, rows=None
-    ):
-        self.labels = None
-        self._rows = None
-        if rows is not None:
-            keys = list(rows)
-            self.labels = sorted({c for row in rows.values() for c in row})
-            column = {c: j for j, c in enumerate(self.labels)}
-            law = np.zeros((len(keys), len(self.labels)))
-            for i, row in enumerate(rows.values()):
-                for c, pc in row.items():
-                    law[i, column[c]] = pc
-            self._rows = dict(rows)
+    def __init__(self, keys, law):
         self.keys = [tuple(k) for k in keys]
         self.law = np.asarray(law, dtype=float)
-        self.outcome = outcome
-        self.exact = exact
-        self.meta = {} if meta is None else meta
-
-    @property
-    def rows(self) -> dict:
-        """Input key -> dict outcome -> probability, zero outcomes left out
-        and the others in ascending column order; built on first read."""
-        if self._rows is None:
-            self._rows = {
-                key: {c: pc for c, pc in enumerate(vec) if pc}
-                for key, vec in zip(self.keys, self.law.tolist())
-            }
-        return self._rows
-
-    def row(self, key):
-        return self.rows[tuple(key)]
 
     def total_variation(self, other: "Channel") -> float:
         """Max over inputs of the TV distance between the rows of one key."""
-        theirs = other.law
-        if other.keys != self.keys:
-            position = {k: i for i, k in enumerate(other.keys)}
-            theirs = theirs[[position[k] for k in self.keys]]
-        if other.labels != self.labels or theirs.shape != self.law.shape:
-            raise ValueError("the channels' outcome columns differ")
-        return float((0.5 * np.abs(self.law - theirs).sum(axis=1)).max(initial=0.0))
+        if other.keys != self.keys or other.law.shape != self.law.shape:
+            raise ValueError("the channels' input keys or outcome columns differ")
+        return float((0.5 * np.abs(self.law - other.law).sum(axis=1)).max(initial=0.0))
 
 
 def _outcome_bits(p: Protocol, outcome: str, probes) -> int:
@@ -451,7 +406,7 @@ def exact_channel(
             index, weights=np.tile(weights, k), minlength=k * width
         ).reshape(k, width)
     keys = [assignment_key(p, x_bits) for x_bits in inputs]
-    return Channel(keys, law, outcome=outcome, exact=True)
+    return Channel(keys, law)
 
 
 def sampled_channel(
@@ -468,7 +423,7 @@ def sampled_channel(
         codes = _outcome_codes(p, _input_words(p, [x_bits], trials), draws, outcome)
         law[i] = np.bincount(codes, minlength=width) / trials
     keys = [assignment_key(p, x_bits) for x_bits in inputs]
-    return Channel(keys, law, outcome=outcome, exact=False, meta={"trials": trials})
+    return Channel(keys, law)
 
 
 # -- sampled execution ------------------------------------------------------
@@ -519,7 +474,7 @@ def error_probability(
     if method == "exact":
         ch = exact_channel(p, inputs, outcome="output", cap_bits=cap_bits)
         per_input = {
-            key: 1.0 - row.get(f(key), 0.0) for key, row in ch.rows.items()
+            key: 1.0 - vec[f(key)] for key, vec in zip(ch.keys, ch.law.tolist())
         }
         worst = max(per_input.values())
         return ErrorEstimate(worst, "exact", per_input)
@@ -529,8 +484,8 @@ def error_probability(
         raise ValueError("Monte-Carlo error estimation needs an rng stream")
     ch = sampled_channel(p, inputs, trials, rng, outcome="output")
     per_input = {}
-    for key, row in ch.rows.items():
-        err = 1.0 - row.get(f(key), 0.0)
+    for key, vec in zip(ch.keys, ch.law.tolist()):
+        err = 1.0 - vec[f(key)]
         per_input[key] = (err, wilson_interval(err, trials, z))
     point = max(v[0] for v in per_input.values())
     upper = max(v[1][1] for v in per_input.values())

@@ -26,6 +26,8 @@ import itertools
 import json
 import math
 
+import numpy as np
+
 from .rng import RngStream
 
 #: Largest supported regeneration block: the engine enumerates all 2^t
@@ -132,11 +134,6 @@ def regen_table(t: int, eps: float) -> RegenTable:
     return RegenTable(t, eps, p_w)
 
 
-def _xor_mask(c: int, index: int, t: int) -> tuple:
-    """The t bits of ``c`` XOR the mask with outcome ``index``."""
-    return tuple(int(c) ^ mask_bit(index, t, j) for j in range(t))
-
-
 def regenerate(c: int, table: RegenTable, rng: RngStream) -> tuple:
     """Expand one gamma-noisy copy into ``t`` eps-noisy copies.
 
@@ -144,26 +141,31 @@ def regenerate(c: int, table: RegenTable, rng: RngStream) -> tuple:
     under that precondition the output law equals t independent eps-noisy
     copies of the source bit.
     """
-    return _xor_mask(c, rng.choice_index(table.index_probs), table.t)
+    index = rng.choice_index(table.index_probs)
+    return tuple(int(c) ^ mask_bit(index, table.t, j) for j in range(table.t))
 
 
-def regen_output_law(c_law: dict, table: RegenTable) -> dict:
+def regen_output_law(c_law: dict, table: RegenTable) -> np.ndarray:
     """Exact output law of :func:`regenerate` for an input bit law.
 
-    ``c_law`` maps bit -> probability; the result maps bit tuple -> prob.
+    ``c_law`` maps bit -> probability; the result is the probability of
+    each of the 2^t output codes (big-endian, as outcome indices are).
     Used by tests to compare against the iid product law by enumeration.
     """
-    out: dict = {}
+    probs = np.array(table.index_probs)
+    out = np.zeros(len(probs))
     for c, pc in c_law.items():
-        for i, pm in enumerate(table.index_probs):
-            v = _xor_mask(c, i, table.t)
-            out[v] = out.get(v, 0.0) + pc * pm
+        # output c XOR mask i has code i, every bit flipped when c is 1
+        out[np.arange(len(probs)) ^ (c * (len(probs) - 1))] += pc * probs
     return out
 
 
-def iid_noisy_law(b: int, eps: float, t: int) -> dict:
-    """Law of t independent eps-noisy copies of bit ``b``."""
-    return {
-        bits: math.prod(eps if y != b else 1 - eps for y in bits)
-        for bits in itertools.product((0, 1), repeat=t)
-    }
+def iid_noisy_law(b: int, eps: float, t: int) -> np.ndarray:
+    """Law of t independent eps-noisy copies of bit ``b``, over the 2^t
+    big-endian codes."""
+    return np.array(
+        [
+            math.prod(eps if y != b else 1 - eps for y in bits)
+            for bits in itertools.product((0, 1), repeat=t)
+        ]
+    )

@@ -219,14 +219,6 @@ class Decomposition:
     def input_nodes(self) -> list:
         return sorted(v for blk in self.input_blocks for v in blk)
 
-    def block_of(self) -> dict:
-        """node -> block index (1..k) for input nodes, 0 for A_0 aux."""
-        out = {}
-        for j, blk in enumerate(self.input_blocks, start=1):
-            for v in blk:
-                out[v] = j
-        return out
-
     def to_json(self) -> str:
         return json.dumps(
             {

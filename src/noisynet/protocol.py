@@ -233,10 +233,6 @@ def check_bounded_counts(tx_counts: dict, dec, d: float, D: float) -> dict:
     return report
 
 
-def check_bounded(p: Protocol, dec, d: float, D: float) -> dict:
-    return check_bounded_counts(p.tx_counts(), dec, d, D)
-
-
 # -- reference protocol builders -------------------------------------------
 
 

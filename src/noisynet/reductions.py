@@ -56,19 +56,13 @@ MAX_BLOCK_SPACE = 2**12
 # -- stage 1: semi-noisy -----------------------------------------------------
 
 
-def to_semi_noisy(p: Protocol, dec=None, d=None, D=None):
+def to_semi_noisy(p: Protocol):
     """Rewrite ``p`` so input nodes only ever broadcast their raw bit.
 
     Returns (p1, report); the report carries the node/transmission maps
     and matched probe pairs for checking that the law of the simulated
     received bits equals the original law.
     """
-    if dec is not None and d is not None and D is not None:
-        from .protocol import check_bounded
-
-        chk = check_bounded(p, dec, d, D)
-        if not chk["ok"]:
-            raise ValueError(f"protocol is not ({d},{D})-bounded: {chk}")
     inputs = p.input_nodes()
     if p.roles.get(p.output_node) is None or isinstance(
         p.roles[p.output_node], InputRole

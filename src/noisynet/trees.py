@@ -163,14 +163,6 @@ def level_arities(t) -> list:
     return out
 
 
-def is_oblivious(t) -> bool:
-    try:
-        level_blocks(t)
-        return True
-    except ValueError:
-        return False
-
-
 def is_ordered(t) -> bool:
     """Oblivious, and each block's queries occupy consecutive levels."""
     lb = level_blocks(t)
@@ -233,25 +225,24 @@ def _leaf_products(t, weights) -> dict:
     base = [np.asarray(w, dtype=float) for w in weights]
     out: dict = {}
 
-    def rec(v, path, vecs, touched):
+    def rec(v, path, vecs):
         if isinstance(v, Leaf):
             prod = 1.0
-            for j, w in enumerate(vecs):
-                prod *= w.sum() if j in touched else base[j].sum()
+            for w in vecs:
+                prod *= w.sum()
             out[path] = prod
             return
         j = v.block
         branch = np.asarray(v.branch)
-        w = vecs[j] if j in touched else base[j]
         for c in range(len(v.children)):
-            wc = w * (branch == c)
+            wc = vecs[j] * (branch == c)
             if not wc.any():
                 continue
             nv = list(vecs)
             nv[j] = wc
-            rec(v.children[c], path + (c,), nv, touched | {j})
+            rec(v.children[c], path + (c,), nv)
 
-    rec(t, (), list(base), frozenset())
+    rec(t, (), list(base))
     return out
 
 
@@ -316,13 +307,13 @@ def move_to_root(t, spaces, mu=None):
     r = len(lb)
     mus = [sp.mu() for sp in spaces] if mu is None else [np.asarray(m) for m in mu]
     hs = [np.array(sp.h, dtype=float) for sp in spaces]
-    corr = _leaf_products(t, [m * h for m, h in zip(mus, hs)])
+    signed = [m * h for m, h in zip(mus, hs)]
+    corr = _leaf_products(t, signed)
     b = {path: (1.0 if v >= 0 else -1.0) for path, v in corr.items()}
 
     # walk to the last internal level, carrying per-block masked weights
     # for alpha (blocks other than the target; the target is untouched
     # above the last level by the precondition)
-    signed = [m * h for m, h in zip(mus, hs)]
     last_nodes: list = []  # (path, node, alpha)
 
     def rec(v, d, path, w_mu, w_sig):

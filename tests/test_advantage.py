@@ -13,7 +13,10 @@ from noisynet.rng import RngStream
 
 
 def chan(rows):
-    return Channel(rows=rows)
+    """A channel from dict laws, one column per outcome in sorted order."""
+    outcomes = sorted({c for row in rows.values() for c in row})
+    law = [[row.get(c, 0.0) for c in outcomes] for row in rows.values()]
+    return Channel(rows, law)
 
 
 def parity(x):
@@ -80,9 +83,14 @@ def test_achieving_weighting_attains_value():
     ch = exact_channel(p)
     mu = adv.uniform_distribution(2)
     est = adv.advantage_exact(ch, parity, mu)
-    res = adv.advantage_upper_bound_check(est.weighting, ch, parity, mu)
-    assert res["ok"]
-    assert abs(res["lhs"] - est.value) <= 1e-12
+    assert set(est.weighting.tolist()) <= {-1, 1}
+    attained = abs(
+        sum(
+            mu[x] * parity(x) * (row @ est.weighting)
+            for x, row in zip(ch.keys, ch.law)
+        )
+    )
+    assert abs(attained - est.value) <= 1e-12
 
 
 def test_postprocessing_never_increases_advantage():

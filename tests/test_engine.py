@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,12 +18,11 @@ from noisynet.engine import (
     error_probability,
     exact_channel,
     execute,
-    law_tv,
     parity_of_inputs,
     sampled_channel,
 )
 from noisynet.planar import Decomposition
-from noisynet.protocol import repetition_majority_parity, star_xor
+from noisynet.protocol import cluster_sum, repetition_majority_parity, star_xor
 from noisynet.rng import RngStream
 
 
@@ -79,6 +79,28 @@ def test_repetition_majority_parity_builder():
     assert abs(est.value - 2 * q * (1 - q)) <= 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_cluster_sum_parity_error(eps):
+    # blocks {0, 1} and {3, 4} with adjacent leaders 2 and 5: four local
+    # broadcasts and one leader hop, each flipped with probability eps
+    edges = [(0, 2), (1, 2), (3, 5), (4, 5), (2, 5)]
+    adjacency = {v: set() for v in range(6)}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    net = SimpleNamespace(n_nodes=6, adjacency=adjacency)
+    dec = Decomposition(
+        n=2, k=2, d=1, D=3, input_blocks=[[0, 1], [3, 4]],
+        aux_blocks=[[2], [5]], aux0=[],
+    )
+    p = cluster_sum(net, dec, r_local=1, r_up=1, eps=eps)
+    assert p.T == 6 and p.output_node == 5
+    est = error_probability(p, parity_of_inputs, method="exact")
+    want = (1 - (1 - 2 * eps) ** 5) / 2
+    assert abs(est.value - want) <= 1e-12
+    assert all(abs(err - want) <= 1e-12 for err in est.per_input.values())
+
+
 def test_monte_carlo_within_3_sigma():
     eps, trials = 0.1, 100_000
     p = star_xor(2, reps=1, eps=eps)
@@ -121,10 +143,9 @@ def test_exact_channel_rows_are_distributions():
     p = star_xor(2, reps=2, eps=0.15)
     for outcome in ("output", "transcript"):
         ch = exact_channel(p, outcome=outcome)
-        assert len(ch.rows) == 4
-        for row in ch.rows.values():
-            assert abs(sum(row.values()) - 1.0) <= 1e-12
-            assert all(v >= 0 for v in row.values())
+        assert len(ch.keys) == 4
+        assert np.all(np.abs(ch.law.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(ch.law >= 0)
 
 
 def test_sampled_channel_close_to_exact():
@@ -133,9 +154,8 @@ def test_sampled_channel_close_to_exact():
     mc = sampled_channel(
         p, engine.all_input_assignments(p), 40_000, RngStream(23), outcome="output"
     )
-    for key, row in exact.rows.items():
-        for c, pr in row.items():
-            assert abs(mc.rows[key].get(c, 0.0) - pr) < 0.02
+    assert mc.keys == exact.keys
+    assert np.all(np.abs(mc.law - exact.law) < 0.02)
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3, 32, 64, 96, 128])
@@ -183,12 +203,14 @@ def _law_case(name):
 
 
 def _assert_counts_in_binomial_range(counts, row, n, alpha=1e-6):
-    """Every outcome's count over n runs lies in the central 1 - alpha range
-    of Binomial(n, p) at its exact probability p; an impossible outcome
-    must never occur."""
-    for c in set(counts) | set(row):
-        lo, hi = binom.interval(1 - alpha, n, min(row.get(c, 0.0), 1.0))
-        assert lo <= counts[c] <= hi, (c, dict(counts), row)
+    """Every outcome code's count over n runs lies in the central 1 - alpha
+    range of Binomial(n, p) at its exact probability p = row[code]; an
+    impossible outcome must never occur."""
+    assert set(counts) <= set(range(len(row))), dict(counts)
+    got = np.array([counts[c] for c in range(len(row))])
+    lo, hi = binom.interval(1 - alpha, n, np.minimum(row, 1.0))
+    bad = np.flatnonzero((got < lo) | (got > hi))
+    assert not len(bad), [(int(c), got[c], row[c]) for c in bad]
 
 
 @pytest.mark.parametrize(
@@ -208,8 +230,9 @@ def test_execute_law_matches_exact_law(case):
             out[t.output] += 1
             # pack as the transcript outcome does: first transmission highest
             sent[int("".join(map(str, t.sent)) or "0", 2)] += 1
-        _assert_counts_in_binomial_range(out, outputs.rows[key], trials)
-        _assert_counts_in_binomial_range(sent, transcripts.rows[key], trials)
+        i = outputs.keys.index(key)
+        _assert_counts_in_binomial_range(out, outputs.law[i], trials)
+        _assert_counts_in_binomial_range(sent, transcripts.law[i], trials)
 
 
 def test_sampled_channel_law_with_one_coordinate_masks():
@@ -217,9 +240,10 @@ def test_sampled_channel_law_with_one_coordinate_masks():
     exact = exact_channel(p)
     trials = 2000
     mc = sampled_channel(p, engine.all_input_assignments(p), trials, RngStream(29))
-    for key, row in mc.rows.items():
-        counts = Counter({c: round(freq * trials) for c, freq in row.items()})
-        _assert_counts_in_binomial_range(counts, exact.rows[key], trials)
+    assert mc.keys == exact.keys
+    for freqs, row in zip(mc.law.tolist(), exact.law):
+        counts = Counter({c: round(f * trials) for c, f in enumerate(freqs) if f})
+        _assert_counts_in_binomial_range(counts, row, trials)
 
 
 def test_error_probability_mc_needs_rng():
@@ -230,24 +254,14 @@ def test_error_probability_mc_needs_rng():
         error_probability(p, parity_of_inputs, method="bogus")
 
 
-def test_law_tv():
-    law = {0: 0.25, 1: 0.75}
-    assert law_tv(law, dict(law)) == 0.0
-    assert law_tv({0: 1.0}, {1: 1.0}) == 1.0
-    assert law_tv({0: 0.5, 1: 0.5}, {0: 0.5, 2: 0.5}) == 0.5
-    assert law_tv({0: 0.5, 1: 0.5}, {0: 1.0}) == law_tv({0: 1.0}, {0: 0.5, 1: 0.5}) == 0.5
-    assert law_tv({}, {}) == 0.0
-
-
-def test_channel_from_rows_keeps_its_labels():
-    ch = Channel(rows={(0,): {"a": 0.75, "b": 0.25}, (1,): {"b": 1.0}})
-    assert ch.labels == ["a", "b"]
-    assert ch.law.tolist() == [[0.75, 0.25], [0.0, 1.0]]
-    assert ch.row((0,)) == {"a": 0.75, "b": 0.25}
-    other = Channel(rows={(1,): {"a": 0.5, "b": 0.5}, (0,): {"a": 0.75, "b": 0.25}})
-    assert ch.total_variation(other) == 0.5
+def test_channel_tv_rejects_unequal_keys_or_columns():
+    keys = [(0,), (1,)]
+    ch = Channel(keys, [[0.75, 0.25], [0.0, 1.0]])
+    assert ch.total_variation(Channel(keys, [[0.25, 0.75], [0.5, 0.5]])) == 0.5
+    with pytest.raises(ValueError, match="keys"):
+        ch.total_variation(Channel(keys[::-1], ch.law[::-1]))
     with pytest.raises(ValueError, match="columns"):
-        ch.total_variation(Channel([(0,), (1,)], np.eye(2)))
+        ch.total_variation(Channel(keys, np.eye(2)[:, :1]))
 
 
 _LAW_ROW = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(
@@ -269,8 +283,11 @@ def test_channel_tv_is_the_max_law_tv_over_rows(data):
             dense[i, : len(row)] = np.array(row) / max(sum(row), 1e-300)
         return dense
 
-    a, b = Channel(keys, law()), Channel(keys[::-1], law()[::-1])
-    want = max(law_tv(a.rows[key], b.rows[key]) for key in keys)
+    a, b = Channel(keys, law()), Channel(keys, law())
+    want = max(
+        0.5 * sum(abs(x - y) for x, y in zip(ra, rb))
+        for ra, rb in zip(a.law.tolist(), b.law.tolist())
+    )
     assert abs(a.total_variation(b) - want) <= 1e-15
 
 

@@ -210,14 +210,3 @@ def test_empty_s2_is_defensive():
     net = sample_network(10, 0.6, RngStream(7))
     dec = decompose_for_uniform_counts(net)
     assert dec.k >= 1
-
-
-def test_block_of_indexing():
-    N = 4000
-    R = math.sqrt(10 * math.log(N) / N)
-    net = sample_network(N, R, RngStream(8))
-    dec = decompose_for_uniform_counts(net)
-    of = dec.block_of()
-    for j, blk in enumerate(dec.input_blocks, start=1):
-        for v in blk:
-            assert of[v] == j

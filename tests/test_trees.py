@@ -5,10 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisynet import random_instances as ri
 from noisynet import trees
-from noisynet.engine import law_tv
 from noisynet.errors import TreeCapExceeded
 from noisynet.rng import RngStream
 from noisynet.trees import (
@@ -23,7 +24,6 @@ from noisynet.trees import (
     evaluate,
     expand_superqueries,
     functions_covered,
-    is_oblivious,
     is_ordered,
     is_read_once,
     leaf_correlations,
@@ -93,7 +93,6 @@ def test_level_blocks_and_depth():
     t = bit_tree([0, 1, 0])
     assert level_blocks(t) == [0, 1, 0]
     assert depth(t) == 3
-    assert is_oblivious(t)
     assert not is_ordered(t)
 
 
@@ -115,7 +114,6 @@ def test_non_oblivious_rejected():
     left = Node(1, (0, 1), (_LEAF, _LEAF))
     right = Node(0, (0, 1), (_LEAF, _LEAF))
     t = Node(0, (0, 1), (left, right))
-    assert not is_oblivious(t)
     with pytest.raises(ValueError):
         level_blocks(t)
 
@@ -172,24 +170,56 @@ def test_single_query_advantage_noisy_bit():
 # -- merge / expand ----------------------------------------------------------
 
 
-def test_merge_expand_round_trip_preserves_law():
-    rng = RngStream(41)
-    for i in range(25):
-        r = rng.spawn("case", i)
-        k = 1 + int(r.spawn("k").integers(3))
-        d = 1 + int(r.spawn("d").integers(5))
-        spaces = ri.random_spaces(r, k, max_size=2)
-        t, _ = ri.random_oblivious_tree(r, spaces, d)
-        merged, record = merge_superqueries(t)
-        assert len(alternations(merged)) == len(alternations(t))
-        back = expand_superqueries(merged, record)
-        mus = [np.array(sp.probs) for sp in spaces]
-        tv = law_tv(leaf_law(t, mus), leaf_law(back, mus))
-        assert tv <= 1e-12
-        a0, _ = tree_advantage(t, spaces)
-        a1, _ = tree_advantage(merged, spaces)
-        a2, _ = tree_advantage(back, spaces)
-        assert abs(a0 - a1) <= 1e-12 and abs(a0 - a2) <= 1e-12
+@st.composite
+def oblivious_trees(draw):
+    """A random oblivious tree over 1-3 blocks of 2-3 values: each level
+    queries one block with one arity, each node its own branch function."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    spaces = []
+    for size in sizes:
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+        probs = tuple(w / sum(raw) for w in raw[:-1])
+        probs += (1.0 - sum(probs),)
+        h = draw(st.lists(st.sampled_from([-1, 1]), min_size=size, max_size=size))
+        spaces.append(BlockSpace(tuple(range(size)), probs, tuple(h)))
+    n_levels = draw(st.integers(1, 5))
+    levels = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(sizes) - 1), st.integers(2, 3)),
+            min_size=n_levels,
+            max_size=n_levels,
+        )
+    )
+
+    def build(d):
+        if d == len(levels):
+            return _LEAF
+        block, arity = levels[d]
+        values = st.integers(0, arity - 1)
+        branch = draw(st.lists(values, min_size=sizes[block], max_size=sizes[block]))
+        children = tuple(build(d + 1) for _ in range(arity))
+        return Node(block, tuple(branch), children)
+
+    return build(0), spaces
+
+
+@settings(max_examples=60, deadline=None)
+@given(oblivious_trees())
+def test_merge_expand_round_trip_preserves_law(case):
+    t, spaces = case
+    merged, record = merge_superqueries(t)
+    assert len(alternations(merged)) == len(alternations(t))
+    back = expand_superqueries(merged, record)
+    mus = [np.array(sp.probs) for sp in spaces]
+    law0, law1 = leaf_law(t, mus), leaf_law(back, mus)
+    paths = sorted(set(law0) | set(law1))
+    a = np.array([law0.get(q, 0.0) for q in paths])
+    b = np.array([law1.get(q, 0.0) for q in paths])
+    assert 0.5 * np.abs(a - b).sum() <= 1e-12
+    a0, _ = tree_advantage(t, spaces)
+    a1, _ = tree_advantage(merged, spaces)
+    a2, _ = tree_advantage(back, spaces)
+    assert abs(a0 - a1) <= 1e-12 and abs(a0 - a2) <= 1e-12
 
 
 def test_merge_makes_runs_single_levels():
