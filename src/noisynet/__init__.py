@@ -67,8 +67,7 @@ from .reductions import (
 from .rng import RNG_VERSION, RngStream
 from .trees import (
     BlockSpace,
-    Leaf,
-    Node,
+    Tree,
     collapse_to_read_once,
     merge_superqueries,
     move_to_root,

@@ -23,7 +23,7 @@ from . import planar, random_instances, reductions, trees
 from .errors import EmptyS2, NoisyNetError, UndersizedCell
 from .noise import iid_noisy_law, regen_output_law, regen_table
 from .protocol import star_xor
-from .rng import RNG_VERSION, RngStream
+from .rng import RngStream
 
 SCHEMA_VERSION = 1
 
@@ -410,7 +410,3 @@ _RUNNERS = {
     "E7": _e7_product,
     "E8": _e8_budget,
 }
-
-
-def experiment_metadata() -> dict:
-    return {"schema": SCHEMA_VERSION, "rng": RNG_VERSION}

@@ -18,9 +18,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import EmptyS2, UndersizedCell
 from .rng import RngStream
@@ -48,8 +45,13 @@ class PlanarNetwork:
         return len(self.positions)
 
     @property
-    def tree(self) -> cKDTree:
+    def tree(self):
+        """k-d tree over the positions (``scipy.spatial.cKDTree``)."""
         if self._tree is None:
+            # imported here, as in is_connected: scipy costs most of
+            # ``import noisynet``
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(self.positions)
         return self._tree
 
@@ -133,6 +135,9 @@ def _group(keys, values, n: int) -> list:
 
 def is_connected(net: PlanarNetwork) -> bool:
     """Whole-graph connectivity of the strict-< edge set."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = net.n_nodes
     if n <= 1:
         return True

@@ -11,9 +11,11 @@ structure the transcript-tree construction needs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .exprs import And, Const, Maj, Not, Or, OwnInput, Received, Xor
 from .protocol import AuxRole, InputRole, Protocol, Transmission
-from .trees import _LEAF, BlockSpace, Node
+from .trees import BlockSpace, Tree
 
 _SHAPES = [(1, 1), (2, 1), (3, 1), (1, 2)]  # (k blocks, n bits per block)
 _EPSES = [0.1, 0.2, 0.25]
@@ -165,20 +167,24 @@ def random_tree_for_levels(rng, spaces, levels, arity: int = 2):
 
 
 def _random_tree_for_levels(r, spaces, levels, arity):
-    counter = [0]
-
-    def build(d):
-        if d == len(levels):
-            return _LEAF
-        b = levels[d]
-        size = spaces[b].size
-        rr = r.spawn("node", counter[0])
-        counter[0] += 1
-        branch = tuple(int(rr.spawn("b", s).integers(arity)) for s in range(size))
-        children = tuple(build(d + 1) for _ in range(arity))
-        return Node(b, branch, children)
-
-    return build(0)
+    """Full tree, one node per path; a node draws its branch from the
+    substream of its depth-first pre-order number."""
+    rows, number = [], np.zeros(1, dtype=np.intp)
+    for d, b in enumerate(levels):
+        rows.append(
+            [
+                [int(r.spawn("node", n).spawn("b", s).integers(arity))
+                 for s in range(spaces[b].size)]
+                for n in number.tolist()
+            ]
+        )
+        # child c follows its parent and c sibling subtrees of this size
+        size = sum(arity**e for e in range(len(levels) - d - 1))
+        number = (number[:, None] + 1 + np.arange(arity) * size).ravel()
+    kids = [np.arange(len(rw) * arity).reshape(-1, arity) for rw in rows]
+    if kids:
+        kids[-1] = np.zeros_like(kids[-1])
+    return Tree(levels, rows, [np.arange(len(rw)) for rw in rows], kids)
 
 
 def random_move_to_root_levels(rng, k: int, depth: int) -> list:

@@ -376,7 +376,7 @@ def fix_randomness(p: Protocol, f, mu, cap_bits=24):
 class XndTreeArtifact:
     """Transcript tree with its block spaces and provenance report."""
 
-    root: object
+    root: trees.Tree
     spaces: list  # BlockSpace per block (tree index order)
     block_ids: list  # original 1-based block index per tree block
     block_nodes: list  # input nodes per tree block, x-part order
@@ -401,9 +401,7 @@ class XndTreeArtifact:
         return out
 
 
-def to_xnd_tree(
-    p2: Protocol, aux_block_of=None, mu_blocks=None, max_depth=16
-) -> XndTreeArtifact:
+def to_xnd_tree(p2: Protocol, mu_blocks=None, max_depth=16) -> XndTreeArtifact:
     """Unroll the auxiliary transcript of a deterministic noisy-copy
     protocol into an oblivious binary decision tree.
 
@@ -470,14 +468,7 @@ def to_xnd_tree(
                 reads.add(sender)
             else:
                 bits.add(aux_new_index[atom.t])
-        if aux_block_of and tr.sender in aux_block_of:
-            declared = aux_block_of[tr.sender]
-            if read_blocks - {declared}:
-                raise ValueError(
-                    f"level sender {tr.sender} reads outside its block"
-                )
-            j = declared
-        elif len(read_blocks) > 1:
+        if len(read_blocks) > 1:
             raise ValueError(
                 f"transmission {t} reads several blocks; not a single query"
             )
@@ -527,7 +518,7 @@ def to_xnd_tree(
 
     # one branch table per level: rows index the read transcript bits
     # (big-endian over the sorted levels), columns the block values
-    tables = []
+    tables, row_of = [], []
     for level, (_t, tr) in enumerate(aux_sched):
         b = level_block[level]
         sp = spaces[b]
@@ -550,21 +541,18 @@ def to_xnd_tree(
             k = aux_new_index[atom.t]
             return row >> shift[k] & 1 if k in shift else 0
 
-        out = np.broadcast_to(exprs.evaluate(tr.expr, value), (len(row), sp.size))
-        tables.append([tuple(r) for r in out.tolist()])
-
-    def build(prefix):
-        i = len(prefix)
-        if i == T:
-            return trees._LEAF
-        r = 0
-        for k in level_bits[i]:
-            r = r << 1 | prefix[k]
-        children = (build(prefix + (0,)), build(prefix + (1,)))
-        return trees.Node(level_block[i], tables[i][r], children)
+        tables.append(np.broadcast_to(exprs.evaluate(tr.expr, value), (len(row), sp.size)))
+        # node q of this level is the transcript prefix with bits q
+        # (big-endian); it takes the row its read bits index
+        r = np.zeros(2**level, dtype=np.intp)
+        for k in bits:
+            r = r << 1 | np.arange(2**level) >> level - 1 - k & 1
+        row_of.append(r)
+    kids = [np.arange(2 ** (i + 1)).reshape(-1, 2) for i in range(T)]
+    kids[-1] = np.zeros_like(kids[-1])
 
     return XndTreeArtifact(
-        root=build(()),
+        root=trees.Tree(level_block, tables, row_of, kids),
         spaces=spaces,
         block_ids=block_ids,
         block_nodes=[blocks[j] for j in block_ids],
@@ -610,7 +598,6 @@ def protocol_to_read_once(
     p: Protocol,
     d: int,
     mu_blocks=None,
-    aux_block_of=None,
     D=None,
     alpha_c: float = 1.0,
     cap_bits: int = 24,
@@ -644,7 +631,7 @@ def protocol_to_read_once(
     adv1 = stage_advantage(p1, f, mu, cap_bits)
     p2, rep2 = to_noisy_copy(p1, d, f=f, mu=mu, cap_bits=cap_bits)
     adv2 = stage_advantage(p2, f, mu, cap_bits)
-    art = to_xnd_tree(p2, aux_block_of=aux_block_of, mu_blocks=mu_list)
+    art = to_xnd_tree(p2, mu_blocks=mu_list)
     ordered, cert = trees.reorder(art.root, art.spaces)
     # each step logs the advantage before it; the last entry, the ordered
     # tree's

@@ -17,14 +17,22 @@ that assumption is what makes the leaf correlation factorize as
 
 which the exact advantage, move-to-root and reorder all exploit.
 
-Trees are immutable; rearranged trees share subtree structure with
-their inputs (children tuples may repeat one object).
+A :class:`Tree` is stored level by level, as an ordered branching
+program, and the functionals make one pass over the levels with every
+root path's masked block weights as arrays, in path order.  Trees are
+immutable and may share arrays.  Which nodes are distinct is part of a
+tree: the nodes of a level are distinct exactly where a rearrangement
+made them so (a node's children may all be one node), and
+:func:`tree_to_json` writes each node once, so the sharing shows in the
+tree text.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,151 +73,155 @@ class BlockSpace:
         return self.mu() * np.array(self.h, dtype=float)
 
 
-def uniform_bit_space(h_of_bit=None) -> BlockSpace:
-    """One uniform bit; default target (-1)^x."""
-    h = h_of_bit or (lambda b: -1 if b else 1)
-    return BlockSpace(values=(0, 1), probs=(0.5, 0.5), h=(h(0), h(1)))
-
-
-def bitstring_space(n: int, mu: dict, h) -> BlockSpace:
-    """Block of n bits with an explicit law; ``h`` maps bit tuples to +/-1."""
-    vals = sorted(mu)
-    if any(len(v) != n for v in vals):
-        raise ValueError("support keys must have length n")
-    return BlockSpace(
-        values=tuple(vals),
-        probs=tuple(mu[v] for v in vals),
-        h=tuple(h(v) for v in vals),
-    )
-
-
 # -- tree structure ---------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Leaf:
-    pass
+def _frozen(arrays, ndim):
+    out = tuple(np.asarray(a, dtype=np.intp) for a in arrays)
+    for a in out:
+        if a.ndim != ndim:
+            raise ValueError(f"tree level arrays must have {ndim} dimensions")
+        a.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
-class Node:
-    """Internal node: query ``block``; ``branch[value index] = child index``."""
+class Tree:
+    """Balanced oblivious tree, one entry per level, root level first.
 
-    block: int
-    branch: tuple
+    Level l queries ``blocks[l]``; the root is node 0 of level 0.  The
+    i-th node of level l branches by row ``row_of[l][i]`` of ``rows[l]``
+    (one child choice per block value) to node ``children[l][i, c]`` of
+    level l + 1; the last level's children are the single leaf 0.  Every
+    node below the root is some node's child.  A lone leaf has no levels.
+    """
+
+    blocks: tuple
+    rows: tuple
+    row_of: tuple
     children: tuple
 
     def __post_init__(self):
-        if not self.children:
-            raise ValueError("internal node needs children")
-        if any(not 0 <= c < len(self.children) for c in self.branch):
-            raise ValueError("branch target out of range")
+        put = object.__setattr__
+        put(self, "blocks", tuple(int(b) for b in self.blocks))
+        put(self, "rows", _frozen(self.rows, 2))
+        put(self, "row_of", _frozen(self.row_of, 1))
+        put(self, "children", _frozen(self.children, 2))
+        n = len(self.blocks)
+        if not len(self.rows) == len(self.row_of) == len(self.children) == n:
+            raise ValueError("tree levels disagree in number")
+        for l, (rows, row_of, kids) in enumerate(zip(self.rows, self.row_of, self.children)):
+            if (l == 0 and len(row_of) != 1) or kids.shape[0] != len(row_of):
+                raise ValueError("level node counts do not match")
+            if not kids.size:
+                raise ValueError("internal node needs children")
+            # bincount rejects negative entries itself
+            if len(np.bincount(rows.ravel())) > kids.shape[1]:
+                raise ValueError("branch target out of range")
+            if len(np.bincount(row_of)) > len(rows):
+                raise ValueError("branch row out of range")
+            n_next = len(self.row_of[l + 1]) if l + 1 < n else 1
+            reached = np.bincount(kids.ravel(), minlength=n_next)
+            if len(reached) != n_next or not reached.all():
+                raise ValueError("child index out of range, or a node nobody's child")
 
+    @property
+    def arities(self) -> list:
+        return [kids.shape[1] for kids in self.children]
 
-_LEAF = Leaf()
+    def branch(self, level: int, node: int) -> tuple:
+        """The child choice per block value at one node."""
+        return tuple(self.rows[level][self.row_of[level][node]].tolist())
 
 
 def depth(t) -> int:
-    """Common leaf depth; rejects unbalanced trees."""
-    memo: dict = {}
-
-    def rec(v):
-        if isinstance(v, Leaf):
-            return 0
-        got = memo.get(id(v))
-        if got is not None:
-            return got
-        ds = {rec(c) for c in v.children}
-        if len(ds) != 1:
-            raise ValueError("tree is not balanced")
-        d = ds.pop() + 1
-        memo[id(v)] = d
-        return d
-
-    return rec(t)
+    return len(t.blocks)
 
 
 def level_blocks(t) -> list:
-    """Block queried at each level (root first); rejects non-oblivious trees."""
-    out = []
-    frontier = [t]
-    while frontier and not isinstance(frontier[0], Leaf):
-        blocks = {v.block for v in frontier}
-        arities = {len(v.children) for v in frontier}
-        if len(blocks) != 1 or len(arities) != 1:
-            raise ValueError("tree is not oblivious (or has ragged arity)")
-        out.append(blocks.pop())
-        seen: dict = {}
-        nxt = []
-        for v in frontier:
-            for c in v.children:
-                if id(c) not in seen:
-                    seen[id(c)] = True
-                    nxt.append(c)
-        if any(isinstance(c, Leaf) for c in nxt) and any(
-            not isinstance(c, Leaf) for c in nxt
-        ):
-            raise ValueError("tree is not balanced")
-        frontier = nxt
-    return out
-
-
-def level_arities(t) -> list:
-    out = []
-    v = t
-    while not isinstance(v, Leaf):
-        out.append(len(v.children))
-        v = v.children[0]
-    return out
-
-
-def is_ordered(t) -> bool:
-    """Oblivious, and each block's queries occupy consecutive levels."""
-    lb = level_blocks(t)
-    seen = set()
-    for i, b in enumerate(lb):
-        if b in seen and lb[i - 1] != b:
-            return False
-        seen.add(b)
-    return True
-
-
-def is_read_once(t) -> bool:
-    lb = level_blocks(t)
-    return len(lb) == len(set(lb))
+    """Block queried at each level (root first)."""
+    return list(t.blocks)
 
 
 def alternations(t) -> set:
     """1-based levels l >= 3 whose block was queried before l-1 but not at l-1."""
     lb = level_blocks(t)
-    out = set()
-    for i in range(2, len(lb)):
-        if lb[i] != lb[i - 1] and lb[i] in lb[: i - 1]:
-            out.add(i + 1)
-    return out
+    return {
+        i + 1 for i in range(2, len(lb)) if lb[i] != lb[i - 1] and lb[i] in lb[: i - 1]
+    }
+
+
+def is_ordered(t) -> bool:
+    """Each block's queries occupy consecutive levels."""
+    return not alternations(t)
+
+
+def is_read_once(t) -> bool:
+    return len(t.blocks) == len(set(t.blocks))
 
 
 def count_paths(t) -> int:
     total = 1
-    for a in level_arities(t):
+    for a in t.arities:
         total *= a
         if total > MAX_TREE_PATHS:
             raise TreeCapExceeded(f"tree has more than {MAX_TREE_PATHS} paths")
     return total
 
 
-def evaluate(t, assignment) -> tuple:
-    """Root-to-leaf walk; ``assignment[j]`` is block j's value index.
+def query_multiset(t) -> dict:
+    """block -> number of levels querying it."""
+    return {b: t.blocks.count(b) for b in t.blocks}
 
-    Returns the leaf's path (tuple of child choices).
+
+# -- path walks -------------------------------------------------------------
+
+
+def _roots(nodes):
+    """Walk state with one empty path per starting node: (owner, paths,
+    nodes, masks), ``owner[i]`` being the start path i descends from."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    return np.arange(len(nodes)), np.zeros((len(nodes), 0), np.intp), nodes, {}
+
+
+def _walk(t, state, levels, support=None):
+    """Extend every path of ``state`` through ``levels``, in path order.
+
+    ``masks[j]`` holds, one row per path, the block-j values its choices
+    admit (blocks it never queried are absent).  With ``support`` (a
+    boolean row per owner and block), a path is dropped once the block
+    it queries admits no supported value: zero-mass pruning.
     """
-    path = []
-    v = t
-    while not isinstance(v, Leaf):
-        c = v.branch[assignment[v.block]]
-        path.append(c)
-        v = v.children[c]
-    return tuple(path)
+    owner, paths, nodes, masks = state
+    for l in levels:
+        b, arity, n = t.blocks[l], t.arities[l], len(nodes)
+        branch = t.rows[l][t.row_of[l][nodes]]
+        hit = branch[:, None, :] == np.arange(arity)[:, None]
+        if b in masks or support is not None:
+            hit &= (masks[b] if b in masks else support[b][owner])[:, None, :]
+        hit = hit.reshape(n * arity, branch.shape[1])
+        keep = hit.any(axis=1) if support is not None else np.ones(n * arity, bool)
+        parent = np.repeat(np.arange(n), arity)[keep]
+        owner, nodes = owner[parent], t.children[l][nodes].ravel()[keep]
+        paths = np.column_stack([paths[parent], np.tile(np.arange(arity), n)[keep]])
+        masks = {j: m[parent] for j, m in masks.items()}
+        masks[b] = hit[keep]
+    return owner, paths, nodes, masks
+
+
+def _sums(w, state, j):
+    """Per path: the sum of block j's weights (one row per owner) that
+    its choices admit."""
+    owner, _paths, _nodes, masks = state
+    return (w[owner] * masks.get(j, True)).sum(axis=1)
+
+
+def _products(ws, state):
+    """Per path: prod_j of the admitted block-j weight sums, block order."""
+    prod = np.ones(len(state[0]))
+    for j, w in enumerate(ws):
+        prod = prod * _sums(w, state, j)
+    return prod
 
 
 # -- leaf functionals -------------------------------------------------------
@@ -222,35 +234,14 @@ def _leaf_products(t, weights) -> dict:
     block never queried on a path contributes its full vector sum.
     """
     count_paths(t)
-    base = [np.asarray(w, dtype=float) for w in weights]
-    out: dict = {}
-
-    def rec(v, path, vecs):
-        if isinstance(v, Leaf):
-            prod = 1.0
-            for w in vecs:
-                prod *= w.sum()
-            out[path] = prod
-            return
-        j = v.block
-        branch = np.asarray(v.branch)
-        for c in range(len(v.children)):
-            wc = vecs[j] * (branch == c)
-            if not wc.any():
-                continue
-            nv = list(vecs)
-            nv[j] = wc
-            rec(v.children[c], path + (c,), nv)
-
-    rec(t, (), list(base))
-    return out
+    ws = [np.asarray(w, dtype=float)[None, :] for w in weights]
+    state = _walk(t, _roots([0]), range(depth(t)), [w != 0 for w in ws])
+    return dict(zip(map(tuple, state[1].tolist()), _products(ws, state)))
 
 
-def leaf_correlations(t, spaces, mu=None) -> dict:
-    """path -> E[f 1_leaf] with f = prod h_j, under mu (or the spaces' law)."""
-    hs = [np.array(sp.h, dtype=float) for sp in spaces]
-    mus = [sp.mu() for sp in spaces] if mu is None else [np.asarray(m) for m in mu]
-    return _leaf_products(t, [m * h for m, h in zip(mus, hs)])
+def leaf_correlations(t, spaces) -> dict:
+    """path -> E[f 1_leaf] with f = prod h_j under the spaces' law."""
+    return _leaf_products(t, [sp.signed() for sp in spaces])
 
 
 def leaf_law(t, conditionals) -> dict:
@@ -258,9 +249,9 @@ def leaf_law(t, conditionals) -> dict:
     return _leaf_products(t, conditionals)
 
 
-def tree_advantage(t, spaces, mu=None):
+def tree_advantage(t, spaces):
     """Exact advantage for the product target, plus the sign weighting."""
-    corr = leaf_correlations(t, spaces, mu=mu)
+    corr = leaf_correlations(t, spaces)
     value = sum(abs(v) for v in corr.values())
     weighting = {path: (1 if v >= 0 else -1) for path, v in corr.items()}
     return value, weighting
@@ -269,25 +260,82 @@ def tree_advantage(t, spaces, mu=None):
 # -- rearrangements ---------------------------------------------------------
 
 
-def _cut_last_level(t, r):
-    """Replace level r-1 internal nodes (those above the leaves) by leaves."""
-    memo: dict = {}
+def _move_below(t, cut, laws, spaces):
+    """Move-to-root applied to the subtree below every path to level ``cut``.
 
-    def rec(v, d):
-        if d == r - 1:
-            return _LEAF
-        got = memo.get(id(v))
-        if got is None:
-            got = Node(
-                v.block, v.branch, tuple(rec(c, d + 1) for c in v.children)
-            )
-            memo[id(v)] = got
-        return got
+    The levels above ``cut`` get one node per path (no pruning), and
+    ``laws(state)`` gives each path's block laws, one row per path.  Below
+    a path, the candidates are the last-level nodes it reaches; the one
+    whose branch has the largest |beta(v)| goes up to level ``cut``, ties
+    toward the first in path order.  Its children all share the path's
+    own copy of the subtree minus the last level.  Returns the tree and
+    the search: (candidate walk, alphas, children's signs b, betas, the
+    chosen candidate of each path).
+    """
+    last = depth(t) - 1
+    target, arity = t.blocks[last], t.arities[last]
+    above = _walk(t, _roots([0]), range(cut))
+    mus = laws(above)
+    signed = [m * np.array(sp.h, dtype=float) for m, sp in zip(mus, spaces)]
+    cand = _walk(t, _roots(above[2]), range(cut, last), [m != 0 for m in mus])
+    owner, _paths, nodes, _masks = cand
+    alpha = np.ones(len(owner))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(len(spaces)):
+            if j != target:
+                pj = _sums(mus[j], cand, j)
+                alpha = np.where(pj <= 0.0, 0.0, alpha * (_sums(signed[j], cand, j) / pj))
+    # the optimal signs of the candidates' children; a pruned child's
+    # product has a zero factor, so it signs +1 like an unreached leaf
+    corr = _products(signed, _walk(t, cand, [last]))
+    b = np.where(corr >= 0, 1.0, -1.0).reshape(-1, arity)
+    # beta(v) = sum_c b(v, c) E[h 1{branch_v = c}] from compressed sums,
+    # one per distinct (path, branch row)
+    n_rows, sig = len(t.rows[last]), signed[target]
+    keys, inverse = np.unique(owner * n_rows + t.row_of[last][nodes], return_inverse=True)
+    sums = np.array(
+        [
+            [sig[k // n_rows][t.rows[last][k % n_rows] == c].sum() for c in range(arity)]
+            for k in keys.tolist()
+        ]
+    ).reshape(-1, arity)[inverse]
+    beta = 0.0
+    for c in range(arity):
+        beta = beta + b[:, c] * sums[:, c]
+    betas, chosen = beta.tolist(), {}
+    for i, p in enumerate(owner.tolist()):
+        if p not in chosen or abs(betas[i]) > abs(betas[chosen[p]]) + 1e-15:
+            chosen[p] = i
+    n_paths = len(above[0])
+    if len(chosen) != n_paths:
+        raise ValueError("no reachable node at the last level")
+    star = np.array([chosen[p] for p in range(n_paths)], dtype=np.intp)
 
-    return rec(t, 0)
+    row_of, kids, at = [], [], np.zeros(1, np.intp)
+    for l in range(cut):
+        row_of.append(t.row_of[l][at])
+        kids.append(np.arange(len(at) * t.arities[l]).reshape(-1, t.arities[l]))
+        at = t.children[l][at].ravel()
+    row_of.append(t.row_of[last][nodes[star]])
+    kids.append(np.repeat(np.arange(n_paths)[:, None], arity, axis=1))
+    owner = np.arange(n_paths)
+    for l in range(cut, last):
+        n_next = len(t.row_of[l + 1])
+        keys, inverse = np.unique(owner[:, None] * n_next + t.children[l][at], return_inverse=True)
+        row_of.append(t.row_of[l][at])
+        kids.append(inverse.reshape(len(at), -1))
+        owner, at = keys // n_next, keys % n_next
+    kids[-1] = np.zeros_like(kids[-1])  # the new last level reaches the leaf
+    out = Tree(
+        t.blocks[:cut] + (target,) + t.blocks[cut:last],
+        t.rows[:cut] + (t.rows[last],) + t.rows[cut:last],
+        row_of,
+        kids,
+    )
+    return out, (cand, alpha, b, betas, star)
 
 
-def move_to_root(t, spaces, mu=None):
+def move_to_root(t, spaces):
     """Move the last level's block (queried nowhere else) to the root.
 
     Among the nodes querying that block at the last level, the branch
@@ -301,85 +349,24 @@ def move_to_root(t, spaces, mu=None):
     lb = level_blocks(t)
     if not lb:
         raise ValueError("depth-0 tree has nothing to move")
-    target = lb[-1]
-    if target in lb[:-1]:
+    if lb[-1] in lb[:-1]:
         raise ValueError("target block must be queried only at the last level")
-    r = len(lb)
-    mus = [sp.mu() for sp in spaces] if mu is None else [np.asarray(m) for m in mu]
-    hs = [np.array(sp.h, dtype=float) for sp in spaces]
-    signed = [m * h for m, h in zip(mus, hs)]
-    corr = _leaf_products(t, signed)
-    b = {path: (1.0 if v >= 0 else -1.0) for path, v in corr.items()}
-
-    # walk to the last internal level, carrying per-block masked weights
-    # for alpha (blocks other than the target; the target is untouched
-    # above the last level by the precondition)
-    last_nodes: list = []  # (path, node, alpha)
-
-    def rec(v, d, path, w_mu, w_sig):
-        if d == r - 1:
-            alpha = 1.0
-            for j in range(len(spaces)):
-                if j == target:
-                    continue
-                pj = w_mu[j].sum()
-                alpha = 0.0 if pj <= 0.0 else alpha * (w_sig[j].sum() / pj)
-            last_nodes.append((path, v, alpha))
-            return
-        j = v.block
-        branch = np.asarray(v.branch)
-        for c in range(len(v.children)):
-            mask = branch == c
-            wm = w_mu[j] * mask
-            if not wm.any():
-                continue
-            nm, ns = list(w_mu), list(w_sig)
-            nm[j] = wm
-            ns[j] = w_sig[j] * mask
-            rec(v.children[c], d + 1, path + (c,), nm, ns)
-
-    rec(t, 0, (), list(mus), list(signed))
-    if not last_nodes:
-        raise ValueError("no reachable node at the last level")
-
-    sig_k = signed[target]
-    best = None
-    for path, v, _alpha in last_nodes:
-        branch = np.asarray(v.branch)
-        beta = sum(
-            b.get(path + (c,), 1.0) * float(sig_k[branch == c].sum())
-            for c in range(len(v.children))
-        )
-        if best is None or abs(beta) > abs(best[2]) + 1e-15:
-            best = (path, v, beta)
-    v_star_path, v_star, beta_star = best
-
-    t_minus = _cut_last_level(t, r) if r > 1 else _LEAF
-    arity = len(v_star.children)
-    out = Node(target, v_star.branch, (t_minus,) * arity)
-
-    witness = {}
-    for path, _v, alpha in last_nodes:
-        s = 1.0 if alpha >= 0 else -1.0
-        for c in range(arity):
-            witness[(c,) + path] = s * b.get(v_star_path + (c,), 1.0)
+    count_paths(t)
+    out, (cand, alpha, b, betas, star) = _move_below(
+        t, 0, lambda _above: [sp.mu()[None, :] for sp in spaces], spaces
+    )
+    paths, s = cand[1].tolist(), int(star[0])
+    w = (np.where(alpha >= 0, 1.0, -1.0)[:, None] * b[s]).tolist()
+    witness = {
+        (c, *path): w[i][c] for i, path in enumerate(paths) for c in range(b.shape[1])
+    }
     info = {
-        "target_block": target,
-        "chosen_path": v_star_path,
-        "beta": beta_star,
-        "candidates": len(last_nodes),
+        "target_block": lb[-1],
+        "chosen_path": tuple(paths[s]),
+        "beta": betas[s],
+        "candidates": len(paths),
     }
     return out, witness, info
-
-
-def _strides(arities):
-    """Mixed-radix place values of a run's arities (first slowest), and
-    the run's outcome count."""
-    out, acc = [], 1
-    for a in reversed(arities):
-        out.append(acc)
-        acc *= a
-    return list(reversed(out)), acc
 
 
 def merge_superqueries(t):
@@ -388,57 +375,36 @@ def merge_superqueries(t):
     Returns (tree, record); ``record[i] = (block, [arities of the merged
     levels])`` lets :func:`expand_superqueries` restore a tree with the
     original per-level shape (and an identical leaf law).  Alternation
-    count is invariant under the merge.
+    count is invariant under the merge.  A merged level's nodes are
+    those of its run's first level, and a superquery's outcome code
+    lists the run's choices as mixed-radix digits, first slowest.
     """
-    lb = level_blocks(t)
-    ar = level_arities(t)
-    runs = []
-    i = 0
-    while i < len(lb):
-        j = i
-        while j + 1 < len(lb) and lb[j + 1] == lb[i]:
-            j += 1
-        runs.append((i, j + 1))
-        i = j + 1
-    record = [(lb[i], ar[i:j]) for i, j in runs]
-
-    memo: dict = {}
-
-    def rec(v, run_idx):
-        if isinstance(v, Leaf):
-            return _LEAF
-        got = memo.get((id(v), run_idx))
-        if got is not None:
-            return got
-        i, j = runs[run_idx]
-        arities = ar[i:j]
-        st, total = _strides(arities)
-        if total > MAX_TREE_PATHS:
+    runs = [(b, len(list(g))) for b, g in itertools.groupby(t.blocks)]
+    record, rows, row_of, kids, i = [], [], [], [], 0
+    for _b, n_levels in runs:
+        ar = t.arities[i : i + n_levels]
+        if math.prod(ar) > MAX_TREE_PATHS:
             raise TreeCapExceeded("superquery outcome space too large")
-        block = v.block
-        nvals = len(v.branch)
-        # branch: follow the value through the run; child(code): follow
-        # the code digits structurally
-        branch = []
-        for s in range(nvals):
-            node, code = v, 0
-            for lvl in range(i, j):
-                c = node.branch[s]
-                code += c * st[lvl - i]
-                node = node.children[c]
-            branch.append(code)
-        children = []
-        for code in range(total):
-            node = v
-            for lvl in range(i, j):
-                node = node.children[(code // st[lvl - i]) % ar[lvl]]
-            children.append(rec(node, run_idx + 1))
-        got = Node(block, tuple(branch), tuple(children))
-        memo[(id(v), run_idx)] = got
-        return got
-
-    merged = rec(t, 0) if runs else t
-    return merged, record
+        record.append((t.blocks[i], ar))
+        if n_levels == 1:
+            rows.append(t.rows[i])
+            row_of.append(t.row_of[i])
+            kids.append(t.children[i])
+        else:
+            # branch: follow each value through the run; children: follow
+            # the code digits structurally
+            n, size = len(t.row_of[i]), t.rows[i].shape[1]
+            node, code = np.repeat(np.arange(n)[:, None], size, axis=1), 0
+            reach = np.arange(n)[:, None]
+            for l in range(i, i + n_levels):
+                c = t.rows[l][t.row_of[l][node], np.arange(size)]
+                code, node = code * t.arities[l] + c, t.children[l][node, c]
+                reach = t.children[l][reach].reshape(n, -1)
+            rows.append(code)
+            row_of.append(np.arange(n))
+            kids.append(reach)
+        i += n_levels
+    return Tree([b for b, _n in runs], rows, row_of, kids), record
 
 
 def expand_superqueries(t, record):
@@ -446,61 +412,29 @@ def expand_superqueries(t, record):
 
     ``record`` must list (block, arities) per level of ``t`` with the
     product of arities matching the node's arity.  The expanded chain
-    at a node queries the same block once per sub-level; sub-level m
-    branches on digit m of the superquery's outcome code, so the leaf
-    law is unchanged.
+    at a node queries the same block once per sub-level, with one node
+    per prefix of the chain; sub-level m branches on digit m of the
+    superquery's outcome code, so the leaf law is unchanged.
     """
-    lb = level_blocks(t)
-    if len(record) != len(lb):
+    if len(record) != depth(t):
         raise ValueError("record length does not match tree depth")
-
-    memo: dict = {}
-
-    def rec(v, lvl):
-        if isinstance(v, Leaf):
-            return _LEAF
-        got = memo.get((id(v), lvl))
-        if got is not None:
-            return got
-        block, arities = record[lvl]
-        if block != v.block:
+    blocks, rows, row_of, kids = [], [], [], []
+    for l, (block, arities) in enumerate(record):
+        if block != t.blocks[l]:
             raise ValueError("record block mismatch")
-        st, total = _strides(arities)
-        if total != len(v.children):
+        if math.prod(arities) != t.arities[l]:
             raise ValueError("record arities do not match node arity")
-
-        def _build_chain(m, prefix):
-            # sub-level m; branch by digit m of each value's full code
-            digit = tuple((code // st[m]) % arities[m] for code in v.branch)
-            if m == len(arities) - 1:
-                kids = []
-                for c in range(arities[m]):
-                    code = sum(d * st[i] for i, d in enumerate(prefix + (c,)))
-                    kids.append(rec(v.children[code], lvl + 1))
-                return Node(v.block, digit, tuple(kids))
-            kids = tuple(
-                _build_chain(m + 1, prefix + (c,)) for c in range(arities[m])
-            )
-            return Node(v.block, digit, kids)
-
-        got = _build_chain(0, ())
-        memo[(id(v), lvl)] = got
-        return got
-
-    return rec(t, 0)
-
-
-def _conditional_mu(vecs):
-    """Normalize masked weight vectors; zero-mass blocks fall back to
-    uniform (they contribute nothing to the advantage)."""
-    out = []
-    for w in vecs:
-        s = w.sum()
-        if s <= 0:
-            out.append(np.full(len(w), 1.0 / len(w)))
-        else:
-            out.append(w / s)
-    return out
+        n = len(t.row_of[l])
+        for m, a in enumerate(arities):
+            before = math.prod(arities[:m])  # node (v, prefix): v * before + prefix
+            blocks.append(block)
+            rows.append(t.rows[l] // math.prod(arities[m + 1 :]) % a)
+            row_of.append(np.repeat(t.row_of[l], before))
+            if m + 1 < len(arities):
+                kids.append(np.arange(n * before * a).reshape(-1, a))
+            else:
+                kids.append(t.children[l].reshape(-1, a))
+    return Tree(blocks, rows, row_of, kids)
 
 
 def reorder(t, spaces):
@@ -512,14 +446,26 @@ def reorder(t, spaces):
     to the root, pushing the last alternation one level deeper;
     otherwise the last superquery alternates with an earlier run at
     level r'' and move-to-root is applied to every subtree rooted just
-    below r'', removing that alternation.  The pair (alternation count,
+    below r'', each under the block laws conditioned on its path,
+    removing that alternation.  The pair (alternation count,
     -depth of last alternation) strictly decreases lexicographically,
     which bounds the iteration count; the per-step log is returned as a
     termination certificate.
     """
+
+    def conditioned(above):
+        # zero-mass paths fall back to uniform (they add no advantage)
+        out = []
+        for j, sp in enumerate(spaces):
+            w = sp.mu() * above[3].get(j, np.ones((len(above[0]), 1), bool))
+            s = w.sum(axis=1)[:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out.append(np.where(s <= 0, 1.0 / w.shape[1], w / s))
+        return out
+
     cert = []
     current = t
-    guard = (len(spaces) * max(1, len(level_blocks(t)))) ** 2 + 1
+    guard = (len(spaces) * max(1, depth(t))) ** 2 + 1
     adv_before, _ = tree_advantage(current, spaces)
     for _step in range(guard):
         alts = alternations(current)
@@ -528,30 +474,13 @@ def reorder(t, spaces):
             return current, cert
         merged, record = merge_superqueries(current)
         lb = level_blocks(merged)
-        rq = len(lb)
         if lb[-1] not in lb[:-1]:
             new_merged, _w, info = move_to_root(merged, spaces)
             new_record = [record[-1]] + record[:-1]
             case = "fresh-last-block"
         else:
-            r2 = max(i for i in range(rq - 1) if lb[i] == lb[-1])
-            cut = r2 + 1
-
-            def rebuild(v, d, vecs):
-                if d == cut:
-                    sub, _w, _i = move_to_root(
-                        v, spaces, mu=_conditional_mu(vecs)
-                    )
-                    return sub
-                branch = np.asarray(v.branch)
-                kids = []
-                for c in range(len(v.children)):
-                    nv = list(vecs)
-                    nv[v.block] = vecs[v.block] * (branch == c)
-                    kids.append(rebuild(v.children[c], d + 1, nv))
-                return Node(v.block, v.branch, tuple(kids))
-
-            new_merged = rebuild(merged, 0, [sp.mu() for sp in spaces])
+            cut = max(i for i in range(len(lb) - 1) if lb[i] == lb[-1]) + 1
+            new_merged, _search = _move_below(merged, cut, conditioned, spaces)
             new_record = record[:cut] + [record[-1]] + record[cut:-1]
             info = {"cut_level": cut}
             case = "last-level-alternation"
@@ -586,65 +515,15 @@ def collapse_to_read_once(t):
     return merged, record
 
 
-def query_functions(t) -> list:
-    """All (block, branch, arity) labels in the tree (deduplicated)."""
-    seen: dict = {}
-    out = []
-    stack = [t]
-    visited = set()
-    while stack:
-        v = stack.pop()
-        if isinstance(v, Leaf) or id(v) in visited:
-            continue
-        visited.add(id(v))
-        key = (v.block, v.branch, len(v.children))
-        if key not in seen:
-            seen[key] = True
-            out.append(key)
-        stack.extend(v.children)
-    return out
-
-
-def query_multiset(t) -> dict:
-    """block -> number of levels querying it."""
-    out: dict = {}
-    for b in level_blocks(t):
-        out[b] = out.get(b, 0) + 1
-    return out
-
-
-def functions_covered(out_tree, in_tree) -> bool:
-    """Every output label appears in the input up to child relabeling.
-
-    Two labels match up to relabeling when some bijection of child
-    indices carries one branch function to the other; for branch
-    functions this is equivalent to inducing the same partition of the
-    value set by outcome.
-    """
-
-    def partition(branch, arity):
-        groups: dict = {}
-        for s, c in enumerate(branch):
-            groups.setdefault(c, []).append(s)
-        return frozenset(tuple(g) for g in groups.values())
-
-    have = {
-        (b, partition(branch, a)) for b, branch, a in query_functions(in_tree)
-    }
-    return all(
-        (b, partition(branch, a)) in have
-        for b, branch, a in query_functions(out_tree)
-    )
-
-
 # -- read-once analysis -----------------------------------------------------
 
 
-def single_query_advantage(branch, arity, space, mu=None) -> float:
+def single_query_advantage(branch, arity, space) -> float:
     """Advantage of one query g: S_j -> outcomes for target h_j."""
-    sig = space.signed() if mu is None else np.asarray(mu) * np.array(space.h, float)
-    branch = np.asarray(branch)
-    return float(sum(abs(sig[branch == c].sum()) for c in range(arity)))
+    sig, branch = space.signed(), np.asarray(branch)
+    # an outcome no value takes adds abs(0.0), which leaves the sum as is
+    outcomes = [c for c in np.unique(branch).tolist() if c < arity]
+    return float(sum(abs(sig[branch == c].sum()) for c in outcomes))
 
 
 def readonce_advantage(t, spaces):
@@ -658,20 +537,11 @@ def readonce_advantage(t, spaces):
     if not is_read_once(t):
         raise ValueError("requires a read-once tree")
     value, weighting = tree_advantage(t, spaces)
-    alphas: dict = {}
-    stack = [t]
-    seen = set()
-    while stack:
-        v = stack.pop()
-        if isinstance(v, Leaf) or id(v) in seen:
-            continue
-        seen.add(id(v))
-        a = single_query_advantage(v.branch, len(v.children), spaces[v.block])
-        alphas[v.block] = max(alphas.get(v.block, 0.0), a)
-        stack.extend(v.children)
-    bound = 1.0
-    for a in alphas.values():
-        bound *= a
+    alphas = {
+        b: max(single_query_advantage(rows[r], a, spaces[b]) for r in np.unique(row_of).tolist())
+        for b, rows, row_of, a in zip(t.blocks, t.rows, t.row_of, t.arities)
+    }
+    bound = math.prod(alphas.values())
     if value > bound + 1e-9:
         raise AssertionError(
             f"read-once advantage {value} exceeds product bound {bound}"
@@ -686,68 +556,83 @@ def _space_to_json(sp: BlockSpace) -> dict:
     return {"values": list(sp.values), "probs": list(sp.probs), "h": list(sp.h)}
 
 
-def _space_from_json(d: dict) -> BlockSpace:
-    def freeze(v):
-        return tuple(freeze(x) for x in v) if isinstance(v, list) else v
+def _tuples(v):
+    """A JSON value with its lists, at any depth, turned into tuples."""
+    lists = [v] if isinstance(v, list) else []
+    for x in lists:  # the loop reaches the lists it appends: all nested ones
+        lists.extend(y for y in x if isinstance(y, list))
+    for x in reversed(lists):  # inner lists first
+        x[:] = [tuple(y) if isinstance(y, list) else y for y in x]
+    return tuple(v) if isinstance(v, list) else v
 
+
+def _space_from_json(d: dict) -> BlockSpace:
     return BlockSpace(
-        values=tuple(freeze(v) for v in d["values"]),
+        values=tuple(_tuples(v) for v in d["values"]),
         probs=tuple(d["probs"]),
         h=tuple(d["h"]),
     )
 
 
 def tree_to_json(t, spaces, meta=None) -> str:
-    nodes: dict = {}
-    order: list = []
-
-    def rec(v):
-        if isinstance(v, Leaf):
-            return -1
-        if id(v) in nodes:
-            return nodes[id(v)]
-        kids = [rec(c) for c in v.children]
-        idx = len(order)
-        nodes[id(v)] = idx
-        order.append(
-            {"block": v.block, "branch": list(v.branch), "children": kids}
-        )
-        return idx
-
-    root = rec(t)
+    """Tree text: each node once, after its children (depth first,
+    children in order); a leaf child is -1."""
+    kids = [  # no children to visit below the last level
+        c.tolist() if l + 1 < depth(t) else [[]] * len(c) for l, c in enumerate(t.children)
+    ]
+    index = [[-1] * len(r) for r in t.row_of]
+    order, stack = [], [(0, 0)] if t.blocks else []
+    while stack:
+        l, v = stack[-1]
+        todo = [(l + 1, c) for c in kids[l][v] if index[l + 1][c] < 0]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        if index[l][v] < 0:
+            index[l][v] = len(order)
+            children = [index[l + 1][c] for c in kids[l][v]] or [-1] * t.arities[l]
+            order.append({"block": t.blocks[l], "branch": list(t.branch(l, v)), "children": children})
     doc = {
         "version": 1,
         "spaces": [_space_to_json(sp) for sp in spaces],
         "nodes": order,
-        "root": root,
+        "root": index[0][0] if t.blocks else -1,
         "meta": meta or {},
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def tree_from_json(text: str):
+    """Read a tree text; rejects a tree that is unbalanced, not
+    oblivious, reaches one node at two depths, or does not fit its block
+    spaces (ValueError)."""
     doc = json.loads(text)
     if doc.get("version") != 1:
         raise ValueError("unsupported tree file version")
     spaces = [_space_from_json(d) for d in doc["spaces"]]
-    built: list = [None] * len(doc["nodes"])
-    for i, nd in enumerate(doc["nodes"]):
-        kids = tuple(_LEAF if c == -1 else built[c] for c in nd["children"])
-        if any(k is None for k in kids):
-            raise ValueError("node order in tree file is not topological")
-        built[i] = Node(nd["block"], tuple(nd["branch"]), kids)
-    root = _LEAF if doc["root"] == -1 else built[doc["root"]]
+    nodes = doc["nodes"]
+    if any(c != -1 and not 0 <= c < i for i, nd in enumerate(nodes) for c in nd["children"]):
+        raise ValueError("node order in tree file is not topological")
+    blocks, rows, kids = [], [], []
+    level, seen = [] if doc["root"] == -1 else [doc["root"]], set()
+    while level:
+        nds = [nodes[i] for i in level]
+        if len({(nd["block"], len(nd["children"]), len(nd["branch"])) for nd in nds}) != 1:
+            raise ValueError("tree is not oblivious (or has ragged arity)")
+        block = nds[0]["block"]
+        if block not in range(len(spaces)) or len(nds[0]["branch"]) != spaces[block].size:
+            raise ValueError("a level queries no block space or mis-sizes its branch")
+        below = [c for nd in nds for c in nd["children"]]
+        if -1 in below and set(below) != {-1}:
+            raise ValueError("tree is not balanced")
+        seen.update(level)
+        level = [] if -1 in below else list(dict.fromkeys(below))
+        if seen.intersection(level):
+            raise ValueError("tree file reaches one node at two depths")
+        pos = {c: k for k, c in enumerate(level)}
+        blocks.append(block)
+        rows.append([nd["branch"] for nd in nds])
+        kids.append([[pos.get(c, 0) for c in nd["children"]] for nd in nds])
+    root = Tree(blocks, rows, [np.arange(len(r)) for r in rows], kids)
     return root, spaces, doc.get("meta", {})
-
-
-def trees_equal(a, b) -> bool:
-    """Structural equality (nodes compare by identity otherwise)."""
-    if isinstance(a, Leaf) and isinstance(b, Leaf):
-        return True
-    if isinstance(a, Leaf) or isinstance(b, Leaf):
-        return False
-    if a.block != b.block or a.branch != b.branch:
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(trees_equal(x, y) for x, y in zip(a.children, b.children))

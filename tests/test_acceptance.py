@@ -13,6 +13,7 @@ from noisynet import engine, planar, random_instances as ri, reductions, trees
 from noisynet.noise import iid_noisy_law, regen_output_law, regen_table
 from noisynet.protocol import check_bounded_counts, star_xor
 from noisynet.rng import RngStream
+from tree_helpers import functions_covered, line_tree
 
 # Frozen regression values for criterion 8, computed once by the grid
 # search on S * log2(1/eps^(72 S))^2 / eps^(144 S) >= log2 N at eps=0.1,
@@ -95,7 +96,7 @@ def test_criterion_3_rearrangement():
         attained = abs(sum(witness[p] * v for p, v in corr.items()))
         if trees.level_blocks(moved)[0] != mlevels[-1] or a_m < a0 - 1e-9:
             violations.append((i, "move_to_root"))
-        if attained < a0 - 1e-9 or not trees.functions_covered(moved, mt):
+        if attained < a0 - 1e-9 or not functions_covered(moved, mt):
             violations.append((i, "witness"))
 
         # reorder on a fully random oblivious tree
@@ -135,7 +136,7 @@ def test_criterion_4_product_property():
         h=(1, 1, -1, -1),
     )
     branch = tuple(x ^ z for x, z in sp.values)
-    pair = trees.Node(0, branch, (trees.Node(1, branch, (trees._LEAF,) * 2),) * 2)
+    pair = line_tree([(0, branch), (1, branch)])
     value, _w, alphas = trees.readonce_advantage(pair, [sp, sp])
     achieved = abs(value - 0.64) <= 1e-9 and all(
         abs(a - 0.8) <= 1e-9 for a in alphas.values()

@@ -1,6 +1,8 @@
 """Command-line harness: subcommands and exit-code contract."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from noisynet import random_instances as ri, reductions, trees
 from noisynet.cli import main
 from noisynet.protocol import protocol_from_text, protocol_to_text, star_xor
 from noisynet.rng import RngStream
+from tree_helpers import BAD_TREE_TEXTS, bit_tree, uniform_bit_space
 
 
 def run(capsys, *argv):
@@ -255,12 +258,8 @@ def test_nan_radius_is_invalid_input(tmp_path, capsys):
 
 
 def test_tree_collapse_on_unordered_is_check_failure(tmp_path, capsys):
-    spaces = [trees.uniform_bit_space(), trees.uniform_bit_space()]
-    t = trees.Node(
-        0,
-        (0, 1),
-        (trees.Node(1, (0, 1), (trees.Node(0, (0, 1), (trees._LEAF,) * 2),) * 2),) * 2,
-    )
+    spaces = [uniform_bit_space(), uniform_bit_space()]
+    t = bit_tree([0, 1, 0])
     path = tmp_path / "t.json"
     path.write_text(trees.tree_to_json(t, spaces))
     code, _out, err = run(capsys, "tree", str(path), "--collapse")
@@ -269,9 +268,34 @@ def test_tree_collapse_on_unordered_is_check_failure(tmp_path, capsys):
     assert code == 0
 
 
+#: sha256 of ``tree --reorder --collapse --out`` on tests/data/alternating_tree.json
+_REORDER_COLLAPSE_SHA256 = "4334a7a9b12c178a68223f20b4cc1e4dfb83e7a0c6c7ee34cb5eb35757613bda"
+
+
+def test_tree_reorder_collapse_writes_pinned_bytes(tmp_path, capsys):
+    src = Path(__file__).parent / "data" / "alternating_tree.json"
+    out = tmp_path / "out.json"
+    code, stdout, _err = run(
+        capsys, "--out", str(out), "tree", str(src), "--reorder", "--collapse"
+    )
+    assert code == 0
+    assert json.loads(stdout) == {
+        "collapsed_levels": 3, "depth": 3, "reorder_steps": 4
+    }
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _REORDER_COLLAPSE_SHA256
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TREE_TEXTS))
+def test_tree_advantage_rejects_malformed_file(tmp_path, capsys, case):
+    path = tmp_path / "t.json"
+    path.write_text(BAD_TREE_TEXTS[case])
+    code, _out, err = run(capsys, "tree", str(path), "--advantage")
+    assert code == 1 and err
+
+
 def test_tree_requires_an_action(tmp_path, capsys):
-    spaces = [trees.uniform_bit_space()]
-    t = trees.Node(0, (0, 1), (trees._LEAF, trees._LEAF))
+    spaces = [uniform_bit_space()]
+    t = bit_tree([0])
     path = tmp_path / "t.json"
     path.write_text(trees.tree_to_json(t, spaces))
     code, _out, _err = run(capsys, "tree", str(path))

@@ -6,6 +6,9 @@ import json
 import pytest
 
 from noisynet import experiments as ex
+from noisynet import random_instances as ri
+from noisynet import reductions, trees
+from noisynet.rng import RngStream
 
 
 def cfg(eid, seed=0, **params):
@@ -101,6 +104,57 @@ def test_csv_bytes_are_pinned_at_seed_0(eid):
     params = {"instances": 40} if eid == "E5" else {}
     text = ex.render_csv(ex.run_experiment(cfg(eid, **params)))
     assert hashlib.sha256(text.encode()).hexdigest() == _CSV_SHA256[eid]
+
+
+def _tree_texts(root, spaces):
+    """The text of a tree and of its reordered and collapsed forms."""
+    ordered, _cert = trees.reorder(root, spaces)
+    readonce, _rec = trees.collapse_to_read_once(ordered)
+    return [trees.tree_to_json(t, spaces) for t in (root, ordered, readonce)]
+
+
+def _tiny_tree_texts(index):
+    p = ri.random_tiny_protocol(RngStream(0, ("tree-text",)), index)
+    _ro, art, _report = reductions.protocol_to_read_once(p, ri.max_input_sends(p))
+    return _tree_texts(art.root, art.spaces)
+
+
+def _e6_tree_texts():
+    """E6's seed-0 input trees, rebuilt from its streams and default
+    parameters (200 instances, k = 3, depth up to 6)."""
+    rng = RngStream(0, ("experiment", "E6"))
+    texts = []
+    for i in range(200):
+        r = rng.spawn("inst", i)
+        k = 1 + int(r.spawn("k").integers(3))
+        depth = 1 + int(r.spawn("d").integers(6))
+        spaces = ri.random_spaces(r, k, max_size=2)
+        tree, _levels = ri.random_oblivious_tree(r, spaces, depth)
+        texts.extend(_tree_texts(tree, spaces))
+    return texts
+
+
+#: sha256 of the tree text (``to_xnd_tree`` output, reordered, collapsed)
+#: of tiny protocols, some of whose reordered trees share nodes, and of all
+#: of E6's seed-0 trees; a change to node sharing or order fails here
+_TREE_TEXT_SHA256 = {
+    "tiny-0": "83a2ac0e2f4575854ff9017e6b8d7e4c1d651708d3e26e2caea6f7e69b2c4559",
+    "tiny-1": "e031b2a59ad90f874c33f22f70998f5e83463dccb65523fbc577a2b43f892f31",
+    "tiny-9": "4a114eda532ed721ebf082e68e78927f160c78f6bf810803893584c0921e6a24",
+    "tiny-19": "ecc285a84874251c6ab46016f6f6065ee1052b6e39e89899c21a852dd1c1eab2",
+    "tiny-21": "229c79dd3844cc44e9dfdd88391c5f5ccbff0d3f8e1619bd4cfa5253bb5bf631",
+    "e6-seed-0": "94ab9f5d73b8c9591632c398acfd28eadfe08175b93c74fcfc590821ca1650b2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TREE_TEXT_SHA256))
+def test_tree_text_is_pinned(case):
+    if case.startswith("tiny-"):
+        texts = _tiny_tree_texts(int(case.split("-")[1]))
+    else:
+        texts = _e6_tree_texts()
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == _TREE_TEXT_SHA256[case]
 
 
 def test_parse_rejects_foreign_header():

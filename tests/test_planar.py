@@ -1,6 +1,10 @@
 """Random planar networks, tessellation, and cluster decomposition."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,21 @@ from noisynet.planar import (
     verify_decomposition,
 )
 from noisynet.rng import RngStream
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy loads on first use (k-d tree, connectivity, E3), not on import."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, noisynet; "
+        "print([m for m in ('scipy.spatial', 'scipy.sparse', 'scipy.stats') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_radius_zero_disconnected():

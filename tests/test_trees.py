@@ -9,21 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisynet import random_instances as ri
-from noisynet import trees
+from noisynet import reductions
 from noisynet.errors import TreeCapExceeded
 from noisynet.rng import RngStream
 from noisynet.trees import (
-    _LEAF,
     BlockSpace,
-    Node,
+    Tree,
     alternations,
-    bitstring_space,
     collapse_to_read_once,
     count_paths,
     depth,
-    evaluate,
     expand_superqueries,
-    functions_covered,
     is_ordered,
     is_read_once,
     leaf_correlations,
@@ -38,17 +34,17 @@ from noisynet.trees import (
     tree_advantage,
     tree_from_json,
     tree_to_json,
+)
+from tree_helpers import (
+    BAD_TREE_TEXTS,
+    bit_tree,
+    bitstring_space,
+    evaluate,
+    functions_covered,
+    line_tree,
     trees_equal,
     uniform_bit_space,
 )
-
-
-def bit_tree(levels):
-    """Deterministic binary tree over bit blocks: branch = identity."""
-    t = _LEAF
-    for b in reversed(levels):
-        t = Node(b, (0, 1), (t, t))
-    return t
 
 
 def exhaustive_advantage(t, spaces):
@@ -111,11 +107,25 @@ def test_ordered_and_read_once():
 
 
 def test_non_oblivious_rejected():
-    left = Node(1, (0, 1), (_LEAF, _LEAF))
-    right = Node(0, (0, 1), (_LEAF, _LEAF))
-    t = Node(0, (0, 1), (left, right))
-    with pytest.raises(ValueError):
-        level_blocks(t)
+    for text in BAD_TREE_TEXTS.values():
+        with pytest.raises(ValueError):
+            tree_from_json(text)
+
+
+def test_construction_rejects_inconsistent_levels():
+    good = ([0, 1], [[[0, 1]], [[0, 1]]], [[0], [0]], [[[0, 0]], [[0, 0]]])
+    assert depth(Tree(*good)) == 2
+    bad = [
+        ([0, 1], [[[0, 1]], [[0, 1]]], [[0], [0]], [[[0, 1]], [[0, 0]]]),  # no node 1
+        ([0, 1], [[[0, 1]], [[0, 1]]], [[0], [0, 0]], [[[0, 0]], [[0, 0]] * 2]),  # orphan
+        ([0, 1], [[[0, 2]], [[0, 1]]], [[0], [0]], [[[0, 0]], [[0, 0]]]),  # branch >= arity
+        ([0, 1], [[[0, 1]], [[0, 1]]], [[0], [1]], [[[0, 0]], [[0, 0]]]),  # no row 1
+        ([0, 1], [[[0, 1]], [[0, 1]]], [[0, 0], [0]], [[[0, 0]], [[0, 0]]]),  # two roots
+        ([0], [[[0, 1]], [[0, 1]]], [[0], [0]], [[[0, 0]], [[0, 0]]]),  # ragged levels
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            Tree(*args)
 
 
 def test_count_paths_cap():
@@ -125,7 +135,7 @@ def test_count_paths_cap():
 
 
 def test_evaluate_walks_branches():
-    t = Node(0, (0, 1), (Node(1, (1, 0), (_LEAF, _LEAF)),) * 2)
+    t = line_tree([(0, (0, 1)), (1, (1, 0))])
     assert evaluate(t, [0, 0]) == (0, 1)
     assert evaluate(t, [1, 1]) == (1, 0)
 
@@ -191,16 +201,20 @@ def oblivious_trees(draw):
         )
     )
 
-    def build(d):
-        if d == len(levels):
-            return _LEAF
-        block, arity = levels[d]
+    rows, kids, n = [], [], 1
+    for block, arity in levels:
         values = st.integers(0, arity - 1)
-        branch = draw(st.lists(values, min_size=sizes[block], max_size=sizes[block]))
-        children = tuple(build(d + 1) for _ in range(arity))
-        return Node(block, tuple(branch), children)
-
-    return build(0), spaces
+        rows.append(
+            [
+                draw(st.lists(values, min_size=sizes[block], max_size=sizes[block]))
+                for _ in range(n)
+            ]
+        )
+        kids.append(np.arange(n * arity).reshape(n, arity))
+        n *= arity
+    kids[-1] = np.zeros_like(kids[-1])
+    t = Tree([b for b, _a in levels], rows, [np.arange(len(r)) for r in rows], kids)
+    return t, spaces
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,12 +277,17 @@ def test_move_to_root_branch_dependent_choice():
     sp1 = BlockSpace((0, 1), (0.9, 0.1), (1, -1))
     id_branch = (0, 1)
     const_branch = (0, 0)
-    left = Node(1, id_branch, (_LEAF, _LEAF))  # informative query
-    right = Node(1, const_branch, (_LEAF, _LEAF))  # useless query
-    t = Node(0, (0, 1), (left, right))
+    # root's left child asks the informative query, its right child the
+    # useless one
+    t = Tree(
+        [0, 1],
+        [[(0, 1)], [id_branch, const_branch]],
+        [[0], [0, 1]],
+        [[[0, 1]], [[0, 0], [0, 0]]],
+    )
     out, witness, info = move_to_root(t, [sp0, sp1])
-    assert out.block == 1
-    assert out.branch == id_branch
+    assert level_blocks(out)[0] == 1
+    assert out.branch(0, 0) == id_branch
     assert info["chosen_path"] == (0,)
     a0, _ = tree_advantage(t, [sp0, sp1])
     a1, _ = tree_advantage(out, [sp0, sp1])
@@ -338,7 +357,7 @@ def test_readonce_noisy_product_case():
         h=(1, 1, -1, -1),
     )
     branch = tuple(x ^ z for x, z in sp.values)
-    t = Node(0, branch, (Node(1, branch, (_LEAF, _LEAF)),) * 2)
+    t = line_tree([(0, branch), (1, branch)])
     value, _w, alphas = readonce_advantage(t, [sp, sp])
     assert abs(value - 0.64) <= 1e-9
     assert abs(alphas[0] - 0.8) <= 1e-12 and abs(alphas[1] - 0.8) <= 1e-12
@@ -347,31 +366,38 @@ def test_readonce_noisy_product_case():
 def test_functions_covered_contract():
     t = bit_tree([0, 1])
     assert functions_covered(t, t)
-    other = Node(0, (0, 0), (Node(1, (0, 1), (_LEAF, _LEAF)),) * 2)
+    other = line_tree([(0, (0, 0)), (1, (0, 1))])
     assert not functions_covered(other, t)  # constant branch not in input
     # child relabeling is allowed
-    relabeled = Node(0, (1, 0), (Node(1, (0, 1), (_LEAF, _LEAF)),) * 2)
+    relabeled = line_tree([(0, (1, 0)), (1, (0, 1))])
     assert functions_covered(relabeled, t)
 
 
 # -- serialization -----------------------------------------------------------
 
 
+def _transcript_tree():
+    """A transcript tree, whose block values nest (x bits, noise bits)."""
+    p = ri.random_tiny_protocol(RngStream(0, ("tree-text",)), 0)
+    _ro, art, _report = reductions.protocol_to_read_once(p, ri.max_input_sends(p))
+    return art.root, art.spaces
+
+
 def test_tree_json_round_trip():
     rng = RngStream(71)
     spaces = ri.random_spaces(rng, 2)
-    t, _ = ri.random_oblivious_tree(rng, spaces, 3)
-    text = tree_to_json(t, spaces, meta={"note": "case"})
-    back, back_spaces, meta = tree_from_json(text)
-    assert trees_equal(t, back)
-    assert meta == {"note": "case"}
-    assert [sp.values for sp in back_spaces] == [sp.values for sp in spaces]
-    a0, _ = tree_advantage(t, spaces)
-    a1, _ = tree_advantage(back, back_spaces)
-    assert abs(a0 - a1) <= 1e-12
+    for t, spaces in [(ri.random_oblivious_tree(rng, spaces, 3)[0], spaces), _transcript_tree()]:
+        text = tree_to_json(t, spaces, meta={"note": "case"})
+        back, back_spaces, meta = tree_from_json(text)
+        assert trees_equal(t, back)
+        assert meta == {"note": "case"}
+        assert [sp.values for sp in back_spaces] == [sp.values for sp in spaces]
+        a0, _ = tree_advantage(t, spaces)
+        a1, _ = tree_advantage(back, back_spaces)
+        assert abs(a0 - a1) <= 1e-12
 
 
 def test_tree_json_leaf_root():
-    text = tree_to_json(_LEAF, [])
+    text = tree_to_json(Tree([], [], [], []), [])
     root, spaces, _meta = tree_from_json(text)
-    assert isinstance(root, trees.Leaf) and spaces == []
+    assert depth(root) == 0 and spaces == []
