@@ -18,6 +18,15 @@ law, and ``np.bincount`` adds the same weights in the same row order as
 an unpacked grid would.  ``execute`` runs the same schedule on Python
 ints with ``one = 1``: a batch of one.
 
+The packed Monte-Carlo sampler draws each two-outcome primitive (a
+channel bit, a ``Rand`` or ``Noise`` bit, a one-coordinate mask) as
+words from the stream's raw Philox output, with the law of
+``random() < p``: a 53-bit integer is compared with ceil(p * 2^53) one
+bit per level, most significant first, one raw word per packed word with
+an undecided lane (:func:`_bernoulli_words`), about 7.3 raw words per 64
+trials instead of 64 doubles.  Wider masks go through
+``Generator.choice``; ``execute`` draws one ``random()`` per primitive.
+
 The input assignment is the slowest grid axis: one ``_Sim`` pass runs
 many inputs, each own-input bit a packed column, and an exact channel is
 one dense ``(inputs x 2^m)`` array of outcome-code probabilities from one
@@ -71,8 +80,16 @@ def _internal_key(node, atom) -> tuple:
     return ("rand" if isinstance(atom, exprs.Rand) else "noise", node, atom.i)
 
 
-def _collect_primitives(p: Protocol, probes=()):
-    """All random primitives read anywhere in the protocol (plus probes)."""
+def _collect_primitives(p: Protocol, probes=()) -> tuple:
+    """All random primitives read anywhere in the protocol (plus probes).
+
+    Without probes the table is computed once per protocol and kept on it
+    as ``_primitives``: a protocol is validated once in ``__post_init__``
+    and never mutated (``with_`` builds a new one), so its table cannot go
+    stale.  With probes it is collected on every call.
+    """
+    if not probes and "_primitives" in p.__dict__:
+        return p.__dict__["_primitives"]
     prims: dict = {}
     noise_eps: dict = {}
     contexts = list(p.all_expressions()) + [(node, e) for node, e in probes]
@@ -100,7 +117,10 @@ def _collect_primitives(p: Protocol, probes=()):
             elif isinstance(atom, exprs.MaskBit):
                 key = ("mask", atom.src)
                 prims[key] = _Primitive(key, p.mask_sources[atom.src].table.index_probs)
-    return [prims[k] for k in sorted(prims)]
+    table = tuple(prims[k] for k in sorted(prims))
+    if not probes:
+        p.__dict__["_primitives"] = table
+    return table
 
 
 #: The value of a 1 bit in packed words: all 64 rows set.
@@ -183,19 +203,64 @@ def _enumeration_arrays(p: Protocol, prims, cap_bits: int, reps: int = 1) -> _Dr
     return _Draws(p, n, bits, masks)
 
 
+def _bernoulli_words(bitgen, p: float, trials: int) -> np.ndarray:
+    """``trials`` Bernoulli(p) bits packed into ``uint64`` words (trial r
+    at bit r % 64 of word r // 64), drawn from ``bitgen.random_raw``.
+
+    Let c = ceil(p * 2^53).  Lane k of word w is 1 iff a uniform 53-bit
+    integer is below c: exactly the law of ``Generator.random() < p``,
+    whose double is such an integer times 2^-53.  The integer is drawn one
+    bit per level, most significant bit first.  At each level one raw word
+    is taken per packed word that still has an undecided lane, in word
+    order; a lane's bit is bit k of its word's raw word.  At a level where
+    c has a 1 bit, undecided lanes whose random bit is 0 become 1; where c
+    has a 0 bit, undecided lanes whose random bit is 1 become 0.  Drawing
+    stops after c's lowest set bit, or when no lane is undecided;
+    still-undecided lanes are 0.  c = 0 gives all zeros and c >= 2^53 all
+    ones, with no draws.  Lanes past ``trials`` in the last word are never
+    drawn and are 0.  Each level halves the undecided lanes, so a packed
+    word takes about 7.3 raw words.
+    """
+    n_words = (trials + 63) // 64
+    out = np.zeros(n_words, dtype=np.uint64)
+    c = math.ceil(p * 2.0**53)
+    if c <= 0:
+        return out
+    undecided = np.full(n_words, ONES)
+    if trials % 64:
+        undecided[-1] = np.uint64((1 << trials % 64) - 1)
+    if c >= 2**53:
+        return undecided
+    words = np.arange(n_words)  # the packed words that hold undecided lanes
+    lowest = (c & -c).bit_length() - 1
+    for level in range(52, lowest - 1, -1):
+        raw = bitgen.random_raw(len(words))
+        if c >> level & 1:
+            out[words] |= undecided & ~raw
+            undecided &= raw
+        else:
+            undecided &= ~raw
+        live = np.flatnonzero(undecided)
+        if len(live) < len(words):
+            if not len(live):
+                break
+            words, undecided = words[live], undecided[live]
+    return out
+
+
 def _sampled_arrays(p: Protocol, prims, trials: int, rng, packed=True):
     gen = rng.numpy_generator()
     bits, masks = {}, {}
     if packed:
         for pr in prims:
             if pr.size == 2:  # a one-coordinate mask is drawn like a bit
-                draw = gen.random(trials) < pr.probs[1]
+                words = _bernoulli_words(gen.bit_generator, pr.probs[1], trials)
+                if pr.key[0] == "mask":  # its outcome indices are the bits
+                    masks[pr.key] = _codes([words], trials).astype(np.intp)
+                else:
+                    bits[pr.key] = words
             else:
-                draw = gen.choice(pr.size, size=trials, p=np.asarray(pr.probs))
-            if pr.key[0] == "mask":
-                masks[pr.key] = np.asarray(draw, dtype=np.intp)
-            else:
-                bits[pr.key] = _to_words(draw)
+                masks[pr.key] = gen.choice(pr.size, size=trials, p=np.asarray(pr.probs))
     else:
         # a batch of one: one uniform per primitive, mapped to an outcome as
         # the calls above map it (``Generator.choice`` searches the

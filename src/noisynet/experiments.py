@@ -92,14 +92,6 @@ def render_csv(rows) -> str:
     return buf.getvalue()
 
 
-def parse_csv(text: str) -> list:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-    return [dict(zip(header, row)) for row in reader]
-
-
 # -- configuration -----------------------------------------------------------
 
 

@@ -162,10 +162,6 @@ def random_oblivious_tree(rng, spaces, depth: int, arity: int = 2):
     return _random_tree_for_levels(r, spaces, levels, arity), levels
 
 
-def random_tree_for_levels(rng, spaces, levels, arity: int = 2):
-    return _random_tree_for_levels(rng.spawn("tree"), spaces, levels, arity)
-
-
 def _random_tree_for_levels(r, spaces, levels, arity):
     """Full tree, one node per path; a node draws its branch from the
     substream of its depth-first pre-order number."""
@@ -185,20 +181,6 @@ def _random_tree_for_levels(r, spaces, levels, arity):
     if kids:
         kids[-1] = np.zeros_like(kids[-1])
     return Tree(levels, rows, [np.arange(len(rw)) for rw in rows], kids)
-
-
-def random_move_to_root_levels(rng, k: int, depth: int) -> list:
-    """A level sequence whose last block appears only at the last level."""
-    if k < 1 or depth < 1:
-        raise ValueError("need k >= 1 and depth >= 1")
-    r = rng.spawn("levels")
-    last = int(r.integers(k))
-    if k == 1:
-        # a single block can only satisfy the precondition at depth 1
-        return [0]
-    rest = [b for b in range(k) if b != last]
-    levels = [rest[int(r.spawn("l", i).integers(len(rest)))] for i in range(depth - 1)]
-    return levels + [last]
 
 
 def random_readonce_tree(rng, spaces, arity: int = 2):

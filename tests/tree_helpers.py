@@ -1,11 +1,12 @@
-"""Tree helpers the tests share: small block spaces, hand-built trees, a
-root-to-leaf walk, structural equality, the query-label cover check and
-tree files the loader must reject."""
+"""Tree helpers the tests share: small block spaces, hand-built and
+random trees, a root-to-leaf walk, structural equality, the query-label
+cover check and tree files the loader must reject."""
 
 import json
 
 import numpy as np
 
+from noisynet import random_instances as ri
 from noisynet.trees import BlockSpace, Tree, depth
 
 
@@ -41,6 +42,25 @@ def line_tree(levels, arity=2) -> Tree:
 def bit_tree(levels) -> Tree:
     """Deterministic binary tree over bit blocks: branch = identity."""
     return line_tree([(b, (0, 1)) for b in levels])
+
+
+def random_tree_for_levels(rng, spaces, levels, arity: int = 2) -> Tree:
+    """Full random tree over the given level blocks."""
+    return ri._random_tree_for_levels(rng.spawn("tree"), spaces, levels, arity)
+
+
+def random_move_to_root_levels(rng, k: int, depth: int) -> list:
+    """A level sequence whose last block appears only at the last level."""
+    if k < 1 or depth < 1:
+        raise ValueError("need k >= 1 and depth >= 1")
+    r = rng.spawn("levels")
+    last = int(r.integers(k))
+    if k == 1:
+        # a single block can only satisfy the precondition at depth 1
+        return [0]
+    rest = [b for b in range(k) if b != last]
+    levels = [rest[int(r.spawn("l", i).integers(len(rest)))] for i in range(depth - 1)]
+    return levels + [last]
 
 
 def evaluate(t, assignment) -> tuple:
