@@ -252,8 +252,6 @@ def _min_s_lhs_log2(S: float, eps: float, c_prime: float) -> float:
 def min_transmission_ratio(
     N: float,
     eps: float,
-    delta: float = 0.25,
-    c: float = 1.0,
     c_prime: float = 72.0,
     c_pp: float = 1.0,
     grid_ratio: float = 2 ** (1 / 16),

@@ -8,15 +8,17 @@ schedule with vectorized expression evaluation.  Primitives that no
 expression reads do not enlarge the grid, so the enumeration cost tracks
 the information the protocol uses rather than the raw receiver count.
 
-The grid is bit-sliced: each binary primitive is a column of packed
-``uint64`` words, 64 grid rows (or Monte-Carlo trials) per word, and
-expressions run on whole words with ``one = ONES`` (see :mod:`exprs`).
-Mask primitives keep one outcome index per row; a mask bit is packed the
-first time an expression reads it.  Outcome codes are unpacked for the
-first ``n`` rows only, so the pad rows of the last word never reach a
-law, and ``np.bincount`` adds the same weights in the same row order as
-an unpacked grid would.  ``execute`` runs the same schedule on Python
-ints with ``one = 1``: a batch of one.
+Every primitive is read as the big-endian bit columns of its outcome
+index (``_Primitive.columns``): a binary primitive is the one column of
+its key, a t-bit mask source the t columns ``("mask", src, j)``.  Each
+draw builder fills one dict of columns, and ``_Sim`` reads every random
+atom from it.  The grid is bit-sliced: a column is packed ``uint64``
+words, 64 grid rows (or Monte-Carlo trials) per word, and expressions
+run on whole words with ``one = ONES`` (see :mod:`exprs`).  Outcome
+codes are unpacked for the first ``n`` rows only, so the pad rows of the
+last word never reach a law, and ``np.bincount`` adds the same weights
+in the same row order as an unpacked grid would.  ``execute`` runs the
+same schedule on Python ints with ``one = 1``: a batch of one.
 
 The packed Monte-Carlo sampler draws each two-outcome primitive (a
 channel bit, a ``Rand`` or ``Noise`` bit, a one-coordinate mask) as
@@ -25,7 +27,8 @@ words from the stream's raw Philox output, with the law of
 bit per level, most significant first, one raw word per packed word with
 an undecided lane (:func:`_bernoulli_words`), about 7.3 raw words per 64
 trials instead of 64 doubles.  Wider masks go through
-``Generator.choice``; ``execute`` draws one ``random()`` per primitive.
+``Generator.choice``, their indices decoded into columns once;
+``execute`` draws one ``random()`` per primitive.
 
 The input assignment is the slowest grid axis: one ``_Sim`` pass runs
 many inputs, each own-input bit a packed column, and an exact channel is
@@ -50,7 +53,11 @@ from . import exprs, noise
 from .errors import CapExceeded
 from .protocol import InputRole, Protocol
 
-DEFAULT_CAP_BITS = 24
+#: Caps of exact enumeration: at most 2^CAP_BITS grid rows per input and
+#: 2^CAP_BITS law entries (inputs x outcome codes), over at most
+#: 2^MAX_INPUT_BITS input assignments.
+CAP_BITS = 24
+MAX_INPUT_BITS = 20
 #: Rows of (inputs x grid) in one exact pass.  A ``chain`` round runs
 #: about as fast with 2^24-row passes but peaks at 103 MB of RSS against
 #: 85 MB at 2^16 rows; one input per pass also peaks at 85 MB but takes
@@ -74,9 +81,26 @@ class _Primitive:
     def internal(self) -> bool:
         return self.key[0] != "chan"
 
+    @functools.cached_property
+    def columns(self) -> tuple:
+        """Keys of the big-endian bit columns of the outcome index: the key
+        itself for a binary primitive, ``("mask", src, j)`` for bit j of a
+        mask."""
+        if self.key[0] != "mask":
+            return (self.key,)
+        return tuple(self.key + (j,) for j in range(self.size.bit_length() - 1))
+
+    def decode(self, index) -> dict:
+        """Each column's bit of the outcome ``index`` (an int or index array)."""
+        w = len(self.columns)
+        return {col: noise.mask_bit(index, w, j) for j, col in enumerate(self.columns)}
+
 
 def _internal_key(node, atom) -> tuple:
-    """Primitive key of a ``Rand`` or ``Noise`` atom read by ``node``."""
+    """Column key of a ``Rand``, ``Noise`` or ``MaskBit`` atom read by
+    ``node``; for a ``Rand`` or ``Noise`` bit it is the primitive's key."""
+    if isinstance(atom, exprs.MaskBit):
+        return ("mask", atom.src, atom.j)
     return ("rand" if isinstance(atom, exprs.Rand) else "noise", node, atom.i)
 
 
@@ -145,62 +169,40 @@ def _column_words(stride: int, total: int) -> np.ndarray:
     return _to_words(np.arange(total) // stride % 2)
 
 
-class _Draws:
-    """Values of the random primitives over ``n`` rows.
-
-    ``bits`` holds each binary primitive's bits and ``masks`` each mask
-    source's outcome indices (keyed ``("mask", src)``).  Packed draws hold
-    the bits as words and ``one = ONES``; a batch of one holds Python ints
-    and ``one = 1``.
-    """
-
-    def __init__(self, p: Protocol, n: int, bits: dict, masks: dict, packed=True):
-        self.n = n
-        self.packed = packed
-        self.one = ONES if packed else 1
-        self.bits = bits
-        self.masks = masks
-        self._p = p
-        self._mask_bits: dict = {}
-
-    def mask_bit(self, src: int, j: int):
-        key = (src, j)
-        if key not in self._mask_bits:
-            t = self._p.mask_sources[src].table.t
-            col = noise.mask_bit(self.masks[("mask", src)], t, j)
-            self._mask_bits[key] = _to_words(col) if self.packed else int(col)
-        return self._mask_bits[key]
+def _grid_rows(prims) -> int:
+    """Rows of the joint outcome grid of ``prims``, at most 2^CAP_BITS."""
+    grid = math.prod(pr.size for pr in prims)
+    if grid > 2**CAP_BITS:
+        raise CapExceeded(f"enumeration size {grid} exceeds 2^{CAP_BITS}", size=grid)
+    return grid
 
 
 def _grid_weights(prims) -> np.ndarray:
     """Weight of each row of the joint outcome grid of ``prims`` (the first
     one varying slowest): 1.0 times its primitives' probabilities, in order."""
+    _grid_rows(prims)
     weights = np.ones(1)
     for pr in prims:
         weights = np.multiply.outer(weights, pr.probs).ravel()
     return weights
 
 
-def _enumeration_arrays(p: Protocol, prims, cap_bits: int, reps: int = 1) -> _Draws:
-    """Packed draws over ``reps`` copies of the joint outcome grid of
+def _enumeration_arrays(prims, reps: int = 1) -> dict:
+    """Packed bit columns over ``reps`` copies of the joint outcome grid of
     ``prims`` (the first one varying slowest); :func:`_grid_weights` gives
-    one grid's weights.  Every column's period divides the grid, so the
-    copies are the grid's rows again."""
-    grid = math.prod(pr.size for pr in prims)
-    if grid > 2**cap_bits:
-        raise CapExceeded(
-            f"enumeration size {grid} exceeds 2^{cap_bits}", size=grid
-        )
-    n = reps * grid
-    bits, masks = {}, {}
-    stride = grid
+    one grid's weights.  A w-bit primitive whose index steps every
+    ``stride`` rows has bit j flip every ``stride << (w - 1 - j)`` rows.
+    Every column's period divides the grid, so the copies are the grid's
+    rows again."""
+    stride = _grid_rows(prims)
+    n = reps * stride
+    bits = {}
     for pr in prims:
         stride //= pr.size
-        if pr.key[0] == "mask":
-            masks[pr.key] = np.arange(n) // stride % pr.size
-        else:
-            bits[pr.key] = _column_words(stride, n)
-    return _Draws(p, n, bits, masks)
+        w = len(pr.columns)
+        for j, col in enumerate(pr.columns):
+            bits[col] = _column_words(stride << (w - 1 - j), n)
+    return bits
 
 
 def _bernoulli_words(bitgen, p: float, trials: int) -> np.ndarray:
@@ -248,55 +250,44 @@ def _bernoulli_words(bitgen, p: float, trials: int) -> np.ndarray:
     return out
 
 
-def _sampled_arrays(p: Protocol, prims, trials: int, rng, packed=True):
+def _sampled_arrays(prims, trials: int, rng) -> dict:
+    """Packed bit columns of ``trials`` draws of ``prims``: a two-outcome
+    primitive (a one-coordinate mask too) straight from raw words, a wider
+    mask's ``Generator.choice`` indices decoded once."""
     gen = rng.numpy_generator()
-    bits, masks = {}, {}
-    if packed:
-        for pr in prims:
-            if pr.size == 2:  # a one-coordinate mask is drawn like a bit
-                words = _bernoulli_words(gen.bit_generator, pr.probs[1], trials)
-                if pr.key[0] == "mask":  # its outcome indices are the bits
-                    masks[pr.key] = _codes([words], trials).astype(np.intp)
-                else:
-                    bits[pr.key] = words
-            else:
-                masks[pr.key] = gen.choice(pr.size, size=trials, p=np.asarray(pr.probs))
-    else:
-        # a batch of one: one uniform per primitive, mapped to an outcome as
-        # the calls above map it (``Generator.choice`` searches the
-        # normalised cumulative sum), so the draws are the same
-        for pr, u in zip(prims, gen.random(len(prims)).tolist()):
-            if pr.size == 2:
-                draw = int(u < pr.probs[1])
-            else:
-                cdf = np.cumsum(pr.probs)
-                draw = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
-            (masks if pr.key[0] == "mask" else bits)[pr.key] = draw
-    rng.counter += trials * len(prims)
-    return _Draws(p, trials, bits, masks, packed)
+    bits = {}
+    for pr in prims:
+        if pr.size == 2:
+            bits[pr.columns[0]] = _bernoulli_words(gen.bit_generator, pr.probs[1], trials)
+        else:
+            index = gen.choice(pr.size, size=trials, p=np.asarray(pr.probs))
+            for col, col_bits in pr.decode(index).items():
+                bits[col] = _to_words(col_bits)
+    return bits
 
 
 # -- simulation -------------------------------------------------------------
 
 
 class _Sim:
-    """One run of the schedule over every row of ``draws``.
+    """One run of the schedule over every row of the bit columns ``bits``.
 
-    ``x_bits`` maps each input node to its bit in the draws' domain: a
-    0/1 int for a batch of one, packed words (one input per run of rows)
-    otherwise.
+    ``x_bits`` maps each input node to its bit, and ``one`` is the value
+    of a 1 bit, in the columns' domain: 0/1 ints and ``one = 1`` for a
+    batch of one, packed words (one input per run of rows) and
+    ``one = ONES`` otherwise.
     """
 
-    def __init__(self, p: Protocol, x_bits: dict, draws: _Draws):
+    def __init__(self, p: Protocol, x_bits: dict, bits: dict, one):
         self.p = p
         self.x_bits = x_bits
-        self.draws = draws
-        self.one = draws.one
+        self.bits = bits
+        self.one = one
         self.sent: list = []
         self._rx: dict = {}
 
     def value(self, node, atom):
-        """The bits of ``atom`` as ``node`` reads them, in the draws' domain."""
+        """The bits of ``atom`` as ``node`` reads them, in the columns' domain."""
         if isinstance(atom, exprs.Received):
             return self.rx_value(node, atom.t)
         if isinstance(atom, exprs.OwnInput):
@@ -304,9 +295,7 @@ class _Sim:
             if isinstance(role, InputRole):
                 return self.x_bits[node]
             return self.one if role.fixed_bit else 0
-        if isinstance(atom, exprs.MaskBit):
-            return self.draws.mask_bit(atom.src, atom.j)
-        return self.draws.bits[_internal_key(node, atom)]
+        return self.bits[_internal_key(node, atom)]
 
     def rx_value(self, node, t):
         key = (node, t)
@@ -324,7 +313,7 @@ class _Sim:
             elif eps == 1.0:
                 val = self.one ^ self.sent[t]
             else:
-                val = self.sent[t] ^ self.draws.bits[("chan", node, t)]
+                val = self.sent[t] ^ self.bits[("chan", node, t)]
         self._rx[key] = val
         return val
 
@@ -360,19 +349,25 @@ def _codes(values, n: int) -> np.ndarray:
 # -- input assignments ------------------------------------------------------
 
 
-def input_order(p: Protocol) -> list:
-    """Canonical input-node order: by (block, node index)."""
-    return [v for j, blk in sorted(p.blocks().items()) for v in blk]
+def input_order(p: Protocol) -> tuple:
+    """Canonical input-node order: by (block, node index).  Kept on the
+    protocol as ``_input_order``, as :func:`_collect_primitives` keeps its
+    table."""
+    if "_input_order" not in p.__dict__:
+        order = tuple(v for _j, blk in sorted(p.blocks().items()) for v in blk)
+        p.__dict__["_input_order"] = order
+    return p.__dict__["_input_order"]
 
 
-def all_input_assignments(p: Protocol, limit=2**20) -> list:
+def all_input_assignments(p: Protocol) -> list:
+    """Every input assignment, at most 2^MAX_INPUT_BITS of them."""
     order = input_order(p)
-    if 2 ** len(order) > limit:
-        raise CapExceeded(f"2^{len(order)} input assignments exceed the cap")
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(order)):
-        out.append(dict(zip(order, bits)))
-    return out
+    if len(order) > MAX_INPUT_BITS:
+        raise CapExceeded(
+            f"2^{len(order)} input assignments exceed 2^{MAX_INPUT_BITS}",
+            size=2 ** len(order),
+        )
+    return [dict(zip(order, bits)) for bits in itertools.product((0, 1), repeat=len(order))]
 
 
 def assignment_key(p: Protocol, x_bits: dict) -> tuple:
@@ -417,54 +412,46 @@ def _input_words(p: Protocol, inputs, rows: int) -> dict:
     }
 
 
-def _outcome_codes(p, x_bits, draws, outcome, probes=()) -> np.ndarray:
-    """Outcome code of each row of ``draws`` in one run of the schedule."""
-    sim = _Sim(p, x_bits, draws)
+def _outcome_codes(p, x_bits, bits, n, outcome, probes=()) -> np.ndarray:
+    """Outcome code of each of the first ``n`` rows of the packed columns
+    ``bits`` in one run of the schedule."""
+    sim = _Sim(p, x_bits, bits, ONES)
     output, probe_vals = sim.run(probes=probes)
     values = {"output": [output], "transcript": sim.sent, "probes": probe_vals}
-    return _codes(values[outcome], draws.n)
+    return _codes(values[outcome], n)
 
 
-def _exact_passes(
-    p: Protocol, prims, inputs, outcome="output", probes=(), cap_bits=DEFAULT_CAP_BITS
-):
+def _exact_passes(p: Protocol, prims, inputs, outcome="output", probes=()):
     """Yield ``(i, codes)`` per pass: the outcome codes of the inputs
     ``inputs[i:i + k]`` over the enumeration grid of ``prims``, the input
     varying slowest, so each input owns one contiguous run of grid rows."""
-    grid = math.prod(pr.size for pr in prims)
+    grid = _grid_rows(prims)
     per_pass = max(1, PASS_ROWS // grid)
-    draws = None
+    rows = bits = None
     for i in range(0, len(inputs), per_pass):
         chunk = inputs[i : i + per_pass]
-        if draws is None or draws.n != len(chunk) * grid:
-            draws = _enumeration_arrays(p, prims, cap_bits, reps=len(chunk))
+        if rows != len(chunk) * grid:
+            rows, bits = len(chunk) * grid, _enumeration_arrays(prims, reps=len(chunk))
         x_bits = _input_words(p, chunk, grid)
-        yield i, _outcome_codes(p, x_bits, draws, outcome, probes)
+        yield i, _outcome_codes(p, x_bits, bits, rows, outcome, probes)
 
 
-def exact_channel(
-    p: Protocol,
-    inputs=None,
-    outcome: str = "output",
-    probes=(),
-    cap_bits: int = DEFAULT_CAP_BITS,
-) -> Channel:
-    """Exact outcome law by enumerating all read random primitives, the
-    inputs as the slowest grid axis; at most ``2^cap_bits`` grid rows per
-    input and law entries in all."""
-    if inputs is None:
-        inputs = all_input_assignments(p)
+def exact_channel(p: Protocol, outcome: str = "output", probes=()) -> Channel:
+    """Exact outcome law over every input assignment by enumerating all
+    read random primitives, the inputs as the slowest grid axis; at most
+    2^CAP_BITS grid rows per input and law entries in all."""
+    inputs = all_input_assignments(p)
     width = 2 ** _outcome_bits(p, outcome, probes)
-    if len(inputs) * width > 2**cap_bits:
+    if len(inputs) * width > 2**CAP_BITS:
         raise CapExceeded(
-            f"law size {len(inputs)} x {width} exceeds 2^{cap_bits}",
+            f"law size {len(inputs)} x {width} exceeds 2^{CAP_BITS}",
             size=len(inputs) * width,
         )
     prims = _collect_primitives(p, probes=probes)
     weights = _grid_weights(prims)
     grid = len(weights)
     law = np.empty((len(inputs), width))
-    for i, codes in _exact_passes(p, prims, inputs, outcome, probes, cap_bits):
+    for i, codes in _exact_passes(p, prims, inputs, outcome, probes):
         k = len(codes) // grid
         index = np.repeat(np.arange(k) * width, grid) + codes
         law[i : i + k] = np.bincount(
@@ -484,8 +471,8 @@ def sampled_channel(
     prims = _collect_primitives(p)
     law = np.empty((len(inputs), width))
     for i, x_bits in enumerate(inputs):
-        draws = _sampled_arrays(p, prims, trials, rng.spawn("mc", i))
-        codes = _outcome_codes(p, _input_words(p, [x_bits], trials), draws, outcome)
+        bits = _sampled_arrays(prims, trials, rng.spawn("mc", i))
+        codes = _outcome_codes(p, _input_words(p, [x_bits], trials), bits, trials, outcome)
         law[i] = np.bincount(codes, minlength=width) / trials
     keys = [assignment_key(p, x_bits) for x_bits in inputs]
     return Channel(keys, law)
@@ -501,10 +488,21 @@ class ExecutionTrace:
 
 
 def execute(p: Protocol, x_bits: dict, rng) -> ExecutionTrace:
-    """Sample one full run: a batch of one through the Monte-Carlo sampler,
-    on Python ints (expressions evaluate faster on ints than on words)."""
-    draws = _sampled_arrays(p, _collect_primitives(p), 1, rng, packed=False)
-    sim = _Sim(p, x_bits, draws)
+    """Sample one full run: a batch of one on Python ints (expressions
+    evaluate faster on ints than on words).  One uniform per primitive is
+    mapped to an outcome as the packed sampler's draws are: a two-outcome
+    primitive is 1 iff u < p_1, a wider one takes the outcome
+    ``Generator.choice`` gives (it searches the normalised cumulative sum)."""
+    prims = _collect_primitives(p)
+    bits = {}
+    for pr, u in zip(prims, rng.numpy_generator().random(len(prims)).tolist()):
+        if pr.size == 2:
+            bits[pr.columns[0]] = int(u < pr.probs[1])
+        else:
+            cdf = np.cumsum(pr.probs)
+            index = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+            bits.update(pr.decode(index))
+    sim = _Sim(p, x_bits, bits, 1)
     output, _ = sim.run()
     return ExecutionTrace(sent=[int(b) for b in sim.sent], output=int(output))
 
@@ -527,7 +525,6 @@ def error_probability(
     method: str = "exact",
     trials: int = 100_000,
     rng=None,
-    cap_bits: int = DEFAULT_CAP_BITS,
     z: float = 3.0,
 ) -> ErrorEstimate:
     """Worst-case-over-inputs probability that the output differs from f.
@@ -535,9 +532,8 @@ def error_probability(
     ``f`` maps a canonical input bit tuple to {0, 1}.  The Monte-Carlo
     method reports the max of the per-input upper confidence bounds.
     """
-    inputs = all_input_assignments(p)
     if method == "exact":
-        ch = exact_channel(p, inputs, outcome="output", cap_bits=cap_bits)
+        ch = exact_channel(p)
         per_input = {
             key: 1.0 - vec[f(key)] for key, vec in zip(ch.keys, ch.law.tolist())
         }
@@ -547,7 +543,7 @@ def error_probability(
         raise ValueError("method must be 'exact' or 'mc'")
     if rng is None:
         raise ValueError("Monte-Carlo error estimation needs an rng stream")
-    ch = sampled_channel(p, inputs, trials, rng, outcome="output")
+    ch = sampled_channel(p, all_input_assignments(p), trials, rng)
     per_input = {}
     for key, vec in zip(ch.keys, ch.law.tolist()):
         err = 1.0 - vec[f(key)]

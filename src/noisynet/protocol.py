@@ -135,8 +135,12 @@ class Protocol:
                     raise ValueError(f"{where} reads rx[{atom.t}] (dangling index)")
                 if isinstance(atom, OwnInput) and atom.index != 0:
                     raise ValueError(f"{where} reads in[{atom.index}]; nodes hold one input bit")
-                if isinstance(atom, exprs.MaskBit) and atom.src >= len(self.mask_sources):
-                    raise ValueError(f"{where} reads unknown mask source")
+                if isinstance(atom, exprs.MaskBit):
+                    if atom.src >= len(self.mask_sources):
+                        raise ValueError(f"{where} reads unknown mask source")
+                    t = self.mask_sources[atom.src].table.t
+                    if not 0 <= atom.j < t:
+                        raise ValueError(f"{where} reads mask bit {atom.j} of a {t}-bit mask")
                 if isinstance(atom, exprs.Noise) and not 0.0 <= atom.eps <= 1.0:
                     raise ValueError(f"{where} noise eps = {atom.eps!r} is outside [0, 1]")
         if self.schedule and self.schedule[-1].sender != self.output_node:

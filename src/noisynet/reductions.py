@@ -39,7 +39,7 @@ from . import advantage as adv_mod
 from . import engine, exprs, trees
 from .errors import TreeCapExceeded
 from .exprs import Const, MaskBit, Noise, OwnInput, Received, Xor, mux
-from .noise import mask_bit, regen_table
+from .noise import regen_table
 from .protocol import (
     NOISY_COPY,
     SEMI_NOISY,
@@ -51,6 +51,8 @@ from .protocol import (
 )
 
 MAX_BLOCK_SPACE = 2**12
+#: Longest auxiliary transcript :func:`to_xnd_tree` unrolls.
+MAX_TREE_DEPTH = 16
 
 
 # -- stage 1: semi-noisy -----------------------------------------------------
@@ -179,20 +181,20 @@ def to_semi_noisy(p: Protocol):
     return p1, report
 
 
-def check_simulation_fidelity(p: Protocol, p1: Protocol, report, cap_bits=24):
+def check_simulation_fidelity(p: Protocol, p1: Protocol, report):
     """Max-over-inputs TV between the original received-bit law and the
     simulated one (input keys are matched positionally)."""
     orig_probes = [pr for pr, _ in report["probe_pairs"]]
     new_probes = [pr for _, pr in report["probe_pairs"]]
-    ch0 = engine.exact_channel(p, outcome="probes", probes=orig_probes, cap_bits=cap_bits)
-    ch1 = engine.exact_channel(p1, outcome="probes", probes=new_probes, cap_bits=cap_bits)
+    ch0 = engine.exact_channel(p, outcome="probes", probes=orig_probes)
+    ch1 = engine.exact_channel(p1, outcome="probes", probes=new_probes)
     return ch0.total_variation(ch1)
 
 
 # -- stage 2: noisy-copy -----------------------------------------------------
 
 
-def to_noisy_copy(p1: Protocol, d: int, f=None, mu=None, fix=True, cap_bits=24):
+def to_noisy_copy(p1: Protocol, d: int, f=None, mu=None, fix=True):
     """One epsilon^d broadcast per input node, masks regenerating the d
     epsilon-noisy copies, internal randomness fixed.
 
@@ -286,12 +288,12 @@ def to_noisy_copy(p1: Protocol, d: int, f=None, mu=None, fix=True, cap_bits=24):
     if fix and not p2.is_deterministic():
         if f is None or mu is None:
             raise ValueError("fixing randomness needs the target f and mu")
-        p2, fix_report = fix_randomness(p2, f, mu, cap_bits=cap_bits)
+        p2, fix_report = fix_randomness(p2, f, mu)
         report["fixed"] = fix_report
     return p2, report
 
 
-def fix_randomness(p: Protocol, f, mu, cap_bits=24):
+def fix_randomness(p: Protocol, f, mu):
     """Replace internal random atoms by the constants maximizing the
     exact output advantage; by averaging, the best fixing is at least
     as good as the randomized protocol.
@@ -304,10 +306,10 @@ def fix_randomness(p: Protocol, f, mu, cap_bits=24):
     external = [pr for pr in prims if not pr.internal]
     # one joint grid with the internal primitives varying slowest, so each
     # internal assignment owns a contiguous slab of external outcomes
+    grid = engine._grid_rows(prims)
     p_int = engine._grid_weights(internal)
     ext_weights = engine._grid_weights(external)
     n_assign, inner = len(p_int), len(ext_weights)
-    grid = n_assign * inner
     w_ext = np.tile(ext_weights, n_assign)
     support = [(x_key, px) for x_key, px in mu.items() if px != 0.0]
     order = engine.input_order(p)
@@ -318,7 +320,7 @@ def fix_randomness(p: Protocol, f, mu, cap_bits=24):
     # passes; each input's correlations are added in ``mu`` order
     corr = np.zeros(n_assign * 2)
     outer_codes = (np.arange(grid) // inner) * 2
-    passes = engine._exact_passes(p, internal + external, inputs, cap_bits=cap_bits)
+    passes = engine._exact_passes(p, internal + external, inputs)
     for i, codes in passes:
         k = len(codes) // grid
         index = np.repeat(np.arange(k) * n_assign * 2, grid)
@@ -334,14 +336,12 @@ def fix_randomness(p: Protocol, f, mu, cap_bits=24):
     # the internal grid is mixed-radix, first primitive slowest
     outcomes = np.unravel_index(r_star, [pr.size for pr in internal])
     chosen = {pr.key: int(out) for pr, out in zip(internal, outcomes)}
+    bits = {col: b for pr in internal for col, b in pr.decode(chosen[pr.key]).items()}
 
     def subst_for(node):
         def m(atom):
-            if isinstance(atom, (exprs.Rand, Noise)):
-                return Const(chosen[engine._internal_key(node, atom)])
-            if isinstance(atom, MaskBit):
-                t = p.mask_sources[atom.src].table.t
-                return Const(mask_bit(chosen[("mask", atom.src)], t, atom.j))
+            if isinstance(atom, (exprs.Rand, Noise, MaskBit)):
+                return Const(bits[engine._internal_key(node, atom)])
             return None
 
         return m
@@ -401,7 +401,7 @@ class XndTreeArtifact:
         return out
 
 
-def to_xnd_tree(p2: Protocol, mu_blocks=None, max_depth=16) -> XndTreeArtifact:
+def to_xnd_tree(p2: Protocol, mu_blocks=None) -> XndTreeArtifact:
     """Unroll the auxiliary transcript of a deterministic noisy-copy
     protocol into an oblivious binary decision tree.
 
@@ -436,8 +436,10 @@ def to_xnd_tree(p2: Protocol, mu_blocks=None, max_depth=16) -> XndTreeArtifact:
         else:
             aux_sched.append((t, tr))
     T = len(aux_sched)
-    if T > max_depth:
-        raise TreeCapExceeded(f"transcript length {T} exceeds the tree cap")
+    if T > MAX_TREE_DEPTH:
+        raise TreeCapExceeded(
+            f"transcript length {T} exceeds the tree cap {MAX_TREE_DEPTH}", size=T
+        )
     if T == 0:
         raise ValueError("protocol has no auxiliary transcript")
     aux_new_index = {t: i for i, (t, _tr) in enumerate(aux_sched)}
@@ -494,8 +496,11 @@ def to_xnd_tree(p2: Protocol, mu_blocks=None, max_depth=16) -> XndTreeArtifact:
         nodes = blocks[j]
         nb = len(nodes)
         nz = len(lambdas[b])
-        if 2 ** (nb * (1 + nz)) > MAX_BLOCK_SPACE:
-            raise TreeCapExceeded(f"block {j} extended value space too large")
+        space = 2 ** (nb * (1 + nz))
+        if space > MAX_BLOCK_SPACE:
+            raise TreeCapExceeded(
+                f"block {j} value space {space} exceeds {MAX_BLOCK_SPACE}", size=space
+            )
         mu_j = mu_blocks[b]
         values, probs, hs, pzs = [], [], [], []
         for x in itertools.product((0, 1), repeat=nb):
@@ -568,14 +573,14 @@ def to_xnd_tree(p2: Protocol, mu_blocks=None, max_depth=16) -> XndTreeArtifact:
     )
 
 
-def check_leaf_law(p2: Protocol, art: XndTreeArtifact, cap_bits=24) -> float:
+def check_leaf_law(p2: Protocol, art: XndTreeArtifact) -> float:
     """Max-over-inputs TV between the protocol's auxiliary transcript law
     and the tree's leaf law."""
     probes = []
     for t, tr in enumerate(p2.schedule):
         if isinstance(p2.roles[tr.sender], AuxRole):
             probes.append((tr.sender, tr.expr))
-    ch = engine.exact_channel(p2, outcome="probes", probes=probes, cap_bits=cap_bits)
+    ch = engine.exact_channel(p2, outcome="probes", probes=probes)
     tree_law = np.zeros_like(ch.law)
     for i, key in enumerate(ch.keys):
         for path, prob in trees.leaf_law(art.root, art.conditionals_for(key)).items():
@@ -589,8 +594,8 @@ def check_leaf_law(p2: Protocol, art: XndTreeArtifact, cap_bits=24) -> float:
 # -- full chain --------------------------------------------------------------
 
 
-def stage_advantage(p: Protocol, f, mu, cap_bits=24) -> float:
-    ch = engine.exact_channel(p, cap_bits=cap_bits)
+def stage_advantage(p: Protocol, f, mu) -> float:
+    ch = engine.exact_channel(p)
     return adv_mod.advantage_exact(ch, f, mu).value
 
 
@@ -600,7 +605,6 @@ def protocol_to_read_once(
     mu_blocks=None,
     D=None,
     alpha_c: float = 1.0,
-    cap_bits: int = 24,
 ):
     """Full chain to a read-once noisy tree with stage-wise advantages
     and per-collapsed-query certificates.
@@ -626,11 +630,11 @@ def protocol_to_read_once(
         mu_list = list(mu_blocks)
     mu = adv_mod.product_distribution(mu_list)
 
-    adv0 = stage_advantage(p, f, mu, cap_bits)
+    adv0 = stage_advantage(p, f, mu)
     p1, rep1 = to_semi_noisy(p)
-    adv1 = stage_advantage(p1, f, mu, cap_bits)
-    p2, rep2 = to_noisy_copy(p1, d, f=f, mu=mu, cap_bits=cap_bits)
-    adv2 = stage_advantage(p2, f, mu, cap_bits)
+    adv1 = stage_advantage(p1, f, mu)
+    p2, rep2 = to_noisy_copy(p1, d, f=f, mu=mu)
+    adv2 = stage_advantage(p2, f, mu)
     art = to_xnd_tree(p2, mu_blocks=mu_list)
     ordered, cert = trees.reorder(art.root, art.spaces)
     # each step logs the advantage before it; the last entry, the ordered

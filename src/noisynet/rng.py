@@ -6,8 +6,6 @@ identified by a 64-bit seed and a key tuple (domain tag plus integer
 indices); the Philox key is derived by hashing both, so streams with
 distinct keys are statistically independent and a given (seed, key) pair
 always reproduces the same sequence of draws regardless of thread schedule.
-``RngStream.counter`` only tallies the values a stream has drawn: it does
-not address a draw, and setting it does not move the stream.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ class RngStream:
         self.key = tuple(key)
         self._bitgen = np.random.Philox(key=_derive_key(self.seed, self.key))
         self._gen = np.random.Generator(self._bitgen)
-        self.counter = 0
 
     def spawn(self, *subkey) -> "RngStream":
         """Independent substream keyed by ``key + subkey``."""
@@ -69,26 +66,17 @@ class RngStream:
     def bernoulli(self, p: float, size=None):
         """Draw Bernoulli(p) bits as ints (scalar) or a uint8 array."""
         if size is None:
-            self.counter += 1
             return int(self._gen.random() < p)
-        out = (self._gen.random(size) < p).astype(np.uint8)
-        self.counter += int(np.prod(size))
-        return out
+        return (self._gen.random(size) < p).astype(np.uint8)
 
     def random(self, size=None):
-        if size is None:
-            self.counter += 1
-        else:
-            self.counter += int(np.prod(size))
         return self._gen.random(size)
 
     def integers(self, low, high=None, size=None):
-        self.counter += 1 if size is None else int(np.prod(size))
         return self._gen.integers(low, high, size=size)
 
     def choice_index(self, probs) -> int:
         """Sample an index from an explicit probability vector."""
-        self.counter += 1
         r = self._gen.random()
         acc = 0.0
         for i, p in enumerate(probs):
@@ -102,4 +90,4 @@ class RngStream:
         return self._gen
 
     def __repr__(self):
-        return f"RngStream(seed={self.seed}, key={self.key}, counter={self.counter})"
+        return f"RngStream(seed={self.seed}, key={self.key})"

@@ -161,11 +161,9 @@ def is_read_once(t) -> bool:
 
 
 def count_paths(t) -> int:
-    total = 1
-    for a in t.arities:
-        total *= a
-        if total > MAX_TREE_PATHS:
-            raise TreeCapExceeded(f"tree has more than {MAX_TREE_PATHS} paths")
+    total = math.prod(t.arities)
+    if total > MAX_TREE_PATHS:
+        raise TreeCapExceeded(f"{total} tree paths exceed {MAX_TREE_PATHS}", size=total)
     return total
 
 
@@ -383,8 +381,11 @@ def merge_superqueries(t):
     record, rows, row_of, kids, i = [], [], [], [], 0
     for _b, n_levels in runs:
         ar = t.arities[i : i + n_levels]
-        if math.prod(ar) > MAX_TREE_PATHS:
-            raise TreeCapExceeded("superquery outcome space too large")
+        space = math.prod(ar)
+        if space > MAX_TREE_PATHS:
+            raise TreeCapExceeded(
+                f"superquery outcome space {space} exceeds {MAX_TREE_PATHS}", size=space
+            )
         record.append((t.blocks[i], ar))
         if n_levels == 1:
             rows.append(t.rows[i])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from noisynet import random_instances as ri, reductions, trees
 from noisynet.cli import main
+from noisynet.noise import regen_table
 from noisynet.protocol import protocol_from_text, protocol_to_text, star_xor
 from noisynet.rng import RngStream
 from tree_helpers import BAD_TREE_TEXTS, bit_tree, uniform_bit_space
@@ -223,6 +224,32 @@ def test_own_input_index_other_than_zero_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "p.txt"
     for body, want in ((_NOISY_TEXT, 0), (text, 1)):
         path.write_text(body)
+        code, _out, err = run(
+            capsys, "run-protocol", "--builder", "file", "--protocol-file", str(path)
+        )
+        assert code == want, err
+
+
+def _mask_text(j):
+    return f"""nodes 2
+eps 0.1
+node 0 input block=1
+node 1 aux fix=0
+edge 0 1
+masksrc 1 {regen_table(2, 0.1).to_json()}
+tx 0 := in
+tx 1 := xor(rx[0],mask[0,{j}])
+out 1 := xor(rx[0],mask[0,{j}])
+"""
+
+
+def test_mask_bit_outside_its_mask_is_invalid_input(tmp_path, capsys):
+    protocol_from_text(_mask_text(1))
+    with pytest.raises(ValueError, match="mask bit 7 of a 2-bit mask"):
+        protocol_from_text(_mask_text(7))
+    path = tmp_path / "p.txt"
+    for j, want in ((1, 0), (7, 1)):
+        path.write_text(_mask_text(j))
         code, _out, err = run(
             capsys, "run-protocol", "--builder", "file", "--protocol-file", str(path)
         )

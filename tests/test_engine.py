@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from noisynet import engine, random_instances as ri, reductions
+from noisynet import engine, noise, random_instances as ri, reductions
+from noisynet.errors import CapExceeded
 from noisynet.engine import (
     Channel,
     error_probability,
@@ -166,6 +167,22 @@ def test_grid_column_words_unpack_to_the_column(stride, total):
     assert np.array_equal(engine._codes([words], total), rows // stride % 2)
 
 
+def test_enumeration_columns_are_the_big_endian_bits_of_each_index():
+    prims = [
+        engine._Primitive(("mask", 0), (0.25,) * 4),
+        engine._Primitive(("rand", 1, 0), (0.5, 0.5)),
+        engine._Primitive(("mask", 1), (0.125,) * 8),
+    ]
+    assert prims[2].columns == (("mask", 1, 0), ("mask", 1, 1), ("mask", 1, 2))
+    bits = engine._enumeration_arrays(prims, reps=3)
+    rows = np.arange(3 * 64)
+    for pr, stride in zip(prims, (16, 8, 1)):  # the first primitive slowest
+        index = rows // stride % pr.size
+        for j, col in enumerate(pr.columns):
+            got = engine._codes([bits[col]], len(rows))
+            assert np.array_equal(got, noise.mask_bit(index, len(pr.columns), j))
+
+
 def test_sampled_channel_rejects_zero_trials():
     p = star_xor(1, reps=1, eps=0.1)
     with pytest.raises(ValueError, match="trials"):
@@ -235,8 +252,10 @@ def test_execute_law_matches_exact_law(case):
         _assert_counts_in_binomial_range(sent, transcripts.law[i], trials)
 
 
-def test_sampled_channel_law_with_one_coordinate_masks():
-    p = _law_case("noisy_copy_d1")
+@pytest.mark.parametrize("case", ["noisy_copy_d1", "noisy_copy"])
+def test_sampled_channel_law_with_masks(case):
+    """One-coordinate masks are drawn like bits, wider ones by index."""
+    p = _law_case(case)
     exact = exact_channel(p)
     trials = 2000
     mc = sampled_channel(p, engine.all_input_assignments(p), trials, RngStream(29))
@@ -244,6 +263,24 @@ def test_sampled_channel_law_with_one_coordinate_masks():
     for freqs, row in zip(mc.law.tolist(), exact.law):
         counts = Counter({c: round(f * trials) for c, f in enumerate(freqs) if f})
         _assert_counts_in_binomial_range(counts, row, trials)
+
+
+#: sha256 of the transcript laws ``sampled_channel`` estimates from 2000
+#: trials per input: one-coordinate (``noisy_copy_d1``) and two-coordinate
+#: (``noisy_copy``) regeneration masks on the packed path
+_SAMPLED_LAW_SHA256 = {
+    "noisy_copy": "d1b4351857e379bb1ec6bbf99855e364db67224c9bb9c3199aff2936fb870ac9",
+    "noisy_copy_d1": "7136980610e6f0be50a46e8afe9ed717fa48beebc121fb3d7fd24a4dba903ead",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SAMPLED_LAW_SHA256))
+def test_sampled_channel_laws_are_pinned(case):
+    p = _law_case(case)
+    xs = engine.all_input_assignments(p)
+    rng = RngStream(37, ("law-pin", case))
+    law = sampled_channel(p, xs, 2000, rng, outcome="transcript").law
+    assert hashlib.sha256(law.tobytes()).hexdigest() == _SAMPLED_LAW_SHA256[case]
 
 
 def test_error_probability_mc_needs_rng():
@@ -463,6 +500,25 @@ def test_sampled_channel_repeats_under_a_seed_and_key():
     assert not np.array_equal(a.law, c.law)
 
 
+def test_caps_report_their_size(monkeypatch):
+    with pytest.raises(CapExceeded) as info:
+        exact_channel(star_xor(21))  # 2^21 input assignments
+    assert info.value.size == 2**21
+    p = star_xor(2, reps=2, eps=0.2)
+    grid = math.prod(pr.size for pr in engine._collect_primitives(p))
+    assert grid == 16
+    monkeypatch.setattr(engine, "CAP_BITS", 2)  # a law of 4 inputs x 2 codes
+    with pytest.raises(CapExceeded) as info:
+        exact_channel(p)
+    assert info.value.size == 8
+    monkeypatch.setattr(engine, "CAP_BITS", 3)  # the law fits, the grid not
+    with pytest.raises(CapExceeded) as info:
+        exact_channel(p)
+    assert info.value.size == grid
+    monkeypatch.setattr(engine, "CAP_BITS", 4)
+    assert exact_channel(p).law.shape == (4, 2)
+
+
 def test_primitive_table_is_kept_per_protocol():
     p = star_xor(2, reps=2, eps=0.2)
     table = engine._collect_primitives(p)
@@ -470,3 +526,6 @@ def test_primitive_table_is_kept_per_protocol():
     assert engine._collect_primitives(p.with_(eps=0.3)) is not table
     probe = [(p.output_node, p.output_expr)]
     assert engine._collect_primitives(p, probe) == table
+    order = engine.input_order(p)
+    assert engine.input_order(p) is order and order == (0, 1)
+    assert engine.input_order(p.with_(eps=0.3)) is not order

@@ -6,6 +6,7 @@ import pytest
 
 from noisynet import advantage as adv
 from noisynet import engine, random_instances as ri, reductions, trees
+from noisynet.errors import TreeCapExceeded
 from noisynet.exprs import OwnInput, Received, Xor
 from noisynet.protocol import (
     NOISY_COPY,
@@ -189,6 +190,15 @@ def test_xnd_tree_leaf_law_matches_protocol():
         p2, art, _mu = chain_to_tree(p, ri.max_input_sends(p))
         tv = reductions.check_leaf_law(p2, art)
         assert tv <= 1e-12, (i, tv)
+
+
+def test_tree_depth_cap_reports_the_depth(monkeypatch):
+    p2, art, _mu = chain_to_tree(star_xor(2, reps=2, eps=0.2), 2)
+    depth = art.report["depth"]
+    monkeypatch.setattr(reductions, "MAX_TREE_DEPTH", depth - 1)
+    with pytest.raises(TreeCapExceeded) as info:
+        reductions.to_xnd_tree(p2)
+    assert info.value.size == depth
 
 
 def test_xnd_tree_advantage_at_least_protocol():

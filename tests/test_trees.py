@@ -132,8 +132,9 @@ def test_construction_rejects_inconsistent_levels():
 
 def test_count_paths_cap():
     t = bit_tree([0] * 17)
-    with pytest.raises(TreeCapExceeded):
+    with pytest.raises(TreeCapExceeded) as info:
         count_paths(t)
+    assert info.value.size == 2**17
 
 
 def test_evaluate_walks_branches():
