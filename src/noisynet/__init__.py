@@ -32,7 +32,7 @@ from .errors import (
     UndersizedCell,
 )
 from .experiments import ExperimentConfig, ResultRow, emit, run_experiment
-from .noise import RegenTable, iid_noisy_law, noisy_copy, regen_output_law, regen_table
+from .noise import RegenTable, iid_noisy_law, regen_output_law, regen_table
 from .planar import (
     Decomposition,
     PlanarNetwork,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class AdvantageEstimate:
     level: float | None = None
     seed_record: dict | None = None
     weighting: np.ndarray | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def advantage_exact(ch: Channel, f, mu: dict) -> AdvantageEstimate:

@@ -19,7 +19,6 @@ from .errors import NoisyNetError
 from .protocol import (
     protocol_from_text,
     protocol_to_text,
-    repetition_majority_parity,
     star_xor,
 )
 from .rng import RngStream

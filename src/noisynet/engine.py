@@ -472,7 +472,9 @@ def sampled_channel(
     law = np.empty((len(inputs), width))
     for i, x_bits in enumerate(inputs):
         bits = _sampled_arrays(prims, trials, rng.spawn("mc", i))
-        codes = _outcome_codes(p, _input_words(p, [x_bits], trials), bits, trials, outcome)
+        # each input bit is the same in every trial: a constant word
+        own = {v: ONES if x_bits[v] else 0 for v in input_order(p)}
+        codes = _outcome_codes(p, own, bits, trials, outcome)
         law[i] = np.bincount(codes, minlength=width) / trials
     keys = [assignment_key(p, x_bits) for x_bits in inputs]
     return Channel(keys, law)

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 
 
 class Expr:
@@ -238,53 +239,57 @@ def substitute(expr: Expr, mapping) -> Expr:
         return expr if repl is None else repl
     if isinstance(expr, Not):
         return Not(substitute(expr.arg, mapping))
-    if isinstance(expr, Xor):
-        return Xor(tuple(substitute(a, mapping) for a in expr.args))
-    if isinstance(expr, And):
-        return And(tuple(substitute(a, mapping) for a in expr.args))
-    if isinstance(expr, Or):
-        return Or(tuple(substitute(a, mapping) for a in expr.args))
-    if isinstance(expr, Maj):
-        return Maj(tuple(substitute(a, mapping) for a in expr.args))
-    if isinstance(expr, Thresh):
-        return Thresh(tuple(substitute(a, mapping) for a in expr.args), expr.k)
-    if isinstance(expr, Table):
-        return Table(tuple(substitute(a, mapping) for a in expr.args), expr.table)
+    if isinstance(expr, (Xor, And, Or, Maj, Thresh, Table)):
+        args = tuple(substitute(a, mapping) for a in expr.args)
+        if isinstance(expr, Thresh):
+            return Thresh(args, expr.k)
+        if isinstance(expr, Table):
+            return Table(args, expr.table)
+        return type(expr)(args)
     raise TypeError(f"not an expression: {expr!r}")
 
 
 # --- textual form -----------------------------------------------------------
 
+#: The text name of each form.  An atom is written ``name[f1,f2]`` (input 0
+#: as bare ``in``); ``const`` and ``not`` take their one field in
+#: parentheses; a connective is ``name(``, its leading field and ``;``
+#: (``thresh``'s k, ``table``'s bits), its arguments between commas, ``)``.
+NAMES = {
+    OwnInput: "in", Received: "rx", Rand: "rand", Noise: "noise", MaskBit: "mask",
+    Const: "const", Not: "not", Xor: "xor", And: "and", Or: "or", Maj: "maj",
+    Thresh: "thresh", Table: "table",
+}
+_FORMS = {name: cls for cls, name in NAMES.items()}
+#: Each form's fields other than ``args``, as (name, annotation) pairs
+_FIELDS = {
+    cls: [(f.name, f.type) for f in fields(cls) if f.name != "args"] for cls in NAMES
+}
+_INT = re.compile("[0-9]+")
+_BITS = re.compile("[01]*")
+
 
 def to_text(expr: Expr) -> str:
-    if isinstance(expr, Const):
-        return f"const({expr.value})"
-    if isinstance(expr, OwnInput):
-        return "in" if expr.index == 0 else f"in[{expr.index}]"
-    if isinstance(expr, Received):
-        return f"rx[{expr.t}]"
-    if isinstance(expr, Rand):
-        return f"rand[{expr.i}]"
-    if isinstance(expr, Noise):
-        return f"noise[{expr.i},{float(expr.eps)!r}]"
-    if isinstance(expr, MaskBit):
-        return f"mask[{expr.src},{expr.j}]"
-    if isinstance(expr, Not):
-        return f"not({to_text(expr.arg)})"
-    if isinstance(expr, Xor):
-        return "xor(" + ",".join(to_text(a) for a in expr.args) + ")"
-    if isinstance(expr, And):
-        return "and(" + ",".join(to_text(a) for a in expr.args) + ")"
-    if isinstance(expr, Or):
-        return "or(" + ",".join(to_text(a) for a in expr.args) + ")"
-    if isinstance(expr, Maj):
-        return "maj(" + ",".join(to_text(a) for a in expr.args) + ")"
-    if isinstance(expr, Thresh):
-        return f"thresh({expr.k};" + ",".join(to_text(a) for a in expr.args) + ")"
-    if isinstance(expr, Table):
-        bits = "".join(str(b) for b in expr.table)
-        return f"table({bits};" + ",".join(to_text(a) for a in expr.args) + ")"
-    raise TypeError(f"not an expression: {expr!r}")
+    cls = type(expr)
+    if cls not in NAMES:
+        raise TypeError(f"not an expression: {expr!r}")
+    vals = [_field_text(getattr(expr, name), kind) for name, kind in _FIELDS[cls]]
+    if cls in ATOMS:
+        return "in" if expr == OwnInput(0) else f"{NAMES[cls]}[{','.join(vals)}]"
+    if cls in (Const, Not):
+        return f"{NAMES[cls]}({vals[0]})"
+    lead = "".join(v + ";" for v in vals)
+    return f"{NAMES[cls]}({lead}{','.join(map(to_text, expr.args))})"
+
+
+def _field_text(value, kind: str) -> str:
+    if kind == "Expr":
+        return to_text(value)
+    if kind == "float":
+        return repr(float(value))
+    if kind == "tuple":  # a truth table's bits
+        return "".join(map(str, value))
+    return str(value)
 
 
 class ExprSyntaxError(ValueError):
@@ -307,12 +312,6 @@ class _Parser:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return e
-
     def word(self) -> str:
         start = self.pos
         while self.peek() and (self.peek().isalnum() or self.peek() in "._"):
@@ -330,92 +329,55 @@ class _Parser:
         except ValueError:
             self.error("bad number")
 
-    def int_index(self) -> int:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        if start == self.pos:
+    def field(self, kind: str):
+        if kind == "Expr":
+            return self.expr()
+        if kind == "float":
+            return self.number()
+        m = (_BITS if kind == "tuple" else _INT).match(self.text, self.pos)
+        if m is None:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        self.pos = m.end()
+        return tuple(map(int, m[0])) if kind == "tuple" else int(m[0])
 
-    def arg_list(self) -> tuple:
+    def expr(self) -> Expr:
+        name = self.word()
+        cls = _FORMS.get(name)
+        if cls is None:
+            self.error(f"unknown form {name!r}")
+        kinds = [kind for _, kind in _FIELDS[cls]]
+        if cls in ATOMS:
+            if cls is OwnInput and self.peek() != "[":
+                return OwnInput(0)
+            vals = []
+            for kind in kinds:
+                self.expect("," if vals else "[")
+                vals.append(self.field(kind))
+            self.expect("]")
+            return cls(*vals)
+        self.expect("(")
+        if cls in (Const, Not):
+            val = self.field(kinds[0])
+            self.expect(")")
+            if cls is Const and val not in (0, 1):
+                self.error("const must be 0 or 1")
+            return cls(val)
+        lead = []
+        for kind in kinds:
+            lead.append(self.field(kind))
+            self.expect(";")
         args = [self.expr()]
         while self.peek() == ",":
             self.pos += 1
             args.append(self.expr())
-        return tuple(args)
-
-    def expr(self) -> Expr:
-        name = self.word()
-        if name == "in":
-            if self.peek() == "[":
-                self.pos += 1
-                idx = self.int_index()
-                self.expect("]")
-                return OwnInput(idx)
-            return OwnInput(0)
-        if name == "rx":
-            self.expect("[")
-            t = self.int_index()
-            self.expect("]")
-            return Received(t)
-        if name == "rand":
-            self.expect("[")
-            i = self.int_index()
-            self.expect("]")
-            return Rand(i)
-        if name == "noise":
-            self.expect("[")
-            i = self.int_index()
-            self.expect(",")
-            eps = self.number()
-            self.expect("]")
-            return Noise(i, eps)
-        if name == "mask":
-            self.expect("[")
-            src = self.int_index()
-            self.expect(",")
-            j = self.int_index()
-            self.expect("]")
-            return MaskBit(src, j)
-        if name == "const":
-            self.expect("(")
-            v = self.int_index()
-            self.expect(")")
-            if v not in (0, 1):
-                self.error("const must be 0 or 1")
-            return Const(v)
-        if name == "not":
-            self.expect("(")
-            a = self.expr()
-            self.expect(")")
-            return Not(a)
-        if name in ("xor", "and", "or", "maj"):
-            self.expect("(")
-            args = self.arg_list()
-            self.expect(")")
-            cls = {"xor": Xor, "and": And, "or": Or, "maj": Maj}[name]
-            return cls(args)
-        if name == "thresh":
-            self.expect("(")
-            k = self.int_index()
-            self.expect(";")
-            args = self.arg_list()
-            self.expect(")")
-            return Thresh(args, k)
-        if name == "table":
-            self.expect("(")
-            start = self.pos
-            while self.peek() in "01":
-                self.pos += 1
-            bits = tuple(int(b) for b in self.text[start:self.pos])
-            self.expect(";")
-            args = self.arg_list()
-            self.expect(")")
-            return Table(args, bits)
-        self.error(f"unknown form {name!r}")
+        self.expect(")")  # before the constructor: a Table checks its arity
+        return cls(tuple(args), *lead)
 
 
 def parse(text: str) -> Expr:
     """Parse the textual expression syntax emitted by :func:`to_text`."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    expr = parser.expr()
+    if parser.pos != len(parser.text):
+        parser.error("trailing input")
+    return expr

@@ -2,9 +2,9 @@
 
 The channel model is the exact-epsilon binary symmetric channel: a
 transmitted bit is received XORed with an independent Bernoulli(eps) flip.
-On top of the channel primitives this module provides the noise
-regeneration sampler: given a single gamma-noisy copy of a source bit with
-gamma = eps**t, it emits t bits whose joint law equals t independent
+On top of it this module provides the noise regeneration law: a single
+gamma-noisy copy of a source bit with gamma = eps**t, XORed with a t-bit
+mask drawn from it, gives t bits whose joint law equals t independent
 eps-noisy copies of the source.  The regeneration mask distribution is
 obtained by solving, for each complementary pair of masks (u, ~u),
 
@@ -28,18 +28,11 @@ import math
 
 import numpy as np
 
-from .rng import RngStream
-
 #: Largest supported regeneration block: the engine enumerates all 2^t
 #: outcomes of a mask source.
 MAX_REGEN_T = 20
 
 _PAIR_TOL = 1e-12
-
-
-def noisy_copy(b: int, eps: float, rng: RngStream) -> int:
-    """Return ``b`` XOR an independent Bernoulli(eps) flip (one rng draw)."""
-    return int(b) ^ rng.bernoulli(eps)
 
 
 def mask_bit(index, t: int, j: int):
@@ -51,7 +44,7 @@ def mask_bit(index, t: int, j: int):
 
 
 class RegenTable:
-    """Mask distribution over {0,1}^t used by :func:`regenerate`.
+    """Regeneration mask distribution over {0,1}^t.
 
     ``p_w[w]`` is the probability of each mask of weight w.  The table
     satisfies, for every weight w and gamma = eps**t,
@@ -145,23 +138,13 @@ def regen_table(t: int, eps: float) -> RegenTable:
     return RegenTable(t, eps, [(1 - eps) + eps, 0.0])
 
 
-def regenerate(c: int, table: RegenTable, rng: RngStream) -> tuple:
-    """Expand one gamma-noisy copy into ``t`` eps-noisy copies.
-
-    ``c`` must be a gamma-noisy copy of the source with gamma = eps**t;
-    under that precondition the output law equals t independent eps-noisy
-    copies of the source bit.
-    """
-    index = rng.choice_index(table.index_probs)
-    return tuple(int(c) ^ mask_bit(index, table.t, j) for j in range(table.t))
-
-
 def regen_output_law(c_law: dict, table: RegenTable) -> np.ndarray:
-    """Exact output law of :func:`regenerate` for an input bit law.
+    """Exact law of the t bits ``c`` XOR mask, the mask drawn from
+    ``table``, for an input bit law.
 
     ``c_law`` maps bit -> probability; the result is the probability of
     each of the 2^t output codes (big-endian, as outcome indices are).
-    Used by tests to compare against the iid product law by enumeration.
+    E4 and the tests compare it with :func:`iid_noisy_law`.
     """
     probs = np.array(table.index_probs)
     out = np.zeros(len(probs))

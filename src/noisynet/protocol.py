@@ -240,6 +240,28 @@ def check_bounded_counts(tx_counts: dict, dec, d: float, D: float) -> dict:
 # -- reference protocol builders -------------------------------------------
 
 
+def _repeat(schedule: list, sender: int, expr: Expr, r: int) -> Expr:
+    """Append ``r`` transmissions of ``expr`` by ``sender``; return what a
+    receiver decodes from them: the one received bit, or their majority."""
+    first = len(schedule)
+    schedule.extend(Transmission(sender=sender, expr=expr) for _ in range(r))
+    received = tuple(Received(t) for t in range(first, first + r))
+    return Maj(received) if r > 1 else received[0]
+
+
+def _xor(decoded: list) -> Expr:
+    return Xor(tuple(decoded)) if len(decoded) > 1 else decoded[0]
+
+
+def _block_roles(dec, n_nodes: int) -> dict:
+    """Input block roles for ``dec``'s input nodes, then the fixed-input
+    auxiliary role for every other node of ``range(n_nodes)``."""
+    roles = {v: InputRole(j) for j, blk in enumerate(dec.input_blocks, 1) for v in blk}
+    for v in range(n_nodes):
+        roles.setdefault(v, AuxRole(dec.fixed_bit))
+    return roles
+
+
 def star_xor(n: int, reps: int = 1, eps: float = 0.1) -> Protocol:
     """n leaves broadcast their bit ``reps`` times; the center XORs the
     majority-decoded values and announces the result."""
@@ -249,18 +271,7 @@ def star_xor(n: int, reps: int = 1, eps: float = 0.1) -> Protocol:
     roles = {i: InputRole(1) for i in range(n)}
     roles[center] = AuxRole(0)
     schedule = []
-    rx_of_leaf = {}
-    for leaf in range(n):
-        rx_of_leaf[leaf] = list(range(len(schedule), len(schedule) + reps))
-        for _ in range(reps):
-            schedule.append(Transmission(sender=leaf, expr=OwnInput(0)))
-    decoded = [
-        Maj(tuple(Received(t) for t in rx_of_leaf[leaf]))
-        if reps > 1
-        else Received(rx_of_leaf[leaf][0])
-        for leaf in range(n)
-    ]
-    out_expr = Xor(tuple(decoded)) if n > 1 else decoded[0]
+    out_expr = _xor([_repeat(schedule, leaf, OwnInput(0), reps) for leaf in range(n)])
     schedule.append(Transmission(sender=center, expr=out_expr))
     return Protocol(
         n_nodes=n + 1,
@@ -305,32 +316,16 @@ def repetition_majority_parity(net, dec, r: int, eps: float = 0.1) -> Protocol:
         adjacency = {v: frozenset(nb) for v, nb in net.adjacency.items()}
     else:
         adjacency = complete_adjacency(n_nodes)
-    aux_nodes = sorted(set(range(n_nodes)) - set(inputs))
     agg = _common_neighbor(adjacency, inputs, exclude=inputs)
-    if agg is None or agg not in aux_nodes:
+    if agg is None:
         raise ValueError("no auxiliary aggregator adjacent to all input nodes")
-    roles = {}
-    for j, blk in enumerate(dec.input_blocks, start=1):
-        for v in blk:
-            roles[v] = InputRole(j)
-    for v in aux_nodes:
-        roles[v] = AuxRole(dec.fixed_bit)
     schedule = []
-    rx_of = {}
-    for v in inputs:
-        rx_of[v] = list(range(len(schedule), len(schedule) + r))
-        for _ in range(r):
-            schedule.append(Transmission(sender=v, expr=OwnInput(0)))
-    decoded = [
-        Maj(tuple(Received(t) for t in rx_of[v])) if r > 1 else Received(rx_of[v][0])
-        for v in inputs
-    ]
-    out_expr = Xor(tuple(decoded)) if len(decoded) > 1 else decoded[0]
+    out_expr = _xor([_repeat(schedule, v, OwnInput(0), r) for v in inputs])
     schedule.append(Transmission(sender=agg, expr=out_expr))
     return Protocol(
         n_nodes=n_nodes,
         adjacency=adjacency,
-        roles=roles,
+        roles=_block_roles(dec, n_nodes),
         schedule=schedule,
         output_node=agg,
         output_expr=out_expr,
@@ -355,14 +350,6 @@ def cluster_sum(net, dec, r_local: int, r_up: int, eps: float = 0.1) -> Protocol
     n_nodes = net.n_nodes
     adjacency = {v: frozenset(nb) for v, nb in net.adjacency.items()}
     inputs = set(v for blk in dec.input_blocks for v in blk)
-    roles = {}
-    for j, blk in enumerate(dec.input_blocks, start=1):
-        for v in blk:
-            roles[v] = InputRole(j)
-    for v in range(n_nodes):
-        if v not in inputs:
-            roles[v] = AuxRole(dec.fixed_bit)
-
     leaders = []
     for blk in dec.input_blocks:
         leader = _common_neighbor(adjacency, blk, exclude=inputs)
@@ -390,43 +377,26 @@ def cluster_sum(net, dec, r_local: int, r_up: int, eps: float = 0.1) -> Protocol
 
     schedule = []
     # Local phase: every input node broadcasts r_local times.
-    rx_of = {}
-    for blk in dec.input_blocks:
-        for v in sorted(blk):
-            rx_of[v] = list(range(len(schedule), len(schedule) + r_local))
-            for _ in range(r_local):
-                schedule.append(Transmission(sender=v, expr=OwnInput(0)))
-
-    def decode(v):
-        if r_local == 1:
-            return Received(rx_of[v][0])
-        return Maj(tuple(Received(t) for t in rx_of[v]))
-
+    decoded = {
+        v: _repeat(schedule, v, OwnInput(0), r_local)
+        for blk in dec.input_blocks
+        for v in sorted(blk)
+    }
     # Upward phase: fold block parities along the leader relay chain.
     running = None  # expression for the carried parity, at the current holder
     holder = None
     for leader, blk in zip(leaders, dec.input_blocks):
-        if holder is not None and holder != leader:
-            for a, b in zip(
-                shortest_path(holder, leader), shortest_path(holder, leader)[1:]
-            ):
-                idxs = list(range(len(schedule), len(schedule) + r_up))
-                for _ in range(r_up):
-                    schedule.append(Transmission(sender=a, expr=running))
-                running = (
-                    Received(idxs[0])
-                    if r_up == 1
-                    else Maj(tuple(Received(t) for t in idxs))
-                )
-            holder = leader
-        block_parity = Xor(tuple(decode(v) for v in sorted(blk)))
+        if holder is not None:  # relay the parity to this block's leader
+            for relay in shortest_path(holder, leader)[:-1]:
+                running = _repeat(schedule, relay, running, r_up)
+        block_parity = Xor(tuple(decoded[v] for v in sorted(blk)))
         running = block_parity if running is None else Xor((running, block_parity))
         holder = leader
     schedule.append(Transmission(sender=holder, expr=running))
     return Protocol(
         n_nodes=n_nodes,
         adjacency=adjacency,
-        roles=roles,
+        roles=_block_roles(dec, n_nodes),
         schedule=schedule,
         output_node=holder,
         output_expr=running,

@@ -63,27 +63,11 @@ class RngStream:
         """Independent substream keyed by ``key + subkey``."""
         return RngStream(self.seed, self.key + tuple(subkey))
 
-    def bernoulli(self, p: float, size=None):
-        """Draw Bernoulli(p) bits as ints (scalar) or a uint8 array."""
-        if size is None:
-            return int(self._gen.random() < p)
-        return (self._gen.random(size) < p).astype(np.uint8)
-
     def random(self, size=None):
         return self._gen.random(size)
 
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size=size)
-
-    def choice_index(self, probs) -> int:
-        """Sample an index from an explicit probability vector."""
-        r = self._gen.random()
-        acc = 0.0
-        for i, p in enumerate(probs):
-            acc += p
-            if r < acc:
-                return i
-        return len(probs) - 1
 
     def numpy_generator(self) -> np.random.Generator:
         """Expose the underlying generator for bulk numpy sampling."""

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from noisynet import random_instances as ri, reductions, trees
 from noisynet.cli import main
 from noisynet.noise import regen_table
-from noisynet.protocol import protocol_from_text, protocol_to_text, star_xor
+from noisynet.planar import Decomposition
+from noisynet.protocol import (
+    cluster_sum,
+    protocol_from_text,
+    protocol_to_text,
+    repetition_majority_parity,
+    star_xor,
+)
 from noisynet.rng import RngStream
 from tree_helpers import BAD_TREE_TEXTS, bit_tree, uniform_bit_space
 
@@ -185,6 +193,58 @@ def test_protocol_text_round_trips(seed, index):
         back = protocol_from_text(text)
         assert protocol_to_text(back) == text
         assert back.schedule == q.schedule
+
+
+def _builder_protocols():
+    """Star-XORs, a three-block cluster sum whose leaders are three hops
+    apart, and repetition-majority parities on a complete graph."""
+    for n in range(1, 6):
+        for reps in range(1, 5):
+            yield star_xor(n, reps=reps, eps=0.1)
+    # inputs {0,1}, {2,3}, {4,5} under leaders 6, 7, 8; relays 6-9-10-7 and
+    # 7-11-12-8; 6-13-11-7 ties the first path, and 12 is adjacent to input 4
+    edges = [(0, 6), (1, 6), (2, 7), (3, 7), (4, 8), (5, 8), (6, 9), (9, 10),
+             (10, 7), (7, 11), (11, 12), (12, 8), (6, 13), (13, 11), (4, 12)]
+    adjacency = {v: set() for v in range(14)}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    net = SimpleNamespace(n_nodes=14, adjacency=adjacency)
+    dec = Decomposition(
+        n=2, k=3, d=3, D=30, input_blocks=[[0, 1], [2, 3], [4, 5]],
+        aux_blocks=[[6, 9, 13], [7, 10, 11], [8, 12]], aux0=[], fixed_bit=1,
+    )
+    for r_local in range(1, 4):
+        for r_up in range(1, 4):
+            yield cluster_sum(net, dec, r_local, r_up, eps=0.05)
+    for r in range(1, 5):
+        yield repetition_majority_parity(None, dec, r, eps=0.2)
+
+
+def _e5_stage_protocols():
+    """E5's seed-0 instances 0-19 with their semi-noisy stages and their
+    unfixed noisy-copy stages (noise atoms, mask atoms, masksrc lines)."""
+    rng = RngStream(0, ("experiment", "E5"))
+    for i in range(20):
+        p = ri.random_tiny_protocol(rng, i)
+        p1, _ = reductions.to_semi_noisy(p)
+        p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p), fix=False)
+        yield from (p, p1, p2)
+
+
+#: sha256 of the protocol text of the builders' and the reduction stages'
+#: protocols; a change to the text of any expression form fails here
+_PROTOCOL_TEXT_SHA256 = {
+    "builders": "9b9d5622bcb9f4e6a402aa7ff3f0b5fc13804532d57eab23e87edc7ab68f8338",
+    "e5-seed-0": "2019b238eedc440e82e9763edc8b13a65a2587f9c0cc010ccb0ba5f852ac575b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROTOCOL_TEXT_SHA256))
+def test_protocol_text_is_pinned(case):
+    protocols = _builder_protocols() if case == "builders" else _e5_stage_protocols()
+    text = "\n".join(protocol_to_text(p) for p in protocols)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PROTOCOL_TEXT_SHA256[case]
 
 
 _NOISY_TEXT = """nodes 2

@@ -117,7 +117,11 @@ def test_parse_bare_in_terminates():
 
 
 def test_parse_errors():
-    for bad in ["", "xor(", "frob(rx[0])", "rx[0]garbage", "const(2)"]:
+    for bad in [
+        "", "xor(", "frob(rx[0])", "rx[0]garbage", "const(2)",
+        "table(0110;rx[0]", "rx[]", "noise[0,]", "noise[0,1e]", "mask[1]",
+        "thresh(;rx[0])", "table(2;rx[0])", "in[", "rx[-1]", "const()", "xor()",
+    ]:
         with pytest.raises(ExprSyntaxError):
             parse(bad)
 

@@ -15,13 +15,10 @@ from noisynet.noise import (
     RegenTable,
     iid_noisy_law,
     mask_bit,
-    noisy_copy,
     regen_output_law,
     regen_table,
-    regenerate,
 )
 from noisynet.protocol import protocol_to_text, star_xor
-from noisynet.rng import RngStream
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
@@ -100,28 +97,6 @@ def test_table_json_round_trip():
     assert back.t == table.t and back.epsilon == table.epsilon
     for u in itertools.product((0, 1), repeat=table.t):
         assert abs(back.p_w[sum(u)] - table.p_w[sum(u)]) <= 1e-15
-
-
-def test_regenerate_sampling_matches_law():
-    t, eps, b = 2, 0.2, 1
-    table = regen_table(t, eps)
-    gamma = eps**t
-    rng = RngStream(99)
-    counts = np.zeros(2**t)
-    trials = 40000
-    for i in range(trials):
-        r = rng.spawn("trial", i)
-        c = noisy_copy(b, gamma, r.spawn("chan"))
-        y = regenerate(c, table, r.spawn("mask"))
-        counts[int("".join(map(str, y)), 2)] += 1
-    want = iid_noisy_law(b, eps, t)
-    assert 0.5 * np.abs(counts / trials - want).sum() < 0.02
-
-
-def test_noisy_copy_extremes():
-    rng = RngStream(1)
-    assert noisy_copy(0, 0.0, rng.spawn("a")) == 0
-    assert noisy_copy(1, 1.0, rng.spawn("b")) == 0
 
 
 def test_mask_bit_reads_the_big_endian_bits_of_the_index():

@@ -38,24 +38,6 @@ def test_spawn_key_extends():
     assert s.seed == 1
 
 
-def test_bernoulli_mean():
-    s = RngStream(123)
-    draws = s.bernoulli(0.3, size=20000)
-    assert abs(draws.mean() - 0.3) < 0.02
-    bit = s.bernoulli(0.5)
-    assert bit in (0, 1)
-
-
-def test_choice_index_law():
-    s = RngStream(5)
-    probs = [0.2, 0.5, 0.3]
-    counts = np.zeros(3)
-    for _ in range(20000):
-        counts[s.choice_index(probs)] += 1
-    freq = counts / counts.sum()
-    assert np.abs(freq - np.array(probs)).max() < 0.02
-
-
 def test_version_tag():
     assert RNG_VERSION.startswith("philox")
 
