@@ -104,20 +104,6 @@ def advantage_exact(ch: Channel, f, mu: dict) -> AdvantageEstimate:
     return AdvantageEstimate(value=value, method="exact", weighting=weighting)
 
 
-def advantage_bruteforce(ch: Channel, f, mu: dict) -> float:
-    """Max over all sign weightings; oracle for small outcome sets."""
-    width = ch.law.shape[1]
-    if width > 16:
-        raise ValueError("outcome set too large for brute force")
-    row_of = {key: i for i, key in enumerate(ch.keys)}
-    best = 0.0
-    for signs in itertools.product((-1, 1), repeat=width):
-        a = np.array(signs, dtype=float)
-        total = sum(mu[x] * f(x) * float(ch.law[row_of[tuple(x)]] @ a) for x in mu)
-        best = max(best, abs(total))
-    return best
-
-
 def advantage_mc(
     evaluator,
     f,
@@ -139,13 +125,9 @@ def advantage_mc(
     keys = sorted(mu)
     probs = np.array([mu[k] for k in keys])
     gen = rng.spawn("mu").numpy_generator()
-    xs_idx = gen.choice(len(keys), size=trials, p=probs)
-    fs = np.empty(trials)
-    outcomes = []
-    for i, xi in enumerate(xs_idx):
-        x = keys[xi]
-        fs[i] = f(x)
-        outcomes.append(evaluator(x, rng.spawn("eval", i)))
+    xs = [keys[i] for i in gen.choice(len(keys), size=trials, p=probs).tolist()]
+    fs = np.array([f(x) for x in xs], dtype=float)
+    outcomes = [evaluator(x, rng.spawn("eval", i)) for i, x in enumerate(xs)]
     out_index = {c: j for j, c in enumerate(sorted(set(outcomes)))}
     codes = np.array([out_index[c] for c in outcomes])
 

@@ -17,8 +17,16 @@ words, 64 grid rows (or Monte-Carlo trials) per word, and expressions
 run on whole words with ``one = ONES`` (see :mod:`exprs`).  Outcome
 codes are unpacked for the first ``n`` rows only, so the pad rows of the
 last word never reach a law, and ``np.bincount`` adds the same weights
-in the same row order as an unpacked grid would.  ``execute`` runs the
-same schedule on Python ints with ``one = 1``: a batch of one.
+in the same row order as an unpacked grid would.
+
+``execute`` samples one run on Python ints through a plan compiled once
+per protocol (``_plan``): one function per transmission, every atom and
+form resolved when it is built, so a Monte-Carlo trial costs a few
+microseconds.  The packed passes interpret the schedule through ``_Sim``
+instead: a ``chain`` round runs about 1,000 protocols and 580 probe sets
+about once each, and a prototype that compiled them too made that round
+slower (2.09 to 2.38 s at seed 1, 0.22 s of it compiling).  Both read a
+link by one rule (``_link``).
 
 The packed Monte-Carlo sampler draws each two-outcome primitive (a
 channel bit, a ``Rand`` or ``Noise`` bit, a one-coordinate mask) as
@@ -42,9 +50,11 @@ memory.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +114,21 @@ def _internal_key(node, atom) -> tuple:
     return ("rand" if isinstance(atom, exprs.Rand) else "noise", node, atom.i)
 
 
+def _link(p: Protocol, node, t):
+    """How ``node`` reads transmission ``t``: ``None`` when it is not a
+    neighbour of the sender (the read is 0), else ``(flip, eps)``: the sent
+    bit XOR ``flip``, XOR the Bernoulli(eps) channel bit ``("chan", node,
+    t)`` unless ``eps`` is None.  A noiseless or ε = 0 link copies the bit
+    and an ε = 1 link flips it; only a link with 0 < ε < 1 draws a bit."""
+    tr = p.schedule[t]
+    if not p.is_neighbor(node, tr.sender):
+        return None
+    eps = p.tx_eps(tr) if tr.noisy else 0.0
+    if eps in (0.0, 1.0):
+        return int(eps), None
+    return 0, eps
+
+
 def _collect_primitives(p: Protocol, probes=()) -> tuple:
     """All random primitives read anywhere in the protocol (plus probes).
 
@@ -120,15 +145,10 @@ def _collect_primitives(p: Protocol, probes=()) -> tuple:
     for node, expr in contexts:
         for atom in exprs.atoms(expr):
             if isinstance(atom, exprs.Received):
-                tr = p.schedule[atom.t]
-                if not p.is_neighbor(node, tr.sender) or not tr.noisy:
-                    continue
-                eps = p.tx_eps(tr)
-                if eps in (0.0, 1.0):
-                    continue
-                prims[("chan", node, atom.t)] = _Primitive(
-                    ("chan", node, atom.t), (1 - eps, eps)
-                )
+                _flip, eps = _link(p, node, atom.t) or (0, None)
+                if eps is not None:
+                    key = ("chan", node, atom.t)
+                    prims[key] = _Primitive(key, (1 - eps, eps))
             elif isinstance(atom, exprs.Rand):
                 key = _internal_key(node, atom)
                 prims[key] = _Primitive(key, (0.5, 0.5))
@@ -273,9 +293,9 @@ class _Sim:
     """One run of the schedule over every row of the bit columns ``bits``.
 
     ``x_bits`` maps each input node to its bit, and ``one`` is the value
-    of a 1 bit, in the columns' domain: 0/1 ints and ``one = 1`` for a
-    batch of one, packed words (one input per run of rows) and
-    ``one = ONES`` otherwise.
+    of a 1 bit, in the columns' domain: packed words (one input per run of
+    rows) and ``one = ONES`` in the exact and sampled passes; 0/1 ints and
+    ``one = 1`` give the run :func:`execute`'s plan compiles.
     """
 
     def __init__(self, p: Protocol, x_bits: dict, bits: dict, one):
@@ -301,19 +321,13 @@ class _Sim:
         key = (node, t)
         if key in self._rx:
             return self._rx[key]
-        tr = self.p.schedule[t]
-        if not self.p.is_neighbor(node, tr.sender):
-            val = 0
-        elif not tr.noisy:
-            val = self.sent[t]
-        else:
-            eps = self.p.tx_eps(tr)
-            if eps == 0.0:
-                val = self.sent[t]
-            elif eps == 1.0:
-                val = self.one ^ self.sent[t]
-            else:
-                val = self.sent[t] ^ self.bits[("chan", node, t)]
+        link = _link(self.p, node, t)
+        val = 0
+        if link is not None:
+            flip, eps = link
+            val = self.one ^ self.sent[t] if flip else self.sent[t]
+            if eps is not None:
+                val = val ^ self.bits[("chan", node, t)]
         self._rx[key] = val
         return val
 
@@ -489,24 +503,82 @@ class ExecutionTrace:
     output: int
 
 
-def execute(p: Protocol, x_bits: dict, rng) -> ExecutionTrace:
-    """Sample one full run: a batch of one on Python ints (expressions
-    evaluate faster on ints than on words).  One uniform per primitive is
-    mapped to an outcome as the packed sampler's draws are: a two-outcome
-    primitive is 1 iff u < p_1, a wider one takes the outcome
-    ``Generator.choice`` gives (it searches the normalised cumulative sum)."""
-    prims = _collect_primitives(p)
-    bits = {}
-    for pr, u in zip(prims, rng.numpy_generator().random(len(prims)).tolist()):
+def _plan(p: Protocol) -> tuple:
+    """``(inputs, draws, steps)``: ``p`` compiled for :func:`execute`, built
+    on its first call and kept on the protocol as ``_plan``, as
+    :func:`_collect_primitives` keeps its table.
+
+    A run is one list ``v`` of 0/1 ints: the sent bits at 0..T-1, then the
+    bit columns of the primitives in table order, then the bits of the
+    input nodes ``inputs`` that read their input.  ``draws`` holds p_1 per
+    two-outcome primitive, the normalised cumulative sum and the width per
+    wider mask.  ``steps`` holds one function of ``v`` per transmission,
+    then one for the output, every atom resolved by ``_Sim``'s rules."""
+    if "_plan" in p.__dict__:
+        return p.__dict__["_plan"]
+    T = len(p.schedule)
+    slots: dict = {}  # column key or input node -> its place in v
+    draws = []
+    for pr in _collect_primitives(p):
+        for col in pr.columns:
+            slots[col] = T + len(slots)
         if pr.size == 2:
-            bits[pr.columns[0]] = int(u < pr.probs[1])
+            draws.append(float(pr.probs[1]))
         else:
             cdf = np.cumsum(pr.probs)
-            index = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
-            bits.update(pr.decode(index))
-    sim = _Sim(p, x_bits, bits, 1)
-    output, _ = sim.run()
-    return ExecutionTrace(sent=[int(b) for b in sim.sent], output=int(output))
+            draws.append(((cdf / cdf[-1]).tolist(), len(pr.columns)))
+    inputs = []
+
+    def atom(node, a):
+        if isinstance(a, exprs.Received):
+            t, link = a.t, _link(p, node, a.t)
+            if link is None:
+                return lambda v: 0
+            flip, eps = link
+            if eps is not None:
+                c = slots[("chan", node, t)]
+                return lambda v: v[t] ^ v[c]
+            return (lambda v: 1 ^ v[t]) if flip else operator.itemgetter(t)
+        if isinstance(a, exprs.OwnInput):
+            role = p.roles[node]
+            if not isinstance(role, InputRole):
+                bit = 1 if role.fixed_bit else 0
+                return lambda v: bit
+            if node not in slots:
+                slots[node] = T + len(slots)
+                inputs.append(node)
+            return operator.itemgetter(slots[node])
+        return operator.itemgetter(slots[_internal_key(node, a)])
+
+    steps = tuple(
+        exprs.compile_int(e, functools.partial(atom, node))
+        for node, e in p.all_expressions()
+    )
+    p.__dict__["_plan"] = tuple(inputs), tuple(draws), steps
+    return p.__dict__["_plan"]
+
+
+def execute(p: Protocol, x_bits: dict, rng) -> ExecutionTrace:
+    """Sample one full run through the protocol's :func:`_plan`.  One
+    uniform per primitive is mapped to an outcome as the packed sampler's
+    draws are: a two-outcome primitive is 1 iff u < p_1, a wider one takes
+    the outcome ``Generator.choice`` gives, the first whose normalised
+    cumulative sum exceeds u (``bisect_right`` is ``np.searchsorted`` with
+    ``side="right"``)."""
+    inputs, draws, steps = _plan(p)
+    T = len(p.schedule)
+    v = [0] * T
+    for d, u in zip(draws, rng.numpy_generator().random(len(draws)).tolist()):
+        if type(d) is float:
+            v.append(1 if u < d else 0)
+        else:
+            cdf, w = d
+            index = bisect.bisect_right(cdf, u)
+            v += [noise.mask_bit(index, w, j) for j in range(w)]
+    v += [int(x_bits[node]) for node in inputs]
+    for t in range(T):
+        v[t] = steps[t](v)
+    return ExecutionTrace(sent=v[:T], output=steps[T](v))
 
 
 # -- error probability ------------------------------------------------------

@@ -10,6 +10,7 @@ always reproduces the same sequence of draws regardless of thread schedule.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 
@@ -34,15 +35,25 @@ def _key_text(part) -> str:
         ) from None
 
 
-def _derive_key(seed: int, key: tuple) -> np.ndarray:
-    """Hash (seed, key tuple) into a 2-word Philox key."""
-    h = hashlib.sha256()
-    h.update(str(int(seed)).encode())
-    for part in key:
-        h.update(b"\x1f")
-        h.update(_key_text(part).encode())
-    digest = h.digest()
-    return np.frombuffer(digest[:16], dtype=np.uint64)
+@functools.cache
+def _keyed_generator():
+    """A function from a 16-byte key to a ``Generator`` on ``Philox`` under
+    that key.  The key reaches Philox through numpy's seed-sequence
+    interface: a ``SeedSequence`` would first gather OS entropy, which the
+    key overrides.  Defined on first use, so that importing the package
+    does not load ``numpy.random``."""
+    from numpy.random import Generator, Philox
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, key: bytes):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # Philox asks for its key as generate_state(2, np.uint64)
+            return np.frombuffer(self.key, dtype=dtype, count=n_words)
+
+    return lambda key: Generator(Philox(KeySequence(key)))
 
 
 class RngStream:
@@ -50,18 +61,31 @@ class RngStream:
 
     Streams are value-like: they carry no shared state and may be handed to
     other threads.  ``spawn`` derives an independent substream by extending
-    the key tuple; the parent stream is unaffected.
+    the key tuple; the parent stream is unaffected.  The Philox key is the
+    first 16 bytes of the sha256 of ``str(seed)`` followed by ``\\x1f`` and
+    the text of each key part; a stream keeps those bytes, so a substream
+    hashes them with only its own parts appended.
     """
 
     def __init__(self, seed: int, key: tuple = ()):
         self.seed = int(seed)
-        self.key = tuple(key)
-        self._bitgen = np.random.Philox(key=_derive_key(self.seed, self.key))
-        self._gen = np.random.Generator(self._bitgen)
+        self.key = ()
+        self._text = str(self.seed).encode()
+        self._extend(tuple(key))
+
+    def _extend(self, parts: tuple):
+        """Append ``parts`` to the key and build the generator it names."""
+        self.key += parts
+        for part in parts:
+            self._text += b"\x1f" + _key_text(part).encode()
+        self._gen = _keyed_generator()(hashlib.sha256(self._text).digest()[:16])
 
     def spawn(self, *subkey) -> "RngStream":
         """Independent substream keyed by ``key + subkey``."""
-        return RngStream(self.seed, self.key + tuple(subkey))
+        child = object.__new__(RngStream)
+        child.seed, child.key, child._text = self.seed, self.key, self._text
+        child._extend(subkey)
+        return child
 
     def random(self, size=None):
         return self._gen.random(size)

@@ -2,15 +2,17 @@
 
 import hashlib
 import json
+import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisynet import random_instances as ri, reductions, trees
-from noisynet.cli import main
+from noisynet.cli import cli, main
 from noisynet.noise import regen_table
 from noisynet.planar import Decomposition
 from noisynet.protocol import (
@@ -387,3 +389,33 @@ def test_tree_requires_an_action(tmp_path, capsys):
     path.write_text(trees.tree_to_json(t, spaces))
     code, _out, _err = run(capsys, "tree", str(path))
     assert code == 1
+
+
+# -- the README's examples ---------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(section: str, lang: str) -> str:
+    """The first ``lang`` code block under the README heading ``section``."""
+    body = README.read_text(encoding="utf-8").split(f"\n## {section}\n", 1)[1]
+    return body.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    """Every line of the "Command line" block exits 0, in order, with the
+    "Protocol text" example as its ``p.txt``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.txt").write_text(_readme_block("Protocol text", "text"))
+    lines = _readme_block("Command line", "sh").splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "noisynet"
+        result = CliRunner().invoke(cli, argv[1:])
+        assert result.exit_code == 0, (line, result.output)
+    assert (tmp_path / "net.json").exists() and (tmp_path / "regen.csv").exists()
+
+
+def test_readme_quick_start_runs():
+    exec(_readme_block("Library quick start", "python"), {})

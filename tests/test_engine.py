@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from noisynet import engine, noise, random_instances as ri, reductions
+from noisynet import engine, exprs, noise, random_instances as ri, reductions
 from noisynet.errors import CapExceeded
 from noisynet.engine import (
     Channel,
@@ -23,7 +23,17 @@ from noisynet.engine import (
     sampled_channel,
 )
 from noisynet.planar import Decomposition
-from noisynet.protocol import cluster_sum, repetition_majority_parity, star_xor
+from noisynet.exprs import parse
+from noisynet.protocol import (
+    AuxRole,
+    InputRole,
+    MaskSource,
+    Protocol,
+    Transmission,
+    cluster_sum,
+    repetition_majority_parity,
+    star_xor,
+)
 from noisynet.rng import RngStream
 
 
@@ -529,3 +539,108 @@ def test_primitive_table_is_kept_per_protocol():
     order = engine.input_order(p)
     assert engine.input_order(p) is order and order == (0, 1)
     assert engine.input_order(p.with_(eps=0.3)) is not order
+
+
+# -- the compiled plan of ``execute`` against ``_Sim`` -----------------------
+
+
+def _every_form_protocol():
+    """Every expression form, every kind of link and of own-input read:
+    node 0 and node 2 are not neighbours, transmissions 1 and 2 cross
+    ε = 0 and ε = 1 links, transmission 3 is noiseless and node 3 is an
+    auxiliary node with fixed bit 1."""
+    tx = [
+        (0, "in", None, True),
+        (1, "xor(in,rand[0])", 0.0, True),
+        (2, "not(in)", 1.0, True),
+        (3, "maj(rx[0],rx[1],in,const(0))", None, False),
+        (3, "xor(thresh(0;rx[2]),rx[0],thresh(3;rx[1],rx[3]))", None, True),
+        (4, "table(01101001;rx[3],noise[0,0.3],mask[0,0])", None, True),
+        (4, "and(or(rx[2],mask[1,0]),not(mask[1,1]),maj(rx[3],rx[4]),xor(rx[0],const(1)))",
+         None, True),
+    ]
+    roles = [InputRole(1), InputRole(1), InputRole(2), AuxRole(1), AuxRole(0)]
+    return Protocol(
+        n_nodes=5,
+        adjacency={0: {3}, 1: {3}, 2: {4}, 3: {0, 1, 4}, 4: {2, 3}},
+        roles=dict(enumerate(roles)),
+        schedule=[Transmission(v, parse(e), noisy, eps) for v, e, eps, noisy in tx],
+        output_node=4,
+        output_expr=parse("xor(rx[6],rx[5],rand[1],thresh(2;rx[4],rx[3],noise[1,0.5]))"),
+        eps=0.3,
+        mask_sources=[
+            MaskSource(4, noise.regen_table(1, 0.2)), MaskSource(4, noise.regen_table(2, 0.1)),
+        ],
+    )
+
+
+def _sim_trace(p, x_bits, rng):
+    """The run ``execute`` samples, interpreted by ``_Sim`` on ints from the
+    same uniforms: a two-outcome primitive is 1 iff u < p_1, a wider one
+    takes ``np.searchsorted(cdf / cdf[-1], u, side="right")``."""
+    prims = engine._collect_primitives(p)
+    bits = {}
+    for pr, u in zip(prims, rng.random(len(prims)).tolist()):
+        if pr.size == 2:
+            bits[pr.columns[0]] = int(u < pr.probs[1])
+        else:
+            cdf = np.cumsum(pr.probs)
+            bits.update(pr.decode(int(np.searchsorted(cdf / cdf[-1], u, side="right"))))
+    sim = engine._Sim(p, x_bits, bits, 1)
+    output, _ = sim.run()
+    return [int(b) for b in sim.sent], int(output)
+
+
+def _assert_plan_matches_sim(p, runs: int, rng):
+    xs = engine.all_input_assignments(p)
+    for i in range(runs):
+        x_bits = xs[i % len(xs)]
+        t = execute(p, x_bits, rng.spawn(i))
+        assert (t.sent, t.output) == _sim_trace(p, x_bits, rng.spawn(i)), (i, x_bits)
+
+
+def test_plan_matches_sim_on_every_form():
+    p = _every_form_protocol()
+    kinds = {pr.key[0]: pr.size for pr in engine._collect_primitives(p)}
+    assert kinds == {"chan": 2, "rand": 2, "noise": 2, "mask": 4}
+    _assert_plan_matches_sim(p, 2000, RngStream(41, ("plan-forms",)))
+    # the forms reach both values of every transmission and of the output
+    xs = engine.all_input_assignments(p)
+    runs = [execute(p, xs[i % 8], RngStream(43, (i,))) for i in range(400)]
+    for t in range(p.T):
+        assert {r.sent[t] for r in runs} == {0, 1}, t
+    assert {r.output for r in runs} == {0, 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    index=st.integers(0, 10_000),
+    stage=st.sampled_from(["general", "semi-noisy", "noisy-copy"]),
+)
+def test_plan_matches_sim_on_random_protocols(index, stage):
+    p = ri.random_tiny_protocol(RngStream(53), index)
+    if stage != "general":
+        p, _ = reductions.to_semi_noisy(p)
+    if stage == "noisy-copy":
+        p, _ = reductions.to_noisy_copy(p, ri.max_input_sends(p), fix=False)
+    _assert_plan_matches_sim(p, 24, RngStream(59, ("plan-random", index, stage)))
+
+
+def test_plan_is_kept_per_protocol():
+    p = star_xor(2, reps=2, eps=0.2)
+    assert "_plan" not in p.__dict__
+    execute(p, {0: 1, 1: 0}, RngStream(61))
+    plan = p.__dict__["_plan"]
+    execute(p, {0: 0, 1: 0}, RngStream(62))
+    assert p.__dict__["_plan"] is plan
+    assert "_plan" not in p.with_(eps=0.3).__dict__
+
+
+@pytest.mark.parametrize("form", ["Xor", "And", "Or"])
+def test_plan_and_interpreter_reject_an_empty_fold(form):
+    p = star_xor(1, reps=1, eps=0.1)
+    q = p.with_(output_expr=getattr(exprs, form)(()))
+    with pytest.raises(TypeError):
+        execute(q, {0: 1}, RngStream(67))
+    with pytest.raises(TypeError):
+        exact_channel(q)

@@ -121,6 +121,7 @@ def test_parse_errors():
         "", "xor(", "frob(rx[0])", "rx[0]garbage", "const(2)",
         "table(0110;rx[0]", "rx[]", "noise[0,]", "noise[0,1e]", "mask[1]",
         "thresh(;rx[0])", "table(2;rx[0])", "in[", "rx[-1]", "const()", "xor()",
+        "noise[0,\u0660.\u0663]", "noise[0,0.\u0663]",
     ]:
         with pytest.raises(ExprSyntaxError):
             parse(bad)
