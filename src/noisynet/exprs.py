@@ -266,19 +266,20 @@ def compile_int(expr: Expr, atom):
     return count
 
 
+def nodes(expr: Expr) -> list:
+    """Every node of the expression, itself first, breadth first."""
+    out = [expr]
+    for e in out:  # the loop reaches what it appends
+        if isinstance(e, Not):
+            out.append(e.arg)
+        elif isinstance(e, (Xor, And, Or, Maj, Thresh, Table)):
+            out.extend(e.args)
+    return out
+
+
 def atoms(expr: Expr) -> set:
     """All atom nodes (leaves other than constants) in the expression."""
-    out = set()
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, ATOMS):
-            out.add(e)
-        elif isinstance(e, Not):
-            stack.append(e.arg)
-        elif isinstance(e, (Xor, And, Or, Maj, Thresh, Table)):
-            stack.extend(e.args)
-    return out
+    return {e for e in nodes(expr) if isinstance(e, ATOMS)}
 
 
 def substitute(expr: Expr, mapping) -> Expr:

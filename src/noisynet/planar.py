@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -35,6 +34,7 @@ class PlanarNetwork:
         if not radius >= 0:  # NaN fails too
             raise ValueError(f"radius must be >= 0, got {radius}")
         self.positions = positions
+        self._xy = np.ascontiguousarray(positions.T)  # x and y columns, for _close
         self.radius = float(radius)
         self.seed_record = seed_record
         self._tree = None
@@ -46,25 +46,26 @@ class PlanarNetwork:
 
     @property
     def tree(self):
-        """k-d tree over the positions (``scipy.spatial.cKDTree``)."""
+        """k-d tree over the positions (``scipy.spatial.cKDTree``); sliding
+        midpoints build faster than medians, and each caller sorts its pairs."""
         if self._tree is None:
             # imported here, as in is_connected: scipy costs most of
             # ``import noisynet``
             from scipy.spatial import cKDTree
 
-            self._tree = cKDTree(self.positions)
+            self._tree = cKDTree(self.positions, balanced_tree=False)
         return self._tree
 
     def _close(self, a, b):
         """Whether nodes ``a`` and ``b`` (indices or index arrays) lie at
-        distance strictly below the radius: the one edge rule."""
-        p = self.positions
-        return np.linalg.norm(p[a] - p[b], axis=-1) < self.radius
+        distance strictly below the radius: the one edge rule, in the
+        arithmetic of ``np.linalg.norm(p[a] - p[b], axis=-1)``."""
+        x, y = self._xy
+        dx, dy = x[a] - x[b], y[a] - y[b]
+        return np.sqrt(dx * dx + dy * dy) < self.radius
 
     def neighbors(self, i: int) -> list:
         """Indices at distance < radius from node i (excluding i)."""
-        if self.radius == 0:
-            return []
         cand = np.asarray(
             self.tree.query_ball_point(self.positions[i], self.radius), dtype=np.intp
         )
@@ -73,8 +74,6 @@ class PlanarNetwork:
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (E, 2) array of i < j, in no particular order."""
-        if self.radius == 0:
-            return np.empty((0, 2), dtype=np.intp)
         pairs = self.tree.query_pairs(self.radius, output_type="ndarray")
         # query_pairs uses <=; enforce the strict-< rule.
         return pairs[self._close(pairs[:, 0], pairs[:, 1])]
@@ -153,22 +152,33 @@ def chernoff_bound(mu: float) -> float:
     return math.exp(-0.15 * mu)
 
 
-@dataclass
+@dataclass(eq=False)
 class Tessellation:
     """Partition of the unit square into floor(1/R)^2 equal cells.
 
     Rows and columns are 1-based; a point on a gridline belongs to the
-    lower-index cell.
+    lower-index cell.  Cell (r, c) has the row-major index (r-1)*m + c-1.
     """
 
     m: int  # cells per side
     side: float
-    cell_of: dict  # node -> (row, col)
-    members: dict  # (row, col) -> sorted node list
+    cell: np.ndarray  # node -> row-major cell index
 
     @property
     def M(self) -> int:
         return self.m * self.m
+
+    @property
+    def cell_of(self) -> dict:
+        """node -> (row, col)"""
+        row, col = np.divmod(self.cell, self.m)
+        return dict(enumerate(zip((row + 1).tolist(), (col + 1).tolist())))
+
+    @property
+    def members(self) -> dict:
+        """(row, col) -> sorted node list"""
+        groups = _group(self.cell, np.arange(len(self.cell)), self.M)
+        return {(j // self.m + 1, j % self.m + 1): g for j, g in enumerate(groups)}
 
 
 def _cells_per_side(net: PlanarNetwork) -> int:
@@ -182,11 +192,7 @@ def tessellate(net: PlanarNetwork) -> Tessellation:
     side = 1.0 / m
     # column from x, row from y; ceil puts a gridline point in the lower cell
     col, row = np.clip(np.ceil(net.positions / side), 1, m).astype(np.intp).T
-    groups = _group((row - 1) * m + (col - 1), np.arange(net.n_nodes), m * m)
-    cells = ((r, c) for r in range(1, m + 1) for c in range(1, m + 1))
-    members = dict(zip(cells, groups))
-    cell_of = dict(enumerate(zip(row.tolist(), col.tolist())))
-    return Tessellation(m=m, side=side, cell_of=cell_of, members=members)
+    return Tessellation(m=m, side=side, cell=(row - 1) * m + (col - 1))
 
 
 def cell_neighborhood(m: int, cell) -> list:
@@ -260,74 +266,65 @@ def decompose(net: PlanarNetwork, tx_counts: dict, T: int) -> Decomposition:
     """Build the certified decomposition from a transmission profile.
 
     ``tx_counts`` maps node -> number of transmissions it makes in the
-    protocol being decomposed; the counts must sum to ``T``.
+    protocol being decomposed; the counts must sum to ``T``.  A node
+    without a key counts 0, and keys outside ``range(N)`` are ignored.
     """
-    total = sum(tx_counts.get(i, 0) for i in range(net.n_nodes))
-    if total != T:
-        raise ValueError(f"tx_counts sum to {total}, expected T={T}")
-    tess = tessellate(net)
-    N, M = net.n_nodes, tess.M
-    mu = N / M
-    for cell, nodes in tess.members.items():
-        if len(nodes) < mu / 2:
-            raise UndersizedCell(
-                f"cell {cell} holds {len(nodes)} nodes, below mu/2 = {mu / 2:g}"
-            )
+    counts = [tx_counts.get(i, 0) for i in range(net.n_nodes)]
+    if sum(counts) != T:
+        raise ValueError(f"tx_counts sum to {sum(counts)}, expected T={T}")
+    return _decompose(net, np.asarray(counts), T)
 
-    s1 = [
-        (r, c)
-        for r in range(1, tess.m + 1)
-        for c in range(1, tess.m + 1)
-        if r % 3 == 1 and c % 3 == 1
-    ]
+
+def decompose_for_uniform_counts(net: PlanarNetwork) -> Decomposition:
+    """Decompose assuming each node transmits exactly once (T = N)."""
+    return _decompose(net, np.ones(net.n_nodes), net.n_nodes)
+
+
+def _decompose(net: PlanarNetwork, counts: np.ndarray, T: int) -> Decomposition:
+    """:func:`decompose` on ``counts[i]``, node i's count."""
+    tess = tessellate(net)
+    N, m, M = net.n_nodes, tess.m, tess.M
+    mu = N / M
+    sizes = np.bincount(tess.cell, minlength=M)
+    under = np.flatnonzero(sizes < mu / 2).tolist()
+    if under:  # report the first in row-major order
+        cell = (under[0] // m + 1, under[0] % m + 1)
+        raise UndersizedCell(f"cell {cell} holds {sizes[under[0]]} nodes, below mu/2 = {mu / 2:g}")
+
+    # lexsort is stable, so each cell's run of ``rank``, from start[j] to
+    # start[j + 1], lists its nodes by (count, id)
+    rank = np.lexsort((counts, tess.cell))
+    start = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    loads = np.bincount(tess.cell, weights=counts, minlength=M).reshape(m, m)
     D = 18 * T / M
-    s2 = []
-    for cell in s1:
-        load = sum(
-            tx_counts.get(i, 0)
-            for nb in cell_neighborhood(tess.m, cell)
-            for i in tess.members[nb]
-        )
-        if load < D:
-            s2.append(cell)
+    # the cells at rows and columns 1 mod 3 whose clipped 3x3 block sends < D
+    s2 = [
+        (r, c)
+        for r in range(1, m + 1, 3)
+        for c in range(1, m + 1, 3)
+        if loads[max(r - 2, 0) : r + 1, max(c - 2, 0) : c + 1].sum() < D
+    ]
     if not s2:
         raise EmptyS2("no cell passed the transmission filter")
 
     n = math.ceil(N / (4 * M))
     input_blocks, aux_blocks = [], []
-    claimed = set()
-    for cell in s2:
-        ranked = sorted(tess.members[cell], key=lambda i: (tx_counts.get(i, 0), i))
-        block = sorted(ranked[:n])
-        input_blocks.append(block)
-        claimed.update(block)
-    for cell, block in zip(s2, input_blocks):
-        block = set(block)
-        aux = sorted(
-            i
-            for nb in cell_neighborhood(tess.m, cell)
-            for i in tess.members[nb]
-            if i not in block
-        )
-        aux_blocks.append(aux)
-        claimed.update(aux)
-    aux0 = sorted(set(range(N)) - claimed)
-    return Decomposition(
-        n=n,
-        k=len(s2),
-        d=D / n,
-        D=D,
-        input_blocks=input_blocks,
-        aux_blocks=aux_blocks,
-        aux0=aux0,
-        cells=s2,
-    )
-
-
-def decompose_for_uniform_counts(net: PlanarNetwork) -> Decomposition:
-    """Decompose assuming each node transmits exactly once (T = N)."""
-    counts = {i: 1 for i in range(net.n_nodes)}
-    return decompose(net, counts, net.n_nodes)
+    claimed = np.zeros(N, dtype=bool)
+    for r, c in s2:
+        j = (r - 1) * m + c - 1
+        block = np.sort(rank[start[j] : min(start[j] + n, start[j + 1])])
+        # in each neighbourhood row the cells c-1..c+1 make one run of rank
+        lo, hi = max(c - 2, 0), min(c + 1, m)
+        rows = range(max(r - 2, 0), min(r + 1, m))
+        near = np.concatenate([rank[start[i * m + lo] : start[i * m + hi]] for i in rows])
+        # cells 3 apart have disjoint neighbourhoods: only the block is claimed
+        claimed[block] = True
+        aux = np.sort(near[~claimed[near]])
+        claimed[aux] = True
+        input_blocks.append(block.tolist())
+        aux_blocks.append(aux.tolist())
+    aux0 = np.flatnonzero(~claimed).tolist()
+    return Decomposition(n, len(s2), D / n, D, input_blocks, aux_blocks, aux0, s2)
 
 
 def verify_decomposition(net: PlanarNetwork, dec: Decomposition) -> dict:
@@ -384,16 +381,17 @@ def verify_decomposition(net: PlanarNetwork, dec: Decomposition) -> dict:
 def _confinement_witnesses(net: PlanarNetwork, blk, aux) -> list:
     """Edges (v, w) from a node v of ``blk`` to a node w outside ``blk`` and
     ``aux``, in the order of ``blk`` and then of w."""
-    if not len(blk) or net.radius == 0:
-        return []
+    from scipy.spatial import cKDTree
+
     blk = np.asarray(blk, dtype=np.intp)
     inside = np.concatenate([blk, np.asarray(aux, dtype=np.intp)])
     allowed = np.zeros(net.n_nodes, dtype=bool)
     allowed[inside[(inside >= 0) & (inside < net.n_nodes)]] = True
-    cands = net.tree.query_ball_point(net.positions[blk], net.radius, return_sorted=False)
-    lens = np.fromiter(map(len, cands), dtype=np.intp, count=len(cands))
-    w = np.fromiter(chain.from_iterable(cands), dtype=np.intp, count=int(lens.sum()))
-    pos = np.repeat(np.arange(len(blk)), lens)
+    # every pair (position in blk, node) at distance <= R, coincident ones too
+    near = cKDTree(net.positions[blk]).sparse_distance_matrix(
+        net.tree, net.radius, output_type="ndarray"
+    )
+    pos, w = near["i"], near["j"]
     out = ~allowed[w]
     pos, w = pos[out], w[out]
     hit = net._close(blk[pos], w)

@@ -17,6 +17,7 @@ exactly one broadcast per input node).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 from . import exprs
 from .exprs import Const, Expr, Maj, OwnInput, Received, Xor
@@ -130,19 +131,21 @@ class Protocol:
         # the output expression comes last, at index T
         for i, (_node, expr) in enumerate(self.all_expressions()):
             where = f"transmission {i}" if i < self.T else "the output expression"
-            for atom in exprs.atoms(expr):
-                if isinstance(atom, Received) and atom.t >= i:
-                    raise ValueError(f"{where} reads rx[{atom.t}] (dangling index)")
-                if isinstance(atom, OwnInput) and atom.index != 0:
-                    raise ValueError(f"{where} reads in[{atom.index}]; nodes hold one input bit")
-                if isinstance(atom, exprs.MaskBit):
-                    if atom.src >= len(self.mask_sources):
+            for e in exprs.nodes(expr):
+                if isinstance(e, (Xor, exprs.And, exprs.Or)) and not e.args:
+                    raise ValueError(f"{where} has {exprs.to_text(e)}, a fold of no arguments")
+                if isinstance(e, Received) and e.t >= i:
+                    raise ValueError(f"{where} reads rx[{e.t}] (dangling index)")
+                if isinstance(e, OwnInput) and e.index != 0:
+                    raise ValueError(f"{where} reads in[{e.index}]; nodes hold one input bit")
+                if isinstance(e, exprs.MaskBit):
+                    if e.src >= len(self.mask_sources):
                         raise ValueError(f"{where} reads unknown mask source")
-                    t = self.mask_sources[atom.src].table.t
-                    if not 0 <= atom.j < t:
-                        raise ValueError(f"{where} reads mask bit {atom.j} of a {t}-bit mask")
-                if isinstance(atom, exprs.Noise) and not 0.0 <= atom.eps <= 1.0:
-                    raise ValueError(f"{where} noise eps = {atom.eps!r} is outside [0, 1]")
+                    t = self.mask_sources[e.src].table.t
+                    if not 0 <= e.j < t:
+                        raise ValueError(f"{where} reads mask bit {e.j} of a {t}-bit mask")
+                if isinstance(e, exprs.Noise) and not 0.0 <= e.eps <= 1.0:
+                    raise ValueError(f"{where} noise eps = {e.eps!r} is outside [0, 1]")
         if self.schedule and self.schedule[-1].sender != self.output_node:
             raise ValueError("output node must send the last transmission")
         if self.klass in (SEMI_NOISY, NOISY_COPY):
@@ -222,14 +225,12 @@ def check_bounded_counts(tx_counts: dict, dec, d: float, D: float) -> dict:
     """Per-block transmission budgets (P3, P4) from a count profile."""
     report = {"p3_ok": True, "p3_witnesses": [], "p4_ok": True, "p4_witnesses": []}
     for j, (inp, aux) in enumerate(zip(dec.input_blocks, dec.aux_blocks), start=1):
-        for v in inp:
-            c = tx_counts.get(v, 0)
+        counts = list(map(tx_counts.get, inp, repeat(0)))
+        for v, c in zip(inp, counts):
             if c > d:
                 report["p3_ok"] = False
                 report["p3_witnesses"].append({"block": j, "node": v, "count": c})
-        total = sum(tx_counts.get(v, 0) for v in inp) + sum(
-            tx_counts.get(v, 0) for v in aux
-        )
+        total = sum(counts) + sum(map(tx_counts.get, aux, repeat(0)))
         if total > D:
             report["p4_ok"] = False
             report["p4_witnesses"].append({"block": j, "count": total})

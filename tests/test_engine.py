@@ -638,9 +638,21 @@ def test_plan_is_kept_per_protocol():
 
 @pytest.mark.parametrize("form", ["Xor", "And", "Or"])
 def test_plan_and_interpreter_reject_an_empty_fold(form):
-    p = star_xor(1, reps=1, eps=0.1)
-    q = p.with_(output_expr=getattr(exprs, form)(()))
+    q = star_xor(1, reps=1, eps=0.1)
+    q.output_expr = getattr(exprs, form)(())  # set past validate, which rejects it
     with pytest.raises(TypeError):
         execute(q, {0: 1}, RngStream(67))
     with pytest.raises(TypeError):
         exact_channel(q)
+
+
+@pytest.mark.parametrize("form", ["Xor", "And", "Or"])
+def test_validate_rejects_an_empty_fold(form):
+    empty = getattr(exprs, form)(())
+    p = star_xor(1, reps=1, eps=0.1)
+    with pytest.raises(ValueError, match=rf"^the output expression has {form.lower()}\(\)"):
+        p.with_(output_expr=empty)
+    first = p.schedule[0]
+    nested = exprs.Not(exprs.Maj((first.expr, exprs.Table((empty,), (1, 0)), exprs.Const(0))))
+    with pytest.raises(ValueError, match=r"^transmission 0 has "):
+        p.with_(schedule=[Transmission(first.sender, nested)] + p.schedule[1:])

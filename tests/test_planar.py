@@ -1,5 +1,7 @@
 """Random planar networks, tessellation, and cluster decomposition."""
 
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noisynet import planar
 from noisynet.errors import EmptyS2, UndersizedCell
@@ -22,6 +26,7 @@ from noisynet.planar import (
     tessellate,
     verify_decomposition,
 )
+from noisynet.protocol import check_bounded_counts
 from noisynet.rng import RngStream
 
 
@@ -59,6 +64,50 @@ def test_edge_rule_is_strict():
     net2 = PlanarNetwork([[0.0, 0.0], [0.49, 0.0]], radius=0.5)
     assert net2.has_edge(0, 1)
     assert net2.edge_pairs() == [(0, 1)]
+
+
+@st.composite
+def boundary_networks(draw):
+    """Up to 14 points with a radius R: points on the gridlines of an m x m
+    grid, a coincident pair, and pairs at distance R or within rounding of
+    it, along both axes and across a 3-4-5 triangle scaled by s = R/5."""
+    s = draw(st.floats(0.001, 0.19))
+    m = draw(st.integers(1, 12))
+    coord = st.one_of(st.integers(0, m).map(lambda k: k / m), st.floats(0, 1))
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
+    x, y = draw(st.tuples(st.floats(0, 0.04), st.floats(0, 0.04)))
+    for dx, dy in ((0, 0), (5, 0), (0, 5), (3, 4), (4, 3)):
+        pts.append((x + dx * s, y + dy * s))
+    return pts + pts[:1], draw(st.sampled_from([5 * s, 1 / m]))
+
+
+# (0, 0)-(R, 0) is at distance exactly R; at s = 0.01 the 3-4-5 pair is too,
+# by sqrt, although its squared distance rounds below R*R.  The second puts
+# points on the gridlines of a 4 x 4 grid, some exactly R = 1/4 apart.
+@example(([(0.0, 0.0), (0.05, 0.0), (0.03, 0.04)], 0.05))
+@example(([(0.5, 0.5), (0.5, 0.25), (0.25, 0.25), (0.75, 0.0)], 0.25))
+@settings(max_examples=200, deadline=None)
+@given(boundary_networks())
+def test_edge_rule_matches_the_norm_and_brute_force(case):
+    pts, R = case
+    net = PlanarNetwork(pts, radius=R)
+    n = net.n_nodes
+    a, b = (ix.ravel() for ix in np.indices((n, n)))
+    p = net.positions
+    want = np.linalg.norm(p[a] - p[b], axis=-1) < R
+    assert np.array_equal(net._close(a, b), want)
+    adj = want.reshape(n, n) & ~np.eye(n, dtype=bool)
+    for i in range(n):
+        assert net.neighbors(i) == np.flatnonzero(adj[i]).tolist()
+        assert [net.has_edge(i, j) for j in range(n)] == adj[i].tolist()
+    assert net.edge_pairs() == list(zip(*np.nonzero(np.triu(adj))))
+    seen, stack = {0}, [0]
+    while stack:
+        for w in np.flatnonzero(adj[stack.pop()]).tolist():
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    assert is_connected(net) == (len(seen) == n)
 
 
 def test_neighbors_match_edges():
@@ -229,3 +278,159 @@ def test_empty_s2_is_defensive():
     net = sample_network(10, 0.6, RngStream(7))
     dec = decompose_for_uniform_counts(net)
     assert dec.k >= 1
+
+
+# -- byte pins on the decomposition and its certificate --------------------
+#
+# perfbench and E2 run only uniform counts; these pin the non-uniform and
+# malformed cases byte for byte.
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _report_sha(report: dict) -> str:
+    return _sha(json.dumps(report, sort_keys=True))
+
+
+def _net(N: int, seed: int) -> PlanarNetwork:
+    return sample_network(N, math.sqrt(10 * math.log(N) / N), RngStream(seed))
+
+
+def _random_counts(N: int, seed: int) -> dict:
+    """Counts in {0, ..., 3}, so the (count, id) ranking has ties."""
+    return dict(enumerate(np.random.default_rng(seed).integers(0, 4, N).tolist()))
+
+
+DECOMPOSE_PINS = {
+    (4000, 5): "fa78dad4c1846a4f2969e3cfedbf0124721d026bb007ff394bc80095affaf8d5",
+    (2000, 1): "5318be8cdd96cbc2bdc2f01ee54820f41dedc84b62c00ab70de52ca55764569d",
+    (3000, 2): "01dbe03221499030bbee1aeff489b7ca14c3fbf2e126c012b78c31ae2c8969a2",
+}
+
+
+@pytest.mark.parametrize("N, seed", sorted(DECOMPOSE_PINS))
+def test_decompose_of_nonuniform_counts_is_pinned(N, seed):
+    net = _net(N, seed)
+    counts = _random_counts(N, seed)
+    dec = decompose(net, counts, sum(counts.values()))
+    assert _sha(dec.to_json()) == DECOMPOSE_PINS[N, seed]
+
+
+def test_decompose_reads_missing_keys_as_zero_and_ignores_outside_keys():
+    N = 3000
+    net = _net(N, 2)
+    counts = _random_counts(N, 2)
+    rng = np.random.default_rng(12)
+    for v in rng.choice(N, size=N // 4, replace=False).tolist():
+        del counts[v]  # zero and nonzero counts alike
+    T = sum(counts.values())
+    missing = decompose(net, counts, T)
+    assert _sha(missing.to_json()) == (
+        "efddb51dd5a1665ca186c7b4cfd77a98c7204d3c6519a98f72b6e470f785eceb"
+    )
+    outside = dict(counts)
+    outside.update({N: 50, N + 9: 7, -1: 40, -N: 3})
+    assert _sha(decompose(net, outside, T).to_json()) == _sha(missing.to_json())
+    with pytest.raises(ValueError, match=f"tx_counts sum to {T}, expected T={T + 1}"):
+        decompose(net, outside, T + 1)
+
+
+def _bad_decompositions():
+    """Certificates that fail P1, P2 or the partition, by name."""
+    net = _net(4000, 5)
+    dec = decompose_for_uniform_counts(net)
+    out = {}
+
+    def bad(name, **kw):
+        fields = dict(
+            n=dec.n, k=dec.k, d=dec.d, D=dec.D, input_blocks=dec.input_blocks,
+            aux_blocks=dec.aux_blocks, aux0=dec.aux0, cells=dec.cells,
+        )
+        fields.update(kw)
+        out[name] = Decomposition(**fields)
+
+    bad(
+        "aux_to_aux0",
+        aux_blocks=[[v for i, v in enumerate(b) if i % 3] for b in dec.aux_blocks],
+        aux0=sorted(dec.aux0 + [v for b in dec.aux_blocks for v in b[::3]]),
+    )
+    bad(
+        "missing_and_out_of_range",
+        aux_blocks=[b[:-1] for b in dec.aux_blocks],
+        aux0=dec.aux0 + [4000 + 7, -1],
+    )
+    first = dec.input_blocks[0]
+    bad(
+        "node_in_two_blocks",
+        aux_blocks=[dec.aux_blocks[0], dec.aux_blocks[1] + [first[0]]]
+        + dec.aux_blocks[2:],
+        aux0=dec.aux0 + [dec.input_blocks[1][0]],
+    )
+    bad("short_block", input_blocks=[first[1:]] + dec.input_blocks[1:],
+        aux0=dec.aux0 + [first[0]])
+    bad("repeated_node", input_blocks=[first + [first[0]]] + dec.input_blocks[1:])
+    return net, out
+
+
+VERIFY_PINS = {
+    "aux_to_aux0": "ac02ebb21c90f222e03004ac5f787c4895eb56d00427371a606e73f26296f719",
+    "missing_and_out_of_range": (
+        "cdc4c9e8481c7bc0f54d8fe1ed38e437ddb3a17506f06f3b75bd63e139344920"
+    ),
+    "node_in_two_blocks": "1a13636e997e35cebd982849c3abd6fd2463af640ee0e5d5a828a5e52a36dd7c",
+    "short_block": "66730373594ffa8edbdb7fc57a3ecfd1f2d60538f28e3bda2e2821dc6ef47a56",
+    "repeated_node": "c2959cffc1cecb13ed91005a95bf1c1d92d9d033bbc98407c3c2eab3ed8e0b64",
+}
+
+
+def test_verify_reports_on_bad_decompositions_are_pinned():
+    net, bad = _bad_decompositions()
+    assert sorted(bad) == sorted(VERIFY_PINS)
+    got = {name: _report_sha(verify_decomposition(net, dec)) for name, dec in bad.items()}
+    assert got == VERIFY_PINS
+
+
+def test_bounded_counts_reports_are_pinned():
+    N = 4000
+    net = _net(N, 5)
+    counts = _random_counts(N, 5)
+    dec = decompose(net, counts, sum(counts.values()))
+    report = check_bounded_counts(counts, dec, d=dec.d, D=dec.D)
+    assert report["ok"]
+    heavy = dict(counts)
+    for blk in dec.input_blocks[::2]:
+        heavy[blk[0]] = 1000  # over d
+    for blk in dec.aux_blocks[1::3]:
+        for v in blk[:40]:
+            heavy[v] = 60  # over D, not over d
+    for v in dec.input_blocks[-1]:
+        del heavy[v]
+    tripped = check_bounded_counts(heavy, dec, d=dec.d, D=dec.D)
+    assert not tripped["p3_ok"] and not tripped["p4_ok"]
+    assert _report_sha(report) == (
+        "7be7db78d4c179cb2de07a2565887a2ee3c6e3cbc7f156e9f477aeb55d53222f"
+    )
+    assert _report_sha(tripped) == (
+        "7f10df88659e75136cebb0ab2bffa447b9f79b3ed6c248b64d35e50875406658"
+    )
+
+
+def test_undersized_and_empty_messages_are_pinned():
+    pts = np.random.default_rng(0).random((60, 2)) * 0.2
+    with pytest.raises(UndersizedCell) as under:
+        decompose_for_uniform_counts(PlanarNetwork(pts, radius=0.3))
+    pts = np.random.default_rng(1).random((300, 2))
+    pts[:40] = pts[:40] * 0.15 + 0.8  # a heavy corner outside the selected cell
+    net = PlanarNetwork(pts, radius=0.3)
+    tess = tessellate(net)
+    # nodes outside the one selected neighbourhood carry negative counts, so
+    # the selected load exceeds D = 18T/M = 2T: a corrupted profile
+    counts = {
+        v: 1 if max(rc) <= 2 else -1 for v, rc in tess.cell_of.items()
+    }
+    with pytest.raises(EmptyS2) as empty:
+        decompose(net, counts, sum(counts.values()))
+    assert str(under.value) == "cell (1, 2) holds 0 nodes, below mu/2 = 3.33333"
+    assert str(empty.value) == "no cell passed the transmission filter"
