@@ -1,12 +1,19 @@
 """Protocol execution: sampled traces and exact outcome laws.
 
-The exact engine enumerates every random primitive a protocol actually
-reads -- channel noise bits of (receiver, transmission) pairs that some
-later expression consumes, internal fair/biased bits, and categorical
-regeneration masks -- and pushes the whole assignment grid through the
-schedule with vectorized expression evaluation.  Primitives that no
-expression reads do not enlarge the grid, so the enumeration cost tracks
-the information the protocol uses rather than the raw receiver count.
+An exact or sampled channel is the law of a probe list: ``(node, expr)``
+pairs, each evaluated at its node once the schedule has run, their bits
+packed into one outcome code, the first probe highest.  The output law
+is the law of ``p.all_expressions()[-1:]``, the transcript law that of
+``[(tr.sender, tr.expr) for tr in p.schedule]``.
+
+The exact engine enumerates every random primitive the protocol and the
+probes actually read -- channel noise bits of (receiver, transmission)
+pairs that some expression consumes, internal fair/biased bits, and
+categorical regeneration masks -- and pushes the whole assignment grid
+through the schedule with vectorized expression evaluation.  Primitives
+that nothing reads do not enlarge the grid, so the enumeration cost
+tracks the information the protocol uses rather than the raw receiver
+count.
 
 Every primitive is read as the big-endian bit columns of its outcome
 index (``_Primitive.columns``): a binary primitive is the one column of
@@ -39,13 +46,13 @@ trials instead of 64 doubles.  Wider masks go through
 ``execute`` draws one ``random()`` per primitive.
 
 The input assignment is the slowest grid axis: one ``_Sim`` pass runs
-many inputs, each own-input bit a packed column, and an exact channel is
-one dense ``(inputs x 2^m)`` array of outcome-code probabilities from one
-``np.bincount`` per pass.  Each input keeps its own contiguous run of
-rows, so its row of the law holds the same floats as a pass of its own.
-A pass holds as many inputs as fit in ``PASS_ROWS`` rows (or one input
-whose grid is larger): longer passes save little time and raise peak
-memory.
+many inputs, each own-input bit a packed column, and the exact law of m
+probes is one dense ``(inputs x 2^m)`` array of outcome-code
+probabilities from one ``np.bincount`` per pass.  Each input keeps its
+own contiguous run of rows, so its row of the law holds the same floats
+as a pass of its own.  A pass holds as many inputs as fit in
+``PASS_ROWS`` rows (or one input whose grid is larger): longer passes
+save little time and raise peak memory.
 """
 
 from __future__ import annotations
@@ -130,18 +137,20 @@ def _link(p: Protocol, node, t):
 
 
 def _collect_primitives(p: Protocol, probes=()) -> tuple:
-    """All random primitives read anywhere in the protocol (plus probes).
+    """The protocol's primitive table plus the primitives the ``(node,
+    expr)`` probes add.  The table is collected once and kept on the
+    protocol as ``_primitives``: a protocol is validated once in
+    ``__post_init__`` and never mutated (``with_`` builds a new one)."""
+    if "_primitives" not in p.__dict__:
+        p.__dict__["_primitives"] = _add_primitives(p, (), p.all_expressions())
+    return _add_primitives(p, p.__dict__["_primitives"], probes)
 
-    Without probes the table is computed once per protocol and kept on it
-    as ``_primitives``: a protocol is validated once in ``__post_init__``
-    and never mutated (``with_`` builds a new one), so its table cannot go
-    stale.  With probes it is collected on every call.
-    """
-    if not probes and "_primitives" in p.__dict__:
-        return p.__dict__["_primitives"]
-    prims: dict = {}
-    noise_eps: dict = {}
-    contexts = list(p.all_expressions()) + [(node, e) for node, e in probes]
+
+def _add_primitives(p: Protocol, table: tuple, contexts) -> tuple:
+    """``table`` plus the primitives the ``(node, expr)`` ``contexts`` read,
+    in key order (``table`` itself if they add none); a ``Noise`` atom whose
+    ε differs from its key's entry is an error."""
+    prims = {pr.key: pr for pr in table}
     for node, expr in contexts:
         for atom in exprs.atoms(expr):
             if isinstance(atom, exprs.Received):
@@ -154,17 +163,15 @@ def _collect_primitives(p: Protocol, probes=()) -> tuple:
                 prims[key] = _Primitive(key, (0.5, 0.5))
             elif isinstance(atom, exprs.Noise):
                 key = _internal_key(node, atom)
-                if key in noise_eps and noise_eps[key] != atom.eps:
+                new = _Primitive(key, (1 - atom.eps, atom.eps))
+                if prims.setdefault(key, new) != new:
                     raise ValueError(f"conflicting eps for noise atom {key}")
-                noise_eps[key] = atom.eps
-                prims[key] = _Primitive(key, (1 - atom.eps, atom.eps))
             elif isinstance(atom, exprs.MaskBit):
                 key = ("mask", atom.src)
                 prims[key] = _Primitive(key, p.mask_sources[atom.src].table.index_probs)
-    table = tuple(prims[k] for k in sorted(prims))
-    if not probes:
-        p.__dict__["_primitives"] = table
-    return table
+    if len(prims) == len(table):
+        return table
+    return tuple(prims[k] for k in sorted(prims))
 
 
 #: The value of a 1 bit in packed words: all 64 rows set.
@@ -331,15 +338,16 @@ class _Sim:
         self._rx[key] = val
         return val
 
-    def run(self, probes=()):
+    def run(self, probes) -> list:
+        """Run the schedule, then return the bits of each ``(node, expr)``
+        probe."""
+
         def ev(node, expr):
             return exprs.evaluate(expr, functools.partial(self.value, node), self.one)
 
         for tr in self.p.schedule:
             self.sent.append(ev(tr.sender, tr.expr))
-        output = ev(self.p.output_node, self.p.output_expr)
-        probe_vals = [ev(node, e) for node, e in probes]
-        return output, probe_vals
+        return [ev(node, e) for node, e in probes]
 
 
 def _codes(values, n: int) -> np.ndarray:
@@ -410,33 +418,8 @@ class Channel:
         return float((0.5 * np.abs(self.law - other.law).sum(axis=1)).max(initial=0.0))
 
 
-def _outcome_bits(p: Protocol, outcome: str, probes) -> int:
-    """How many bits the code of ``outcome`` packs."""
-    sizes = {"output": 1, "transcript": len(p.schedule), "probes": len(probes)}
-    if outcome not in sizes:
-        raise ValueError(f"unknown outcome kind {outcome!r}")
-    return sizes[outcome]
-
-
-def _input_words(p: Protocol, inputs, rows: int) -> dict:
-    """Each input node's bit, packed over ``rows`` rows per input of
-    ``inputs`` in turn."""
-    return {
-        v: _to_words(np.repeat([x[v] for x in inputs], rows)) for v in input_order(p)
-    }
-
-
-def _outcome_codes(p, x_bits, bits, n, outcome, probes=()) -> np.ndarray:
-    """Outcome code of each of the first ``n`` rows of the packed columns
-    ``bits`` in one run of the schedule."""
-    sim = _Sim(p, x_bits, bits, ONES)
-    output, probe_vals = sim.run(probes=probes)
-    values = {"output": [output], "transcript": sim.sent, "probes": probe_vals}
-    return _codes(values[outcome], n)
-
-
-def _exact_passes(p: Protocol, prims, inputs, outcome="output", probes=()):
-    """Yield ``(i, codes)`` per pass: the outcome codes of the inputs
+def _exact_passes(p: Protocol, prims, inputs, probes):
+    """Yield ``(i, codes)`` per pass: the codes of ``probes`` on the inputs
     ``inputs[i:i + k]`` over the enumeration grid of ``prims``, the input
     varying slowest, so each input owns one contiguous run of grid rows."""
     grid = _grid_rows(prims)
@@ -446,26 +429,34 @@ def _exact_passes(p: Protocol, prims, inputs, outcome="output", probes=()):
         chunk = inputs[i : i + per_pass]
         if rows != len(chunk) * grid:
             rows, bits = len(chunk) * grid, _enumeration_arrays(prims, reps=len(chunk))
-        x_bits = _input_words(p, chunk, grid)
-        yield i, _outcome_codes(p, x_bits, bits, rows, outcome, probes)
+        # each input node's bit, packed over one run of grid rows per input
+        x_bits = {
+            v: _to_words(np.repeat([x[v] for x in chunk], grid)) for v in input_order(p)
+        }
+        yield i, _codes(_Sim(p, x_bits, bits, ONES).run(probes), rows)
 
 
-def exact_channel(p: Protocol, outcome: str = "output", probes=()) -> Channel:
-    """Exact outcome law over every input assignment by enumerating all
-    read random primitives, the inputs as the slowest grid axis; at most
-    2^CAP_BITS grid rows per input and law entries in all."""
+def exact_channel(p: Protocol, probes=None) -> Channel:
+    """Exact law of the ``(node, expr)`` probe list over every input
+    assignment, the first probe highest in the code; ``None`` is the output
+    probe ``p.all_expressions()[-1:]``, and the transcript law is that of
+    ``[(tr.sender, tr.expr) for tr in p.schedule]``.  Enumerates every
+    random primitive the protocol and the probes read, the inputs as the
+    slowest grid axis; at most 2^CAP_BITS grid rows per input and law
+    entries in all."""
+    probes = p.all_expressions()[-1:] if probes is None else list(probes)
     inputs = all_input_assignments(p)
-    width = 2 ** _outcome_bits(p, outcome, probes)
+    width = 2 ** len(probes)
     if len(inputs) * width > 2**CAP_BITS:
         raise CapExceeded(
             f"law size {len(inputs)} x {width} exceeds 2^{CAP_BITS}",
             size=len(inputs) * width,
         )
-    prims = _collect_primitives(p, probes=probes)
+    prims = _collect_primitives(p, probes)
     weights = _grid_weights(prims)
     grid = len(weights)
     law = np.empty((len(inputs), width))
-    for i, codes in _exact_passes(p, prims, inputs, outcome, probes):
+    for i, codes in _exact_passes(p, prims, inputs, probes):
         k = len(codes) // grid
         index = np.repeat(np.arange(k) * width, grid) + codes
         law[i : i + k] = np.bincount(
@@ -475,20 +466,21 @@ def exact_channel(p: Protocol, outcome: str = "output", probes=()) -> Channel:
     return Channel(keys, law)
 
 
-def sampled_channel(
-    p: Protocol, inputs, trials: int, rng, outcome: str = "output"
-) -> Channel:
-    """Monte-Carlo estimate of the outcome law, vectorized over trials."""
+def sampled_channel(p: Protocol, inputs, trials: int, rng, probes=None) -> Channel:
+    """Monte-Carlo estimate of the law of the probe list, as in
+    :func:`exact_channel` (``None`` is the output probe), vectorized over
+    trials."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    width = 2 ** _outcome_bits(p, outcome, ())
-    prims = _collect_primitives(p)
+    probes = p.all_expressions()[-1:] if probes is None else list(probes)
+    width = 2 ** len(probes)
+    prims = _collect_primitives(p, probes)
     law = np.empty((len(inputs), width))
     for i, x_bits in enumerate(inputs):
         bits = _sampled_arrays(prims, trials, rng.spawn("mc", i))
         # each input bit is the same in every trial: a constant word
         own = {v: ONES if x_bits[v] else 0 for v in input_order(p)}
-        codes = _outcome_codes(p, own, bits, trials, outcome)
+        codes = _codes(_Sim(p, own, bits, ONES).run(probes), trials)
         law[i] = np.bincount(codes, minlength=width) / trials
     keys = [assignment_key(p, x_bits) for x_bits in inputs]
     return Channel(keys, law)

@@ -128,8 +128,9 @@ class Protocol:
         for i, tr in enumerate(self.schedule):
             if tr.eps is not None and not 0.0 <= tr.eps <= 1.0:
                 raise ValueError(f"transmission {i} eps = {tr.eps!r} is outside [0, 1]")
+        noise_eps: dict = {}  # (node, i) -> the eps of its first noise[i, eps]
         # the output expression comes last, at index T
-        for i, (_node, expr) in enumerate(self.all_expressions()):
+        for i, (node, expr) in enumerate(self.all_expressions()):
             where = f"transmission {i}" if i < self.T else "the output expression"
             for e in exprs.nodes(expr):
                 if isinstance(e, (Xor, exprs.And, exprs.Or)) and not e.args:
@@ -144,8 +145,13 @@ class Protocol:
                     t = self.mask_sources[e.src].table.t
                     if not 0 <= e.j < t:
                         raise ValueError(f"{where} reads mask bit {e.j} of a {t}-bit mask")
-                if isinstance(e, exprs.Noise) and not 0.0 <= e.eps <= 1.0:
-                    raise ValueError(f"{where} noise eps = {e.eps!r} is outside [0, 1]")
+                if isinstance(e, exprs.Noise):
+                    if not 0.0 <= e.eps <= 1.0:
+                        raise ValueError(f"{where} noise eps = {e.eps!r} is outside [0, 1]")
+                    first = noise_eps.setdefault((node, e.i), e.eps)
+                    if first != e.eps:
+                        msg = f"but node {node} already reads noise[{e.i}] with eps {first!r}"
+                        raise ValueError(f"{where} reads {exprs.to_text(e)}, {msg}")
         if self.schedule and self.schedule[-1].sender != self.output_node:
             raise ValueError("output node must send the last transmission")
         if self.klass in (SEMI_NOISY, NOISY_COPY):

@@ -186,8 +186,8 @@ def check_simulation_fidelity(p: Protocol, p1: Protocol, report):
     simulated one (input keys are matched positionally)."""
     orig_probes = [pr for pr, _ in report["probe_pairs"]]
     new_probes = [pr for _, pr in report["probe_pairs"]]
-    ch0 = engine.exact_channel(p, outcome="probes", probes=orig_probes)
-    ch1 = engine.exact_channel(p1, outcome="probes", probes=new_probes)
+    ch0 = engine.exact_channel(p, orig_probes)
+    ch1 = engine.exact_channel(p1, new_probes)
     return ch0.total_variation(ch1)
 
 
@@ -320,7 +320,7 @@ def fix_randomness(p: Protocol, f, mu):
     # passes; each input's correlations are added in ``mu`` order
     corr = np.zeros(n_assign * 2)
     outer_codes = (np.arange(grid) // inner) * 2
-    passes = engine._exact_passes(p, internal + external, inputs)
+    passes = engine._exact_passes(p, internal + external, inputs, p.all_expressions()[-1:])
     for i, codes in passes:
         k = len(codes) // grid
         index = np.repeat(np.arange(k) * n_assign * 2, grid)
@@ -576,11 +576,8 @@ def to_xnd_tree(p2: Protocol, mu_blocks=None) -> XndTreeArtifact:
 def check_leaf_law(p2: Protocol, art: XndTreeArtifact) -> float:
     """Max-over-inputs TV between the protocol's auxiliary transcript law
     and the tree's leaf law."""
-    probes = []
-    for t, tr in enumerate(p2.schedule):
-        if isinstance(p2.roles[tr.sender], AuxRole):
-            probes.append((tr.sender, tr.expr))
-    ch = engine.exact_channel(p2, outcome="probes", probes=probes)
+    aux = [(tr.sender, tr.expr) for tr in p2.schedule if tr.sender not in p2.input_nodes()]
+    ch = engine.exact_channel(p2, aux)
     tree_law = np.zeros_like(ch.law)
     for i, key in enumerate(ch.keys):
         for path, prob in trees.leaf_law(art.root, art.conditionals_for(key)).items():

@@ -292,6 +292,31 @@ def test_own_input_index_other_than_zero_is_invalid_input(tmp_path, capsys):
         assert code == want, err
 
 
+def test_conflicting_noise_eps_is_invalid_input(tmp_path, capsys):
+    # node 1 reads noise[0] in transmission 1 and in the output expression
+    out_04 = _NOISY_TEXT.replace("out 1 := xor(rx[0],noise[0,0.3])", "out 1 := noise[0,0.4]")
+    tx_04 = _NOISY_TEXT.replace("xor(rx[0],noise[0,0.3])\nout", "xor(noise[0,0.4],rx[0])\nout")
+    twice = _NOISY_TEXT.replace("tx 1 := xor(rx[0],", "tx 1 := xor(noise[0,0.2],rx[0],")
+    cases = [
+        (out_04, r"the output expression reads noise\[0,0\.4\], but node 1 already"),
+        (tx_04, r"the output expression reads noise\[0,0\.3\], but node 1 already"),
+        (twice, r"transmission 1 reads noise\[0,0\.3\], but .* eps 0\.2$"),
+    ]
+    for text, want in cases:
+        with pytest.raises(ValueError, match="^" + want):
+            protocol_from_text(text)
+    # another node's noise[0] is another bit, free to take its own eps
+    protocol_from_text(_NOISY_TEXT.replace("tx 0 eps=0.2 := in", "tx 0 := xor(in,noise[0,0.4])"))
+    path = tmp_path / "p.txt"
+    for body, want in ((_NOISY_TEXT, 0), (out_04, 1)):
+        path.write_text(body)
+        code, _out, err = run(
+            capsys, "run-protocol", "--builder", "file", "--protocol-file", str(path)
+        )
+        assert code == want, err
+        assert want == 0 or "the output expression reads noise[0,0.4]" in err
+
+
 def _mask_text(j):
     return f"""nodes 2
 eps 0.1

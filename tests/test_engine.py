@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -150,10 +150,15 @@ def test_wilson_interval_closed_form():
     assert math.isclose(0.5 - lo, hi - 0.5)
 
 
+def _transcript(p):
+    """The probe list whose law is the transcript law."""
+    return [(tr.sender, tr.expr) for tr in p.schedule]
+
+
 def test_exact_channel_rows_are_distributions():
     p = star_xor(2, reps=2, eps=0.15)
-    for outcome in ("output", "transcript"):
-        ch = exact_channel(p, outcome=outcome)
+    for probes in (None, _transcript(p)):
+        ch = exact_channel(p, probes)
         assert len(ch.keys) == 4
         assert np.all(np.abs(ch.law.sum(axis=1) - 1.0) <= 1e-12)
         assert np.all(ch.law >= 0)
@@ -161,10 +166,8 @@ def test_exact_channel_rows_are_distributions():
 
 def test_sampled_channel_close_to_exact():
     p = star_xor(2, reps=1, eps=0.1)
-    exact = exact_channel(p, outcome="output")
-    mc = sampled_channel(
-        p, engine.all_input_assignments(p), 40_000, RngStream(23), outcome="output"
-    )
+    exact = exact_channel(p)
+    mc = sampled_channel(p, engine.all_input_assignments(p), 40_000, RngStream(23))
     assert mc.keys == exact.keys
     assert np.all(np.abs(mc.law - exact.law) < 0.02)
 
@@ -245,8 +248,8 @@ def _assert_counts_in_binomial_range(counts, row, n, alpha=1e-6):
 )
 def test_execute_law_matches_exact_law(case):
     p = _law_case(case)
-    outputs = exact_channel(p, outcome="output")
-    transcripts = exact_channel(p, outcome="transcript")
+    outputs = exact_channel(p)
+    transcripts = exact_channel(p, _transcript(p))
     rng = RngStream(17, ("execute-law", case))
     trials = 1000
     for x_bits in engine.all_input_assignments(p):
@@ -289,7 +292,7 @@ def test_sampled_channel_laws_are_pinned(case):
     p = _law_case(case)
     xs = engine.all_input_assignments(p)
     rng = RngStream(37, ("law-pin", case))
-    law = sampled_channel(p, xs, 2000, rng, outcome="transcript").law
+    law = sampled_channel(p, xs, 2000, rng, _transcript(p)).law
     assert hashlib.sha256(law.tobytes()).hexdigest() == _SAMPLED_LAW_SHA256[case]
 
 
@@ -358,17 +361,50 @@ def _pass_case(name):
 )
 def test_exact_law_does_not_depend_on_the_pass_size(monkeypatch, case, outcome):
     p, probes = _pass_case(case)
-    probes = probes if outcome == "probes" else ()
+    probes = {
+        "output": p.all_expressions()[-1:],
+        "transcript": _transcript(p),
+        "probes": probes,
+    }[outcome]
     grid = math.prod(pr.size for pr in engine._collect_primitives(p, probes))
     laws = []
     # one input per pass, three per pass (the last one short), all in one
     for rows in (1, 3 * grid, 2**30):
         monkeypatch.setattr(engine, "PASS_ROWS", rows)
-        laws.append(exact_channel(p, outcome=outcome, probes=probes).law)
+        laws.append(exact_channel(p, probes).law)
     assert len(engine.all_input_assignments(p)) % 3 != 0
     for law in laws[1:]:
         assert np.array_equal(law, laws[0])
     assert np.allclose(laws[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    index=st.integers(0, 10_000),
+    semi=st.booleans(),
+    in_a=st.lists(st.integers(0, 5), max_size=2),
+    in_b=st.lists(st.integers(0, 5), max_size=2),
+)
+@example(index=0, semi=False, in_a=[0], in_b=[])
+def test_probe_law_summed_over_extra_probes_is_the_law_of_the_rest(index, semi, in_a, in_b):
+    """The law of probes A + B summed over the bits of B is the law of A.
+    B holds the fidelity probes, which read links no expression of the
+    protocol reads; A holds the output probe, so the output law is also
+    checked against a law that holds transcript bits."""
+    p = ri.random_tiny_protocol(RngStream(71), index)
+    p1, report = reductions.to_semi_noisy(p)
+    p = p1 if semi else p
+    transcript = _transcript(p)
+    a = p.all_expressions()[-1:] + [transcript[t % p.T] for t in in_a]
+    b = [pair[semi] for pair in report["probe_pairs"]] + [transcript[t % p.T] for t in in_b]
+    if (index, semi) == (0, False):  # the example: the fidelity probes grow the grid
+        assert len(engine._collect_primitives(p, b)) > len(engine._collect_primitives(p))
+    n = len(engine.all_input_assignments(p))
+    law_ab = exact_channel(p, a + b).law.reshape(n, 2 ** len(a), 2 ** len(b))
+    law_a = exact_channel(p, a).law
+    assert np.abs(law_ab.sum(axis=2) - law_a).max() <= 1e-12
+    output = law_a.reshape(n, 2, -1).sum(axis=2)
+    assert np.abs(output - exact_channel(p).law).max() <= 1e-12
 
 
 #: sha256 of the repr of 200 ``execute`` transcripts, as the per-primitive
@@ -503,10 +539,10 @@ def test_bernoulli_words_frequency():
 def test_sampled_channel_repeats_under_a_seed_and_key():
     p = _law_case("noisy_copy_d1")
     xs = engine.all_input_assignments(p)
-    a = sampled_channel(p, xs, 5000, RngStream(31, ("repeat",)), outcome="transcript")
-    b = sampled_channel(p, xs, 5000, RngStream(31, ("repeat",)), outcome="transcript")
+    a = sampled_channel(p, xs, 5000, RngStream(31, ("repeat",)), _transcript(p))
+    b = sampled_channel(p, xs, 5000, RngStream(31, ("repeat",)), _transcript(p))
     assert a.keys == b.keys and np.array_equal(a.law, b.law)
-    c = sampled_channel(p, xs, 5000, RngStream(31, ("other",)), outcome="transcript")
+    c = sampled_channel(p, xs, 5000, RngStream(31, ("other",)), _transcript(p))
     assert not np.array_equal(a.law, c.law)
 
 
@@ -539,6 +575,20 @@ def test_primitive_table_is_kept_per_protocol():
     order = engine.input_order(p)
     assert engine.input_order(p) is order and order == (0, 1)
     assert engine.input_order(p.with_(eps=0.3)) is not order
+
+
+def test_probe_noise_eps_must_match_the_table():
+    p = _every_form_protocol()  # node 4 reads noise[0,0.3]
+    table = engine._collect_primitives(p)
+    assert engine._collect_primitives(p, [(4, parse("noise[0,0.3]"))]) is table
+    # node 3 has no noise[0] yet: the probe adds it to the table
+    grown = engine._collect_primitives(p, [(3, parse("noise[0,0.4]"))])
+    assert len(grown) == len(table) + 1 and set(table) < set(grown)
+    against_table = [(4, parse("noise[0,0.4]"))]
+    between_probes = [(3, parse("noise[0,0.4]")), (3, parse("noise[0,0.2]"))]
+    for probes in (against_table, between_probes):
+        with pytest.raises(ValueError, match=r"conflicting eps for noise atom \('noise'"):
+            exact_channel(p, probes)
 
 
 # -- the compiled plan of ``execute`` against ``_Sim`` -----------------------
@@ -587,7 +637,7 @@ def _sim_trace(p, x_bits, rng):
             cdf = np.cumsum(pr.probs)
             bits.update(pr.decode(int(np.searchsorted(cdf / cdf[-1], u, side="right"))))
     sim = engine._Sim(p, x_bits, bits, 1)
-    output, _ = sim.run()
+    [output] = sim.run(p.all_expressions()[-1:])
     return [int(b) for b in sim.sent], int(output)
 
 
