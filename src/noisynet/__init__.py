@@ -11,7 +11,6 @@ from .advantage import (
     min_transmission_ratio,
     mu_star,
     parity_sign,
-    product_distribution,
     sensitivity,
     uniform_distribution,
 )

@@ -10,9 +10,9 @@ input distribution mu, the advantage is
 the maximum being achieved by the sign weighting
 a(c) = sign E[f(X) | A(X)=c].
 
-Logarithms in the bound evaluators default to base 2 (the asymptotic
-claims are base-invariant; a fixed convention keeps regression values
-stable); the Chernoff-style cell bound uses the natural exponential.
+Logarithms in the bound evaluators are base 2 (the asymptotic claims
+are base-invariant; a fixed convention keeps regression values stable);
+the Chernoff-style cell bound uses the natural exponential.
 """
 
 from __future__ import annotations
@@ -46,24 +46,13 @@ def mu_star(n: int) -> dict:
     return out
 
 
-def validate_distribution(mu: dict, tol: float = 1e-12):
+def validate_distribution(mu: dict):
+    """Probabilities at least -1e-12, summing to 1 within 1e-12."""
     total = sum(mu.values())
-    if any(p < -tol for p in mu.values()):
+    if any(p < -1e-12 for p in mu.values()):
         raise ValueError("negative probability")
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-12:
         raise ValueError(f"distribution sums to {total}")
-
-
-def product_distribution(per_block: list) -> dict:
-    """Explicit joint law of independent blocks (keys concatenate)."""
-    for mu in per_block:
-        validate_distribution(mu)
-    out = {(): 1.0}
-    for mu in per_block:
-        out = {
-            key + bk: p * q for key, p in out.items() for bk, q in mu.items()
-        }
-    return out
 
 
 def parity_sign(key: tuple) -> int:
@@ -104,22 +93,16 @@ def advantage_exact(ch: Channel, f, mu: dict) -> AdvantageEstimate:
     return AdvantageEstimate(value=value, method="exact", weighting=weighting)
 
 
-def advantage_mc(
-    evaluator,
-    f,
-    mu: dict,
-    trials: int,
-    rng,
-    level: float = 0.95,
-    bootstrap: int = 200,
-) -> AdvantageEstimate:
-    """Plug-in Monte-Carlo advantage with a bootstrap confidence interval.
+def advantage_mc(evaluator, f, mu: dict, trials: int, rng) -> AdvantageEstimate:
+    """Plug-in Monte-Carlo advantage with a 95% percentile bootstrap
+    confidence interval over 200 resamples.
 
     ``evaluator(x_key, rng)`` returns one sampled outcome.  The plug-in
     estimator sum_c |mean(f * 1_c)| carries a positive bias of order
     sqrt(|C| / trials); the exact method is preferred whenever it fits.
     """
     validate_distribution(mu)
+    level, bootstrap = 0.95, 200
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     keys = sorted(mu)
@@ -194,22 +177,21 @@ def sensitivity(f, n: int) -> int:
 # -- closed-form bounds -----------------------------------------------------
 
 
-def _log(x: float, base: float) -> float:
-    return math.log(x) / math.log(base)
+def _log2(x: float) -> float:
+    # not math.log2, which rounds differently: pinned values use this quotient
+    return math.log(x) / math.log(2.0)
 
 
-def gks_depth_bound(eps: float, delta: float, s: float, log_base: float = 2.0) -> float:
+def gks_depth_bound(eps: float, delta: float, s: float) -> float:
     """Depth lower bound eps^2 log(1/4 delta) / (50 log^2(1/eps)) * s."""
     if not 0 < eps < 0.5:
         raise ValueError("eps must be in (0, 1/2)")
     if not 0 < delta < 1 / 16:
         raise ValueError("delta must be in (0, 1/16)")
-    return (
-        eps**2 * _log(1.0 / (4 * delta), log_base) / (50 * _log(1.0 / eps, log_base) ** 2) * s
-    )
+    return eps**2 * _log2(1.0 / (4 * delta)) / (50 * _log2(1.0 / eps) ** 2) * s
 
 
-def alpha_bound(n: int, D: float, eps: float, c: float, log_base: float = 2.0) -> float:
+def alpha_bound(n: int, D: float, eps: float, c: float) -> float:
     """max(1 - exp(-c D log^2(1/eps) / (eps^2 n)), 7/8).
 
     The hidden constant of the asymptotic statement must be supplied
@@ -217,7 +199,7 @@ def alpha_bound(n: int, D: float, eps: float, c: float, log_base: float = 2.0) -
     """
     if n < 1 or D < 0 or not 0 < eps < 1 or c <= 0:
         raise ValueError("bad parameters for alpha bound")
-    expo = c * D * _log(1.0 / eps, log_base) ** 2 / (eps**2 * n)
+    expo = c * D * _log2(1.0 / eps) ** 2 / (eps**2 * n)
     return max(1.0 - math.exp(-expo), 7.0 / 8.0)
 
 
@@ -231,15 +213,9 @@ def _min_s_lhs_log2(S: float, eps: float, c_prime: float) -> float:
 
 
 def min_transmission_ratio(
-    N: float,
-    eps: float,
-    c_prime: float = 72.0,
-    c_pp: float = 1.0,
-    grid_ratio: float = 2 ** (1 / 16),
-    s_min: float = 1 / 256,
-    s_max: float = 4096.0,
+    N: float, eps: float, c_prime: float = 72.0, c_pp: float = 1.0
 ) -> float:
-    """Smallest S on a geometric grid with
+    """Smallest S on the geometric grid 2^(i/16) / 256, S <= 4096, with
     S log^2(1/eps^(c'S)) / eps^(2 c' S) >= c'' log N.
 
     The left side is strictly increasing in S, so a binary search over the
@@ -250,16 +226,17 @@ def min_transmission_ratio(
     if N <= 1:
         raise ValueError("N must exceed 1")
     rhs_log2 = math.log2(c_pp * math.log2(N))
-    n_steps = int(math.floor(math.log(s_max / s_min) / math.log(grid_ratio)))
+    ratio, s_min, s_max = 2 ** (1 / 16), 1 / 256, 4096.0
+    n_steps = int(math.floor(math.log(s_max / s_min) / math.log(ratio)))
     lo, hi = 0, n_steps
     if _min_s_lhs_log2(s_min, eps, c_prime) >= rhs_log2:
         return s_min
-    if _min_s_lhs_log2(s_min * grid_ratio**n_steps, eps, c_prime) < rhs_log2:
+    if _min_s_lhs_log2(s_min * ratio**n_steps, eps, c_prime) < rhs_log2:
         raise ValueError("grid maximum too small for this N")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _min_s_lhs_log2(s_min * grid_ratio**mid, eps, c_prime) >= rhs_log2:
+        if _min_s_lhs_log2(s_min * ratio**mid, eps, c_prime) >= rhs_log2:
             hi = mid
         else:
             lo = mid
-    return s_min * grid_ratio**hi
+    return s_min * ratio**hi

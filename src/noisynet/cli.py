@@ -176,18 +176,14 @@ def reduce_cmd(ctx, protocol_file, stage, d_max):
         if tv > 1e-12:
             raise CheckFailure(f"simulation fidelity TV {tv:g} exceeds 1e-12")
         return
-    # the law protocol_to_read_once fixes randomness under: parity against
-    # uniform inputs in canonical order
-    f = adv_mod.parity_sign
-    mu = adv_mod.uniform_distribution(len(p.input_nodes()))
     if stage == "copy":
         p1, _ = reductions.to_semi_noisy(p)
-        p2, report = reductions.to_noisy_copy(p1, d_max, f=f, mu=mu)
+        p2, report = reductions.to_noisy_copy(p1, d_max)
         _echo_json({"stage": "copy", "T": p2.T, "report": report}, ctx.obj["out"])
         return
     if stage == "xnd":
         p1, _ = reductions.to_semi_noisy(p)
-        p2, _ = reductions.to_noisy_copy(p1, d_max, f=f, mu=mu)
+        p2, _ = reductions.to_noisy_copy(p1, d_max)
         art = reductions.to_xnd_tree(p2)
         tv = reductions.check_leaf_law(p2, art)
         _echo_json(

@@ -444,6 +444,8 @@ def exact_channel(p: Protocol, probes=None) -> Channel:
     random primitive the protocol and the probes read, the inputs as the
     slowest grid axis; at most 2^CAP_BITS grid rows per input and law
     entries in all."""
+    # the output probe's primitives are in the protocol's table
+    prims = _collect_primitives(p, () if probes is None else probes)
     probes = p.all_expressions()[-1:] if probes is None else list(probes)
     inputs = all_input_assignments(p)
     width = 2 ** len(probes)
@@ -452,7 +454,6 @@ def exact_channel(p: Protocol, probes=None) -> Channel:
             f"law size {len(inputs)} x {width} exceeds 2^{CAP_BITS}",
             size=len(inputs) * width,
         )
-    prims = _collect_primitives(p, probes)
     weights = _grid_weights(prims)
     grid = len(weights)
     law = np.empty((len(inputs), width))
@@ -472,9 +473,9 @@ def sampled_channel(p: Protocol, inputs, trials: int, rng, probes=None) -> Chann
     trials."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    prims = _collect_primitives(p, () if probes is None else probes)
     probes = p.all_expressions()[-1:] if probes is None else list(probes)
     width = 2 ** len(probes)
-    prims = _collect_primitives(p, probes)
     law = np.empty((len(inputs), width))
     for i, x_bits in enumerate(inputs):
         bits = _sampled_arrays(prims, trials, rng.spawn("mc", i))

@@ -113,9 +113,18 @@ class Protocol:
     # -- validation --------------------------------------------------------
 
     def validate(self):
+        # every node id the protocol names must be one of its nodes
+        named = [*self.roles, *self.adjacency, *(w for nb in self.adjacency.values() for w in nb),
+                 *(tr.sender for tr in self.schedule), self.output_node,
+                 *(src.node for src in self.mask_sources)]
+        for v in named:
+            if v not in range(self.n_nodes):
+                raise ValueError(f"node {v} is not one of the {self.n_nodes} nodes")
         for v in range(self.n_nodes):
             if v not in self.roles:
                 raise ValueError(f"node {v} has no role")
+            if isinstance(self.roles[v], AuxRole) and self.roles[v].fixed_bit not in (0, 1):
+                raise ValueError(f"node {v} has fixed bit {self.roles[v].fixed_bit}, not 0 or 1")
             if v in self.adjacency.get(v, frozenset()):
                 raise ValueError(f"node {v} is its own neighbor")
         for v, nb in self.adjacency.items():
@@ -502,9 +511,9 @@ def protocol_from_text(text: str) -> Protocol:
     if output is None:
         raise ValueError("missing 'out' line")
     adjacency = {v: set() for v in range(n_nodes)}
-    for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+    for a, b in edges:  # Protocol.validate rejects an end outside range(n_nodes)
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
     return Protocol(
         n_nodes=n_nodes,
         adjacency=adjacency,

@@ -3,8 +3,10 @@ noisy-copy -> oblivious noisy decision tree -> read-once tree.
 
 Each stage preserves the outcome law it must preserve and never loses
 advantage, so a lower bound on what the final read-once tree can do for
-blockwise parity is a lower bound for the original protocol.  The
-stages:
+blockwise parity is a lower bound for the original protocol.  The chain
+has one target, decided here: the parity of all inputs (the product of
+the block parities, :func:`advantage.parity_sign`) under uniform inputs.
+The stages:
 
 * :func:`to_semi_noisy` -- replaces every transmission by an input
   sender with a 3-transmission gadget on an extended network: the
@@ -18,7 +20,7 @@ stages:
   broadcast per input node; receivers regenerate the d epsilon-noisy
   copies they previously saw via regeneration masks, which leaves the
   per-input outcome law unchanged.  Internal randomness is then fixed
-  to its advantage-maximizing assignment (:func:`fix_randomness`).
+  to its parity-advantage-maximizing assignment (:func:`fix_randomness`).
 * :func:`to_xnd_tree` -- unrolls the deterministic auxiliary transcript
   into a binary decision tree; the channel noise of the input
   broadcasts becomes per-(block, sender) noise vectors folded into the
@@ -194,12 +196,11 @@ def check_simulation_fidelity(p: Protocol, p1: Protocol, report):
 # -- stage 2: noisy-copy -----------------------------------------------------
 
 
-def to_noisy_copy(p1: Protocol, d: int, f=None, mu=None, fix=True):
+def to_noisy_copy(p1: Protocol, d: int, fix=True):
     """One epsilon^d broadcast per input node, masks regenerating the d
-    epsilon-noisy copies, internal randomness fixed.
+    epsilon-noisy copies, internal randomness fixed when ``fix`` is true.
 
-    Returns (p2, report).  ``f`` (input key -> +/-1) and ``mu`` are
-    needed when ``fix`` is true and the protocol reads randomness.
+    Returns (p2, report).
     """
     if p1.klass not in (SEMI_NOISY, NOISY_COPY):
         raise ValueError("to_noisy_copy expects a semi-noisy protocol")
@@ -286,19 +287,17 @@ def to_noisy_copy(p1: Protocol, d: int, f=None, mu=None, fix=True):
         "fixed": None,
     }
     if fix and not p2.is_deterministic():
-        if f is None or mu is None:
-            raise ValueError("fixing randomness needs the target f and mu")
-        p2, fix_report = fix_randomness(p2, f, mu)
+        p2, fix_report = fix_randomness(p2)
         report["fixed"] = fix_report
     return p2, report
 
 
-def fix_randomness(p: Protocol, f, mu):
+def fix_randomness(p: Protocol):
     """Replace internal random atoms by the constants maximizing the
-    exact output advantage; by averaging, the best fixing is at least
-    as good as the randomized protocol.
+    exact parity advantage of the output under uniform inputs; by
+    averaging, the best fixing is at least as good as the randomized
+    protocol.
     """
-    adv_mod.validate_distribution(mu)
     prims = engine._collect_primitives(p)
     internal = [pr for pr in prims if pr.internal]
     if not internal:
@@ -311,13 +310,12 @@ def fix_randomness(p: Protocol, f, mu):
     ext_weights = engine._grid_weights(external)
     n_assign, inner = len(p_int), len(ext_weights)
     w_ext = np.tile(ext_weights, n_assign)
-    support = [(x_key, px) for x_key, px in mu.items() if px != 0.0]
-    order = engine.input_order(p)
-    inputs = [dict(zip(order, x_key)) for x_key, _px in support]
-    signed = np.array([px * f(tuple(x_key)) for x_key, px in support])
+    inputs = engine.all_input_assignments(p)
+    px = 1.0 / len(inputs)
+    signed = np.array([px * adv_mod.parity_sign(engine.assignment_key(p, x)) for x in inputs])
 
     # bins (input, internal assignment, output bit) over the input-axis
-    # passes; each input's correlations are added in ``mu`` order
+    # passes; each input's correlations are added in input order
     corr = np.zeros(n_assign * 2)
     outer_codes = (np.arange(grid) // inner) * 2
     passes = engine._exact_passes(p, internal + external, inputs, p.all_expressions()[-1:])
@@ -401,7 +399,7 @@ class XndTreeArtifact:
         return out
 
 
-def to_xnd_tree(p2: Protocol, mu_blocks=None) -> XndTreeArtifact:
+def to_xnd_tree(p2: Protocol) -> XndTreeArtifact:
     """Unroll the auxiliary transcript of a deterministic noisy-copy
     protocol into an oblivious binary decision tree.
 
@@ -487,9 +485,8 @@ def to_xnd_tree(p2: Protocol, mu_blocks=None) -> XndTreeArtifact:
                     added_edges.append((tr.sender, v))
     lambdas = [sorted(s) for s in lambdas]
 
-    # block spaces: values (x part, z parts per lambda)
-    if mu_blocks is None:
-        mu_blocks = [None] * len(block_ids)
+    # block spaces: values (x part, z parts per lambda); x is uniform and
+    # the target is the block parity
     spaces = []
     noise_probs = []
     for b, j in enumerate(block_ids):
@@ -501,10 +498,9 @@ def to_xnd_tree(p2: Protocol, mu_blocks=None) -> XndTreeArtifact:
             raise TreeCapExceeded(
                 f"block {j} value space {space} exceeds {MAX_BLOCK_SPACE}", size=space
             )
-        mu_j = mu_blocks[b]
         values, probs, hs, pzs = [], [], [], []
+        px = 0.5**nb
         for x in itertools.product((0, 1), repeat=nb):
-            px = mu_j[x] if mu_j is not None else 0.5**nb
             for zs in itertools.product(
                 itertools.product((0, 1), repeat=nb), repeat=nz
             ):
@@ -591,48 +587,31 @@ def check_leaf_law(p2: Protocol, art: XndTreeArtifact) -> float:
 # -- full chain --------------------------------------------------------------
 
 
-def stage_advantage(p: Protocol, f, mu) -> float:
-    ch = engine.exact_channel(p)
-    return adv_mod.advantage_exact(ch, f, mu).value
+def stage_advantage(p: Protocol) -> float:
+    """Exact parity advantage of ``p``'s output under uniform inputs."""
+    mu = adv_mod.uniform_distribution(len(p.input_nodes()))
+    return adv_mod.advantage_exact(engine.exact_channel(p), adv_mod.parity_sign, mu).value
 
 
-def protocol_to_read_once(
-    p: Protocol,
-    d: int,
-    mu_blocks=None,
-    D=None,
-    alpha_c: float = 1.0,
-):
+def protocol_to_read_once(p: Protocol, d: int, D=None):
     """Full chain to a read-once noisy tree with stage-wise advantages
     and per-collapsed-query certificates.
 
-    ``mu_blocks`` optionally gives each block's input law (uniform by
-    default).  The certificate compares every collapsed query's exact
-    advantage against the closed-form bound at the query's actual depth
-    and at the budget depth 3D (when ``D`` is given).
+    The certificate compares every collapsed query's exact advantage
+    against the closed-form bound (constant 1) at the query's actual
+    depth and at the budget depth 3D (when ``D`` is given).
     """
-    f = adv_mod.parity_sign
     if p.schedule and p.output_expr != p.schedule[-1].expr:
         raise ValueError(
             "the chain requires the declared output to be the last "
             "transmitted bit"
         )
-    blocks = p.blocks()
-    block_ids = sorted(blocks)
-    if mu_blocks is None:
-        mu_list = [
-            adv_mod.uniform_distribution(len(blocks[j])) for j in block_ids
-        ]
-    else:
-        mu_list = list(mu_blocks)
-    mu = adv_mod.product_distribution(mu_list)
-
-    adv0 = stage_advantage(p, f, mu)
+    adv0 = stage_advantage(p)
     p1, rep1 = to_semi_noisy(p)
-    adv1 = stage_advantage(p1, f, mu)
-    p2, rep2 = to_noisy_copy(p1, d, f=f, mu=mu)
-    adv2 = stage_advantage(p2, f, mu)
-    art = to_xnd_tree(p2, mu_blocks=mu_list)
+    adv1 = stage_advantage(p1)
+    p2, rep2 = to_noisy_copy(p1, d)
+    adv2 = stage_advantage(p2)
+    art = to_xnd_tree(p2)
     ordered, cert = trees.reorder(art.root, art.spaces)
     # each step logs the advantage before it; the last entry, the ordered
     # tree's
@@ -650,12 +629,10 @@ def protocol_to_read_once(
             "block": art.block_ids[b],
             "levels": ell,
             "alpha": alpha,
-            "bound_at_levels": adv_mod.alpha_bound(n_b, ell, art.eps_d, alpha_c),
+            "bound_at_levels": adv_mod.alpha_bound(n_b, ell, art.eps_d, 1.0),
         }
         if D is not None:
-            entry["bound_at_3D"] = adv_mod.alpha_bound(
-                n_b, 3 * D, art.eps_d, alpha_c
-            )
+            entry["bound_at_3D"] = adv_mod.alpha_bound(n_b, 3 * D, art.eps_d, 1.0)
         query_certs.append(entry)
 
     report = {

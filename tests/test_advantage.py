@@ -62,14 +62,6 @@ def test_validate_distribution():
         adv.validate_distribution({(0,): 1.5, (1,): -0.5})
 
 
-def test_product_distribution():
-    mu = adv.product_distribution(
-        [{(0,): 0.5, (1,): 0.5}, {(0,): 0.25, (1,): 0.75}]
-    )
-    assert abs(mu[(1, 1)] - 0.375) < 1e-12
-    assert abs(sum(mu.values()) - 1.0) < 1e-12
-
-
 # -- advantage ---------------------------------------------------------------
 
 

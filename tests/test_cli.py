@@ -172,6 +172,15 @@ def test_reduce_xnd_default_instance(capsys, seed):
     assert json.loads(out)["leaf_law_tv"] <= 1e-12
 
 
+def test_reduce_copy_fixes_randomness_as_the_chain_does(capsys):
+    code, out, _err = run(capsys, "--seed", "0", "reduce", "--stage", "copy")
+    assert code == 0
+    p = ri.random_tiny_protocol(RngStream(0, ("cli", "reduce")), 0)
+    d = max(p.tx_counts()[v] for v in p.input_nodes())
+    _ro, _art, report = reductions.protocol_to_read_once(p, d)
+    assert json.loads(out)["report"]["fixed"] == report["noisy_copy"]["fixed"]
+
+
 def test_protocol_text_keeps_every_digit_of_eps():
     p1, _ = reductions.to_semi_noisy(star_xor(2, reps=1, eps=0.123456789))
     p2, _ = reductions.to_noisy_copy(p1, 1, fix=False)
@@ -315,6 +324,46 @@ def test_conflicting_noise_eps_is_invalid_input(tmp_path, capsys):
         )
         assert code == want, err
         assert want == 0 or "the output expression reads noise[0,0.4]" in err
+
+
+_XOR_TEXT = """nodes 3
+eps 0.1
+node 0 input block=1
+node 1 input block=1
+node 2 aux fix=0
+edge 0 2
+edge 1 2
+tx 0 := in
+tx 1 := in
+tx 2 := xor(rx[0],rx[1])
+out 2 := xor(rx[0],rx[1])
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, want",
+    [
+        ("edge 1 2\n", "edge 1 2\nedge 0 7\n", "node 7 is not one of the 3 nodes"),
+        ("tx 2 :=", "tx 9 := in\ntx 2 :=", "node 9 is not one of the 3 nodes"),
+        ("node 2 aux", "node 5 input block=1\nnode 2 aux", "node 5 is not one of the 3 nodes"),
+        ("fix=0", "fix=2", "node 2 has fixed bit 2, not 0 or 1"),
+    ],
+    ids=["edge_end", "sender", "role", "fixed_bit"],
+)
+def test_node_outside_the_network_is_invalid_input(tmp_path, capsys, old, new, want):
+    text = _XOR_TEXT.replace(old, new)
+    with pytest.raises(ValueError, match=want):
+        protocol_from_text(text)
+    path = tmp_path / "p.txt"
+    for body, code_want in ((_XOR_TEXT, 0), (text, 1)):
+        path.write_text(body)
+        for argv in (
+            ("run-protocol", "--builder", "file", "--protocol-file", str(path)),
+            ("reduce", "--stage", "xnd", "--protocol-file", str(path)),
+        ):
+            code, _out, err = run(capsys, *argv)
+            assert code == code_want, err
+            assert code_want == 0 or f"error: {want}" in err
 
 
 def _mask_text(j):

@@ -577,6 +577,24 @@ def test_primitive_table_is_kept_per_protocol():
     assert engine.input_order(p.with_(eps=0.3)) is not order
 
 
+def test_output_law_of_a_warm_protocol_walks_no_atoms(monkeypatch):
+    """The output probe's primitives are in the kept table, so neither
+    channel walks its atoms again."""
+    p = _every_form_protocol()
+    exact_channel(p)  # builds the table
+    calls = Counter()
+    atoms = exprs.atoms
+
+    def counted(expr):
+        calls["atoms"] += 1
+        return atoms(expr)
+
+    monkeypatch.setattr(exprs, "atoms", counted)
+    exact_channel(p)
+    sampled_channel(p, engine.all_input_assignments(p)[:2], 4, RngStream(1))
+    assert calls["atoms"] == 0
+
+
 def test_probe_noise_eps_must_match_the_table():
     p = _every_form_protocol()  # node 4 reads noise[0,0.3]
     table = engine._collect_primitives(p)

@@ -1,13 +1,14 @@
 """The protocol transformation chain and its exactness guarantees."""
 
+import itertools
 import math
 
 import pytest
 
 from noisynet import advantage as adv
-from noisynet import engine, random_instances as ri, reductions, trees
+from noisynet import engine, exprs, random_instances as ri, reductions, trees
 from noisynet.errors import TreeCapExceeded
-from noisynet.exprs import OwnInput, Received, Xor
+from noisynet.exprs import Const, MaskBit, Noise, OwnInput, Rand, Received, Xor
 from noisynet.protocol import (
     NOISY_COPY,
     SEMI_NOISY,
@@ -20,10 +21,6 @@ from noisynet.protocol import (
     star_xor,
 )
 from noisynet.rng import RngStream
-
-
-def parity(x):
-    return adv.parity_sign(x)
 
 
 # -- semi-noisy --------------------------------------------------------------
@@ -84,8 +81,7 @@ def test_noisy_copy_structure_and_counts():
     p = star_xor(2, reps=2, eps=0.1)
     p1, _ = reductions.to_semi_noisy(p)
     d = 2
-    mu = adv.uniform_distribution(2)
-    p2, report = reductions.to_noisy_copy(p1, d, f=parity, mu=mu)
+    p2, report = reductions.to_noisy_copy(p1, d)
     assert p2.klass == NOISY_COPY
     counts = p2.tx_counts()
     for v in p2.input_nodes():
@@ -101,11 +97,10 @@ def test_noisy_copy_advantage_never_drops():
     for i in range(10):
         p = ri.random_tiny_protocol(rng, i)
         d = ri.max_input_sends(p)
-        mu = adv.uniform_distribution(len(p.input_nodes()))
         p1, _ = reductions.to_semi_noisy(p)
-        p2, _ = reductions.to_noisy_copy(p1, d, f=parity, mu=mu)
-        a1 = reductions.stage_advantage(p1, parity, mu)
-        a2 = reductions.stage_advantage(p2, parity, mu)
+        p2, _ = reductions.to_noisy_copy(p1, d)
+        a1 = reductions.stage_advantage(p1)
+        a2 = reductions.stage_advantage(p2)
         assert a2 >= a1 - 1e-9, (i, a1, a2)
 
 
@@ -113,7 +108,7 @@ def test_noisy_copy_rejects_excess_sends():
     p = star_xor(1, reps=3, eps=0.1)
     p1, _ = reductions.to_semi_noisy(p)
     with pytest.raises(ValueError):
-        reductions.to_noisy_copy(p1, 2, f=parity, mu=adv.uniform_distribution(1))
+        reductions.to_noisy_copy(p1, 2)
 
 
 # -- fix_randomness ----------------------------------------------------------
@@ -121,9 +116,7 @@ def test_noisy_copy_rejects_excess_sends():
 
 def test_fix_randomness_identity_when_deterministic():
     p = star_xor(2, reps=1, eps=0.1)
-    fixed, report = reductions.fix_randomness(
-        p, parity, adv.uniform_distribution(2)
-    )
+    fixed, report = reductions.fix_randomness(p)
     assert report["identity"] is True
     assert fixed is p
 
@@ -135,22 +128,21 @@ def test_fix_randomness_averaging_property():
     for i in range(20):
         p = ri.random_tiny_protocol(rng, i)
         p1, _ = reductions.to_semi_noisy(p)
-        mu = adv.uniform_distribution(len(p1.input_nodes()))
         d = ri.max_input_sends(p)
-        p2, report = reductions.to_noisy_copy(p1, d, f=parity, mu=mu, fix=False)
+        p2, report = reductions.to_noisy_copy(p1, d, fix=False)
         if p2.is_deterministic():
             continue
         found += 1
-        fixed, rep = reductions.fix_randomness(p2, parity, mu)
+        fixed, rep = reductions.fix_randomness(p2)
         assert rep["advantage"] >= rep["advantage_randomized"] - 1e-12
         # the reported advantage is the exact advantage of the fixed protocol
-        got = reductions.stage_advantage(fixed, parity, mu)
+        got = reductions.stage_advantage(fixed)
         assert abs(got - rep["advantage"]) <= 1e-9
     assert found >= 3
 
 
 def test_fix_randomness_does_not_depend_on_the_pass_size(monkeypatch):
-    """Each input's correlations are added in mu order, however many
+    """Each input's correlations are added in input order, however many
     inputs share a pass, so the reports are the same floats."""
     rng = RngStream(29)
     found = 0
@@ -167,33 +159,87 @@ def test_fix_randomness_does_not_depend_on_the_pass_size(monkeypatch):
         # one input per pass, three per pass (the last one short), all in one
         for rows in (1, 3 * grid, 2**30):
             monkeypatch.setattr(engine, "PASS_ROWS", rows)
-            reports.append(reductions.fix_randomness(p2, parity, mu)[1])
+            reports.append(reductions.fix_randomness(p2)[1])
         assert reports[1] == reports[0] and reports[2] == reports[0]
     assert found >= 3
+
+
+def _every_fixing(p):
+    """``p`` with its internal random atoms replaced by constants, once per
+    joint outcome of its internal primitives."""
+    internal = [pr for pr in engine._collect_primitives(p) if pr.internal]
+    for outcomes in itertools.product(*(range(pr.size) for pr in internal)):
+        bits = {c: b for pr, o in zip(internal, outcomes) for c, b in pr.decode(o).items()}
+
+        def fixed(node, expr):
+            def m(atom):
+                if isinstance(atom, (Rand, Noise, MaskBit)):
+                    return Const(bits[engine._internal_key(node, atom)])
+                return None
+
+            return exprs.substitute(expr, m)
+
+        schedule = [
+            Transmission(tr.sender, fixed(tr.sender, tr.expr), tr.noisy, tr.eps)
+            for tr in p.schedule
+        ]
+        out = fixed(p.output_node, p.output_expr)
+        yield p.with_(schedule=schedule, output_expr=out, mask_sources=[])
+
+
+def _gated(p):
+    """``p`` with its output ANDed with a random bit of the output node: the
+    fixing rand[0] = 1 keeps the output, rand[0] = 0 makes it constant."""
+    out = exprs.And((p.output_expr, Rand(0)))
+    last = p.schedule[-1]
+    schedule = p.schedule[:-1] + [Transmission(last.sender, out, last.noisy, last.eps)]
+    return p.with_(schedule=schedule, output_expr=out)
+
+
+def test_fix_randomness_picks_the_best_fixing():
+    """The reported advantage is the largest over every fixing, each fixed
+    protocol scored through its exact output channel.  The regeneration
+    masks of these instances give every fixing the same advantage; the
+    gated variants are the cases where a worse fixing exists."""
+    rng = RngStream(29)
+    found = spread = 0
+    for i in range(40):
+        p = ri.random_tiny_protocol(rng, i)
+        for q in (p, _gated(p)):
+            q1, _ = reductions.to_semi_noisy(q)
+            q2, _ = reductions.to_noisy_copy(q1, ri.max_input_sends(q), fix=False)
+            internal = [pr for pr in engine._collect_primitives(q2) if pr.internal]
+            if not internal or math.prod(pr.size for pr in internal) > 64:
+                continue
+            found += 1
+            advs = [reductions.stage_advantage(f) for f in _every_fixing(q2)]
+            spread += max(advs) > min(advs) + 1e-6
+            _fixed, report = reductions.fix_randomness(q2)
+            assert abs(max(advs) - report["advantage"]) <= 1e-12, (i, advs, report)
+    assert found >= 3 and spread >= 3
 
 
 # -- transcript tree ---------------------------------------------------------
 
 
 def chain_to_tree(p, d):
-    mu = adv.uniform_distribution(len(p.input_nodes()))
     p1, _ = reductions.to_semi_noisy(p)
-    p2, _ = reductions.to_noisy_copy(p1, d, f=parity, mu=mu)
+    p2, _ = reductions.to_noisy_copy(p1, d)
     art = reductions.to_xnd_tree(p2)
-    return p2, art, mu
+    return p2, art
 
 
 def test_xnd_tree_leaf_law_matches_protocol():
     rng = RngStream(37)
     for i in range(10):
         p = ri.random_tiny_protocol(rng, i)
-        p2, art, _mu = chain_to_tree(p, ri.max_input_sends(p))
+        p2, art = chain_to_tree(p, ri.max_input_sends(p))
         tv = reductions.check_leaf_law(p2, art)
         assert tv <= 1e-12, (i, tv)
 
 
 def test_tree_depth_cap_reports_the_depth(monkeypatch):
-    p2, art, _mu = chain_to_tree(star_xor(2, reps=2, eps=0.2), 2)
+    p2, art = chain_to_tree(star_xor(2, reps=2, eps=0.2), 2)
     depth = art.report["depth"]
     monkeypatch.setattr(reductions, "MAX_TREE_DEPTH", depth - 1)
     with pytest.raises(TreeCapExceeded) as info:
@@ -205,8 +251,8 @@ def test_xnd_tree_advantage_at_least_protocol():
     rng = RngStream(43)
     for i in range(10):
         p = ri.random_tiny_protocol(rng, i)
-        p2, art, mu = chain_to_tree(p, ri.max_input_sends(p))
-        a2 = reductions.stage_advantage(p2, parity, mu)
+        p2, art = chain_to_tree(p, ri.max_input_sends(p))
+        a2 = reductions.stage_advantage(p2)
         at, _w = trees.tree_advantage(art.root, art.spaces)
         assert at >= a2 - 1e-9, (i, a2, at)
 
@@ -231,11 +277,10 @@ def test_xnd_tree_depth_one_single_transmission():
         eps=eps,
         klass=SEMI_NOISY,
     )
-    mu = adv.uniform_distribution(1)
-    p2, _ = reductions.to_noisy_copy(p1, 1, f=parity, mu=mu)
+    p2, _ = reductions.to_noisy_copy(p1, 1)
     art = reductions.to_xnd_tree(p2)
     assert trees.depth(art.root) == 1
-    a_p = reductions.stage_advantage(p1, parity, mu)
+    a_p = reductions.stage_advantage(p1)
     a_t, _w = trees.tree_advantage(art.root, art.spaces)
     assert abs(a_p - (1 - 2 * eps)) <= 1e-12
     assert abs(a_t - a_p) <= 1e-12
