@@ -31,8 +31,8 @@ class PlanarNetwork:
             raise ValueError("positions must be an (N, 2) array")
         if positions.size and (positions.min() < 0.0 or positions.max() > 1.0):
             raise ValueError("positions must lie in the unit square")
-        if not radius >= 0:  # NaN fails too
-            raise ValueError(f"radius must be >= 0, got {radius}")
+        if not (math.isfinite(radius) and radius >= 0):
+            raise ValueError(f"radius must be finite and >= 0, got {radius}")
         self.positions = positions
         self._xy = np.ascontiguousarray(positions.T)  # x and y columns, for _close
         self.radius = float(radius)
@@ -49,12 +49,16 @@ class PlanarNetwork:
         """k-d tree over the positions (``scipy.spatial.cKDTree``); sliding
         midpoints build faster than medians, and each caller sorts its pairs."""
         if self._tree is None:
-            # imported here, as in is_connected: scipy costs most of
-            # ``import noisynet``
+            # imported here: scipy costs most of ``import noisynet``
             from scipy.spatial import cKDTree
 
             self._tree = cKDTree(self.positions, balanced_tree=False)
         return self._tree
+
+    def _node(self, i: int) -> int:
+        if not 0 <= i < self.n_nodes:
+            raise ValueError(f"node id {i} is not in range({self.n_nodes})")
+        return i
 
     def _close(self, a, b):
         """Whether nodes ``a`` and ``b`` (indices or index arrays) lie at
@@ -66,6 +70,7 @@ class PlanarNetwork:
 
     def neighbors(self, i: int) -> list:
         """Indices at distance < radius from node i (excluding i)."""
+        i = self._node(i)
         cand = np.asarray(
             self.tree.query_ball_point(self.positions[i], self.radius), dtype=np.intp
         )
@@ -94,7 +99,7 @@ class PlanarNetwork:
         return self._adjacency
 
     def has_edge(self, i: int, j: int) -> bool:
-        return i != j and bool(self._close(i, j))
+        return self._node(i) != self._node(j) and bool(self._close(i, j))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -132,17 +137,65 @@ def _group(keys, values, n: int) -> list:
     return [values[bounds[k] : bounds[k + 1]] for k in range(n)]
 
 
-def is_connected(net: PlanarNetwork) -> bool:
-    """Whole-graph connectivity of the strict-< edge set."""
+#: Below this radius ``is_connected`` lists the edges: its cell key reaches
+#: (1.5 / R)^2, which must stay below 2^63 (the cell proof holds to 1e-13).
+_CELL_MIN_RADIUS = 1e-9
+
+
+def _components(n: int, a, b):
+    """``(count, labels)`` of the graph on n vertices with edges a[k]-b[k]."""
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
+    graph = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
+def is_connected(net: PlanarNetwork) -> bool:
+    """Whole-graph connectivity of the strict-< edge set, on grid cells.
+
+    Nodes are keyed by cell ``floor(pos / side)``, side = R/1.5.  A computed
+    ``pos / side`` in cell k is within (k + 1)2^-53 of the exact one, so for
+    R >= 1e-13 ``_close`` puts two nodes of one cell less than 0.95 R apart
+    (sqrt(2)/1.5 = 0.943 plus rounding), and nodes of cells 3 apart on an
+    axis more than 1.3 R apart: each cell is one union, and edges join the
+    12 forward cells 2 or fewer apart.  Round 1 tests the first nodes of each
+    neighbouring cell pair, round 2 every cross pair of the cell pairs round
+    1 left in different components.  Every union is inside a cell or a pair
+    ``_close`` accepted, so the answer is that of the strict-< edge set.
+    """
     n = net.n_nodes
     if n <= 1:
         return True
-    e = net.edge_array()
-    graph = coo_matrix((np.ones(len(e), dtype=np.int8), (e[:, 0], e[:, 1])), shape=(n, n))
-    return connected_components(graph, directed=False, return_labels=False) == 1
+    if net.radius < _CELL_MIN_RADIUS:
+        return _components(n, *net.edge_array().T)[0] == 1
+    col, row = np.floor(net._xy / (net.radius / 1.5)).astype(np.int64)
+    width = int(row.max()) + 3  # row +- 2 never reaches another column's cells
+    key = col * width + row
+    order = np.argsort(key)
+    key = key[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    cells, size = key[start], np.diff(np.r_[start, n])
+    # neighbouring non-empty cell pairs (a, b) as indices into ``cells``,
+    # over the forward (column, row) offsets 2 or fewer apart on each axis
+    step = [1, 2] + [c * width + r for c in (1, 2) for r in range(-2, 3)]
+    want = (cells + np.array(step)[:, None]).ravel()
+    b = np.searchsorted(cells, want)
+    found = np.flatnonzero(cells[np.minimum(b, len(cells) - 1)] == want)
+    a, b = found % len(cells), b[found]
+    hit = net._close(order[start[a]], order[start[b]])
+    k, label = _components(len(cells), a[hit], b[hit])
+    if k == 1:
+        return True
+    # a pair of one-node cells was tested in round 1
+    keep = (label[a] != label[b]) & (size[a] * size[b] > 1)
+    a, b = a[keep], b[keep]
+    count = size[a] * size[b]
+    pair = np.repeat(np.arange(len(a)), count)
+    t = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    nb = size[b][pair]
+    hit = net._close(order[start[a][pair] + t // nb], order[start[b][pair] + t % nb])
+    return _components(k, label[a][pair[hit]], label[b][pair[hit]])[0] == 1
 
 
 def chernoff_bound(mu: float) -> float:

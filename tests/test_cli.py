@@ -407,17 +407,21 @@ def test_decompose_zero_nodes_is_invalid_input(capsys):
 
 def test_nan_radius_is_invalid_input(tmp_path, capsys):
     net_path = tmp_path / "net.json"
-    code, _out, err = run(
-        capsys, "--out", str(net_path), "gen-network", "--n", "10", "--radius", "nan"
-    )
-    assert code == 1 and "radius" in err
-    assert not net_path.exists()
-    # a network file carrying NaN (json accepts it) fails the same check
+    for radius in ("nan", "inf"):
+        code, _out, err = run(
+            capsys, "--out", str(net_path), "gen-network", "--n", "10", "--radius", radius
+        )
+        assert code == 1 and "radius" in err
+        assert not net_path.exists()
+    # a network file carrying NaN or Infinity (json accepts both) fails the
+    # same check
     code, _out, err = run(capsys, "--out", str(net_path), "gen-network", "--n", "10")
     assert code == 0
-    net_path.write_text(net_path.read_text().replace('"radius": ', '"radius": NaN, "r": '))
-    code, _out, err = run(capsys, "decompose", "--network", str(net_path))
-    assert code == 1 and "radius" in err
+    text = net_path.read_text()
+    for radius in ("NaN", "Infinity"):
+        net_path.write_text(text.replace('"radius": ', f'"radius": {radius}, "r": '))
+        code, _out, err = run(capsys, "decompose", "--network", str(net_path))
+        assert code == 1 and "radius" in err
 
 
 def test_tree_collapse_on_unordered_is_check_failure(tmp_path, capsys):

@@ -137,6 +137,133 @@ def test_is_connected_matches_search_over_adjacency(factor):
     assert is_connected(net) == (len(seen) == N)
 
 
+def _reaches_all(adj) -> bool:
+    """Whether a search from node 0 over a boolean adjacency matrix reaches
+    every node."""
+    seen, stack = {0}, [0]
+    while stack:
+        for w in np.flatnonzero(adj[stack.pop()]).tolist():
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
+@st.composite
+def cell_networks(draw):
+    """2-150 points and a radius R for the cell rule of ``is_connected``:
+    R from 0 through radii on both sides of the cell guard to above sqrt(2).
+    Points lie on multiples of the cell side R/1.5 or of R (from the origin
+    or from a drawn point; coincident where they repeat or are clipped), on
+    a walk whose steps are R or just below it in drawn directions (a path
+    that any missed neighbouring cell breaks), and anywhere."""
+    guard = planar._CELL_MIN_RADIUS
+    tiny = [1e-13, np.nextafter(guard, 0), guard, 3 * guard]
+    R = draw(st.one_of(st.floats(1e-6, 0.4), st.sampled_from([0.0, *tiny, 1.3, 2.0])))
+
+    def clip(v):
+        return min(max(v, 0.0), 1.0)
+
+    base = draw(st.sampled_from([0.0, 0.5, draw(st.floats(0, 1))]))
+    step = draw(st.sampled_from([R / 1.5, R]))
+    lattice = st.integers(-2, 6).map(lambda k: clip(base + k * step))
+    n = draw(st.integers(1, 107))
+    pts = draw(st.lists(st.tuples(lattice, lattice), min_size=n, max_size=n))
+    x, y = pts[-1]
+    stride = R * draw(st.sampled_from([1.0, 1 - 1e-9, 0.9, 0.6]))
+    n = draw(st.integers(1, 40))
+    for angle in draw(st.lists(st.floats(0, 2 * math.pi), min_size=n, max_size=n)):
+        x, y = clip(x + stride * math.cos(angle)), clip(y + stride * math.sin(angle))
+        pts.append((x, y))
+    return pts + draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=3)), R
+
+
+# A pair at computed distance exactly R = 0.1 on a diagonal: it shares a
+# cell of any side above R/sqrt(2) and must not be united.
+@example(([(0.0, 0.0), (0.07071067811865475, 0.07071067811865475)], 0.1))
+@settings(max_examples=100, deadline=None)
+@given(cell_networks())
+def test_is_connected_matches_search_over_close(case):
+    pts, R = case
+    net = PlanarNetwork(pts, radius=R)
+    a, b = np.indices((net.n_nodes, net.n_nodes))
+    assert is_connected(net) == _reaches_all(net._close(a, b))
+
+
+@pytest.mark.parametrize(
+    "offset", [(c, r) for c in range(-2, 3) for r in range(-2, 3) if (c, r) != (0, 0)]
+)
+def test_is_connected_finds_an_edge_to_every_cell_two_apart(offset):
+    """Two nodes whose cells are ``offset`` apart, at distance < 0.97 R."""
+    R = 0.06
+    side = R / 1.5
+
+    def coords(o):
+        """Both nodes' coordinates on one axis, in cell sides: the first in
+        cell 3, the second in cell 3 + o, at most 1.02 sides apart."""
+        if o > 0:
+            return 3.99, 3 + o + 0.01
+        if o < 0:
+            return 3.01, 4 + o - 0.01
+        return 3.5, 3.5
+
+    (x0, x1), (y0, y1) = map(coords, offset)
+    net = PlanarNetwork([[x0 * side, y0 * side], [x1 * side, y1 * side]], R)
+    cells = np.floor(net.positions / side).astype(int).tolist()
+    assert cells == [[3, 3], [3 + offset[0], 3 + offset[1]]]
+    assert is_connected(net)
+
+
+def test_is_connected_matches_components_of_the_edge_list():
+    """The 12 networks of the benchmark's connectivity shape."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    N = 10000
+    threshold = math.sqrt(math.log(N) / N)
+    for factor in (0.4, 0.55, 0.7, 0.85, 1.0, 1.25):
+        for key in range(2):
+            net = sample_network(N, factor * threshold, RngStream(20, (factor, key)))
+            e = net.edge_array()
+            graph = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(N, N))
+            want = connected_components(graph, directed=False)[0] == 1
+            assert is_connected(net) == want, (factor, key)
+
+
+def test_is_connected_lists_no_edges_above_the_cell_guard(monkeypatch):
+    guard = planar._CELL_MIN_RADIUS
+    pair = [(0.5, 0.5), (0.5 + 0.9 * guard, 0.5)]
+    below = PlanarNetwork(pair, np.nextafter(guard, 0))
+    assert is_connected(below)
+
+    def refuse(self):
+        raise AssertionError("k-d tree or edge list built")
+
+    monkeypatch.setattr(PlanarNetwork, "tree", property(refuse))
+    monkeypatch.setattr(PlanarNetwork, "edge_array", refuse)
+    assert is_connected(PlanarNetwork(pair, guard))
+    assert is_connected(sample_network(2000, 0.08, RngStream(21)))
+    assert not is_connected(sample_network(2000, 0.03, RngStream(21)))
+    with pytest.raises(AssertionError, match="built"):
+        is_connected(below)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net: net.neighbors(-1),
+        lambda net: net.neighbors(3),
+        lambda net: net.has_edge(1, -2),
+        lambda net: net.has_edge(-1, 0),
+        lambda net: net.has_edge(0, 7),
+    ],
+)
+def test_node_ids_outside_the_network_are_rejected(call):
+    net = PlanarNetwork([[0.0, 0.0], [0.1, 0.0], [0.9, 0.9]], 0.2)
+    with pytest.raises(ValueError, match="node id"):
+        call(net)
+
+
 def test_positions_validated():
     with pytest.raises(ValueError):
         PlanarNetwork([[0.0, 1.5]], radius=0.1)
