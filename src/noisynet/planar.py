@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +47,10 @@ class PlanarNetwork:
 
     @property
     def tree(self):
-        """k-d tree over the positions (``scipy.spatial.cKDTree``); sliding
-        midpoints build faster than medians, and each caller sorts its pairs."""
+        """k-d tree over the positions (``scipy.spatial.cKDTree``) for
+        ``neighbors`` and ``edge_array``; sliding midpoints build faster than
+        medians.  ``neighbors`` sorts what it finds; ``edge_array`` returns
+        its pairs in no order."""
         if self._tree is None:
             # imported here: scipy costs most of ``import noisynet``
             from scipy.spatial import cKDTree
@@ -222,12 +225,6 @@ class Tessellation:
         return self.m * self.m
 
     @property
-    def cell_of(self) -> dict:
-        """node -> (row, col)"""
-        row, col = np.divmod(self.cell, self.m)
-        return dict(enumerate(zip((row + 1).tolist(), (col + 1).tolist())))
-
-    @property
     def members(self) -> dict:
         """(row, col) -> sorted node list"""
         groups = _group(self.cell, np.arange(len(self.cell)), self.M)
@@ -400,8 +397,9 @@ def verify_decomposition(net: PlanarNetwork, dec: Decomposition) -> dict:
         + [("A", j + 1, b) for j, b in enumerate(dec.aux_blocks)]
         + [("A", 0, dec.aux0)]
     )
+    sizes = [len(b) for _, _, b in all_blocks]
     nodes = np.concatenate([np.asarray(b, dtype=np.int64) for _, _, b in all_blocks])
-    owner = np.repeat(np.arange(len(all_blocks)), [len(b) for _, _, b in all_blocks])
+    owner = np.repeat(np.arange(len(all_blocks)), sizes)
     # in a stable sort by node, a repeated node follows its latest earlier entry
     order = np.argsort(nodes, kind="stable")
     again = nodes[order[1:]] == nodes[order[:-1]]
@@ -423,34 +421,60 @@ def verify_decomposition(net: PlanarNetwork, dec: Decomposition) -> dict:
             report["partition_ok"] = False
             report["partition_witnesses"].append({name: ids[:10].tolist()})
 
-    for j, blk in enumerate(dec.input_blocks, start=1):
-        for v, w in _confinement_witnesses(net, blk, dec.aux_blocks[j - 1]):
-            report["p2_ok"] = False
-            report["p2_witnesses"].append({"block": j, "edge": [v, w]})
+    lists = np.split(nodes, np.cumsum(sizes)[:-1])
+    k = len(dec.input_blocks)
+    for j, v, w in _confinement_witnesses(net, lists[:k], lists[k:-1]):
+        report["p2_ok"] = False
+        report["p2_witnesses"].append({"block": j, "edge": [v, w]})
     report["ok"] = report["p1_ok"] and report["p2_ok"] and report["partition_ok"]
     return report
 
 
-def _confinement_witnesses(net: PlanarNetwork, blk, aux) -> list:
-    """Edges (v, w) from a node v of ``blk`` to a node w outside ``blk`` and
-    ``aux``, in the order of ``blk`` and then of w."""
-    from scipy.spatial import cKDTree
+def _confinement_witnesses(net: PlanarNetwork, blocks, auxes) -> Iterator[tuple]:
+    """The edges ``(j, v, w)`` from a node v of input block j (1-based) to
+    a node w outside block j and aux block j, ordered by j, v's place in
+    its block, then w.  ``blocks`` and ``auxes`` hold int arrays; ids
+    outside ``range(N)`` are skipped, as the partition check reports them.
 
-    blk = np.asarray(blk, dtype=np.intp)
-    inside = np.concatenate([blk, np.asarray(aux, dtype=np.intp)])
-    allowed = np.zeros(net.n_nodes, dtype=bool)
-    allowed[inside[(inside >= 0) & (inside < net.n_nodes)]] = True
-    # every pair (position in blk, node) at distance <= R, coincident ones too
-    near = cKDTree(net.positions[blk]).sparse_distance_matrix(
-        net.tree, net.radius, output_type="ndarray"
-    )
-    pos, w = near["i"], near["j"]
-    out = ~allowed[w]
-    pos, w = pos[out], w[out]
-    hit = net._close(blk[pos], w)
-    pos, w = pos[hit], w[hit]
-    order = np.lexsort((w, pos))
-    return list(zip(blk[pos[order]].tolist(), w[order].tolist()))
+    Nodes are sorted once by column-major grid cells of side
+    max(R, 1/sqrt(N)), so keys stay below (sqrt(N) + 1)^2.  Each block tests
+    with ``_close`` only the nodes in its coordinate box widened by
+    h = R(1 + 2^-48) + 2^-500, found in the cells under the box.  If
+    ``_close`` joins v and w, the rounded dx*dx + dy*dy is below R^2; the
+    subtraction, square and sum each err by a factor within 1 +- 2^-53, the
+    square also by 2^-1075 on underflow, so the exact |x_w - x_v| <
+    (R + 2^-537)(1 + 2^-51), which the rounded h exceeds (by its relative
+    term above R = 2^-480, its absolute one below); likewise for y.
+    Rounding is monotone, so the rounded box ends keep every such w.
+    """
+    N, R = net.n_nodes, net.radius
+    x, y = net._xy
+    side = max(R, 1 / math.sqrt(max(N, 1)))
+    width = int(1 / side) + 1  # cells per axis: a coordinate is at most 1
+    key = (x / side).astype(np.int64) * width + (y / side).astype(np.int64)
+    order = np.argsort(key)
+    key = key[order]
+    h = R * (1 + 2**-48) + 2**-500
+    allowed = np.zeros(N, dtype=bool)
+    for j, blk in enumerate(blocks):
+        blk = blk[(blk >= 0) & (blk < N)]
+        if not len(blk):
+            continue
+        xb, yb = x[blk], y[blk]
+        x0, x1, y0, y1 = xb.min() - h, xb.max() + h, yb.min() - h, yb.max() + h
+        c0, c1, r0, r1 = (int(min(max(c / side, 0), width - 1)) for c in (x0, x1, y0, y1))
+        cols = np.arange(c0, c1 + 1) * width
+        runs = zip(key.searchsorted(cols + r0), key.searchsorted(cols + r1, "right"))
+        w = np.concatenate([order[a:b] for a, b in runs])
+        xw, yw = x[w], y[w]
+        w = w[(xw >= x0) & (xw <= x1) & (yw >= y0) & (yw <= y1)]
+        aux = auxes[j][(auxes[j] >= 0) & (auxes[j] < N)]
+        allowed[blk] = allowed[aux] = True
+        w = np.sort(w[~allowed[w]])
+        allowed[blk] = allowed[aux] = False
+        v, w = np.repeat(blk, len(w)), np.tile(w, len(blk))
+        hit = net._close(v, w)
+        yield from zip([j + 1] * int(hit.sum()), v[hit].tolist(), w[hit].tolist())
 
 
 def s1_neighborhoods_disjoint(net: PlanarNetwork, dec: Decomposition) -> bool:

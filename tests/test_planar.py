@@ -30,19 +30,33 @@ from noisynet.protocol import check_bounded_counts
 from noisynet.rng import RngStream
 
 
-def test_import_leaves_scipy_unloaded():
-    """scipy loads on first use (k-d tree, connectivity, E3), not on import."""
+def _scipy_loaded_after(code: str) -> str:
+    """The scipy modules loaded in a fresh interpreter after ``code``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (
-        "import sys, noisynet; "
+    code += (
+        "; import sys; "
         "print([m for m in ('scipy.spatial', 'scipy.sparse', 'scipy.stats') "
         "if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy loads on first use (k-d tree, connectivity, E3), not on import."""
+    assert _scipy_loaded_after("import noisynet") == "[]"
+
+
+def test_decompose_and_verify_leave_scipy_unloaded():
+    code = (
+        "from noisynet.planar import *; from noisynet.rng import RngStream; "
+        "net = sample_network(2000, 0.2, RngStream(1)); "
+        "assert verify_decomposition(net, decompose_for_uniform_counts(net))['ok']"
+    )
+    assert _scipy_loaded_after(code) == "[]"
 
 
 def test_radius_zero_disconnected():
@@ -288,7 +302,7 @@ def test_tessellation_covers_all_nodes():
         range(200)
     )
     for i, (x, y) in enumerate(net.positions):
-        r, c = tess.cell_of[i]
+        r, c = tess.cell[i] // tess.m + 1, tess.cell[i] % tess.m + 1
         assert (c - 1) * tess.side <= x <= c * tess.side + 1e-12
         assert (r - 1) * tess.side <= y <= r * tess.side + 1e-12
 
@@ -303,7 +317,7 @@ def test_tessellation_of_gridline_points_follows_the_ceil_rule():
         for i, (x, y) in enumerate(pts):
             col = min(max(1, math.ceil(x / tess.side)), m)
             row = min(max(1, math.ceil(y / tess.side)), m)
-            assert tess.cell_of[i] == (row, col)
+            assert tess.cell[i] == (row - 1) * m + col - 1
             members[(row, col)].append(i)
         assert tess.members == members
 
@@ -377,6 +391,103 @@ def test_partition_reports_missing_and_out_of_range_ids():
         {"missing": gone},
         {"out_of_range": [-1, N + 7]},
     ]
+
+
+@pytest.mark.parametrize("change", ["id N", "id -1", "empty"])
+def test_verify_skips_input_block_ids_outside_the_network(change):
+    """An id outside range(N) in an input block is the partition check's
+    ``out_of_range`` and takes no part in confinement; an empty input block
+    fails P1."""
+    N = 2000
+    net = _net(N, 1)
+    dec = decompose_for_uniform_counts(net)
+    first, aux0 = {
+        "id N": (dec.input_blocks[0] + [N], dec.aux0),
+        "id -1": (dec.input_blocks[0] + [-1], dec.aux0),
+        "empty": ([], dec.aux0 + dec.input_blocks[0]),
+    }[change]
+    bad = Decomposition(
+        dec.n, dec.k, dec.d, dec.D, [first] + dec.input_blocks[1:], dec.aux_blocks,
+        aux0, dec.cells,
+    )
+    report = verify_decomposition(net, bad)
+    assert not report["ok"] and not report["p1_ok"]
+    assert report["p1_witnesses"] == [{"block": 1, "size": len(first)}]
+    assert report["p2_ok"] and report["p2_witnesses"] == []
+    if change == "empty":
+        assert report["partition_ok"]
+    else:
+        assert report["partition_witnesses"] == [{"out_of_range": first[-1:]}]
+
+
+@st.composite
+def confinement_cases(draw):
+    """1-34 points, a radius R from 0 and tiny values to the largest float
+    (whose box widening overflows), and input and aux blocks drawn over the
+    nodes.  Points lie on a lattice counted from either side of the square
+    (so blocks sit at its edges and corners) of step R, R/5 (3-4-5
+    triangles tie R), or 2^-700 or 1e-170 (squares that underflow), repeat
+    (coincident points), or lie anywhere.  Blocks are any lists of nodes:
+    spread out, empty, or repeating a node."""
+    tiny_to_huge = [0.0, 1e-300, 1e-13, 0.05, 1.5, sys.float_info.max]
+    R = draw(st.one_of(st.floats(1e-6, 1.2), st.sampled_from(tiny_to_huge)))
+    step = draw(st.sampled_from([R, R / 5, 2.0**-700, 1e-170]))
+
+    def lattice(k, from_top):
+        v = min(k * step, 1.0)
+        return 1.0 - v if from_top else v
+
+    coord = st.one_of(
+        st.tuples(st.integers(0, 8), st.booleans()).map(lambda t: lattice(*t)), st.floats(0, 1)
+    )
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    node = st.integers(0, len(pts) - 1)
+    k = draw(st.integers(0, 4))
+    blocks = draw(st.lists(st.lists(node, max_size=8), min_size=k, max_size=k))
+    auxes = draw(st.lists(st.lists(node, max_size=len(pts)), min_size=k, max_size=k))
+    return pts, R, blocks, auxes
+
+
+# Two points 2^-700 apart at R = 1e-300: their squared distance underflows
+# to 0, so ``_close`` joins them although they are farther apart than R.
+# Then a 3-4-5 pair at computed distance exactly R = 0.05, which ``_close``
+# does not join (see the edge rule's test), beside a repeated block node;
+# and a block at a corner of the square.
+@example(([(0.0, 0.0), (2.0**-700, 0.0), (0.5, 0.5)], 1e-300, [[0]], [[]]))
+@example(([(0.0, 0.0), (0.05, 0.0), (0.03, 0.04)], 0.05, [[0], [1, 1]], [[], [0]]))
+@example(([(1.0, 1.0), (0.9, 1.0), (1.0, 0.8), (0.0, 0.0)], 0.25, [[0]], [[1]]))
+@settings(max_examples=150, deadline=None)
+@given(confinement_cases())
+def test_confinement_matches_brute_force_at_ties_edges_and_tiny_radii(case):
+    pts, R, blocks, auxes = case
+    net = PlanarNetwork(pts, radius=R)
+    dec = Decomposition(1, len(blocks), 1.0, 1.0, blocks, auxes, [], [])
+    p = net.positions
+    want = []
+    for j, blk in enumerate(blocks, start=1):
+        allowed = set(blk) | set(auxes[j - 1])
+        for v in blk:
+            dist = np.sqrt(((p - p[v]) ** 2).sum(axis=1))
+            want += [
+                {"block": j, "edge": [v, w]}
+                for w in np.flatnonzero(dist < R).tolist()
+                if w not in allowed
+            ]
+    report = verify_decomposition(net, dec)
+    assert report["p2_witnesses"] == want
+    assert report["p2_ok"] == (not want)
+
+
+def test_verify_builds_no_k_d_tree(monkeypatch):
+    net, bad = _bad_decompositions()
+
+    def refuse(self):
+        raise AssertionError("k-d tree built")
+
+    monkeypatch.setattr(PlanarNetwork, "tree", property(refuse))
+    assert verify_decomposition(net, decompose_for_uniform_counts(net))["ok"]
+    assert verify_decomposition(net, bad["aux_to_aux0"])["p2_witnesses"]
 
 
 def test_decompose_rejects_wrong_total():
@@ -555,7 +666,8 @@ def test_undersized_and_empty_messages_are_pinned():
     # nodes outside the one selected neighbourhood carry negative counts, so
     # the selected load exceeds D = 18T/M = 2T: a corrupted profile
     counts = {
-        v: 1 if max(rc) <= 2 else -1 for v, rc in tess.cell_of.items()
+        v: 1 if max(divmod(cell, tess.m)) <= 1 else -1
+        for v, cell in enumerate(tess.cell.tolist())
     }
     with pytest.raises(EmptyS2) as empty:
         decompose(net, counts, sum(counts.values()))
