@@ -9,9 +9,7 @@ from .advantage import (
     alpha_bound,
     gks_depth_bound,
     min_transmission_ratio,
-    mu_star,
     parity_sign,
-    sensitivity,
     uniform_distribution,
 )
 from .engine import (

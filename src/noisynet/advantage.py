@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprs
 from .engine import Channel
 
 
@@ -33,17 +32,6 @@ from .engine import Channel
 def uniform_distribution(n_bits: int) -> dict:
     p = 1.0 / 2**n_bits
     return {bits: p for bits in itertools.product((0, 1), repeat=n_bits)}
-
-
-def mu_star(n: int) -> dict:
-    """Mass 1/2 on the all-zero string, 1/(2n) on each weight-1 string."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = {(0,) * n: 0.5}
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        out[e] = 1.0 / (2 * n)
-    return out
 
 
 def validate_distribution(mu: dict):
@@ -138,42 +126,6 @@ def advantage_mc(evaluator, f, mu: dict, trials: int, rng) -> AdvantageEstimate:
     )
 
 
-# -- sensitivity ------------------------------------------------------------
-
-
-def truth_table(f, n: int) -> np.ndarray:
-    """Vector of f over all 2^n inputs (big-endian index order)."""
-    if n > 20:
-        raise ValueError("enumeration capped at n = 20")
-    idx = np.arange(2**n)
-    if isinstance(f, exprs.Expr):
-        cols = {i: ((idx >> (n - 1 - i)) & 1).astype(np.uint8) for i in range(n)}
-
-        def value(atom):
-            if isinstance(atom, exprs.OwnInput):
-                return cols[atom.index]
-            if isinstance(atom, exprs.Received):
-                raise ValueError("pure boolean functions cannot read rx")
-            raise ValueError("pure boolean functions cannot read randomness")
-
-        vals = exprs.evaluate(f, value)
-        return np.broadcast_to(np.asarray(vals, dtype=np.uint8), (2**n,))
-    return np.array(
-        [int(f(tuple((x >> (n - 1 - i)) & 1 for i in range(n)))) for x in idx],
-        dtype=np.uint8,
-    )
-
-
-def sensitivity(f, n: int) -> int:
-    """Max over inputs of the number of single-bit flips changing f."""
-    tt = truth_table(f, n)
-    idx = np.arange(2**n)
-    per_input = np.zeros(2**n, dtype=np.int64)
-    for i in range(n):
-        per_input += tt != tt[idx ^ (1 << (n - 1 - i))]
-    return int(per_input.max())
-
-
 # -- closed-form bounds -----------------------------------------------------
 
 
@@ -188,6 +140,8 @@ def gks_depth_bound(eps: float, delta: float, s: float) -> float:
         raise ValueError("eps must be in (0, 1/2)")
     if not 0 < delta < 1 / 16:
         raise ValueError("delta must be in (0, 1/16)")
+    if not 0 <= s < math.inf:
+        raise ValueError("s must be finite and >= 0")
     return eps**2 * _log2(1.0 / (4 * delta)) / (50 * _log2(1.0 / eps) ** 2) * s
 
 
@@ -197,7 +151,8 @@ def alpha_bound(n: int, D: float, eps: float, c: float) -> float:
     The hidden constant of the asymptotic statement must be supplied
     explicitly as ``c``.
     """
-    if n < 1 or D < 0 or not 0 < eps < 1 or c <= 0:
+    if not (1 <= n < math.inf and 0 <= D < math.inf and 0 < eps < 1
+            and 0 < c < math.inf):
         raise ValueError("bad parameters for alpha bound")
     expo = c * D * _log2(1.0 / eps) ** 2 / (eps**2 * n)
     return max(1.0 - math.exp(-expo), 7.0 / 8.0)
@@ -223,8 +178,10 @@ def min_transmission_ratio(
     """
     if not 0 < eps < 0.5:
         raise ValueError("eps must be in (0, 1/2)")
-    if N <= 1:
-        raise ValueError("N must exceed 1")
+    if not 1 < N < math.inf:
+        raise ValueError("N must be finite and exceed 1")
+    if not (0 < c_prime < math.inf and 0 < c_pp < math.inf):
+        raise ValueError("c_prime and c_pp must be finite and positive")
     rhs_log2 = math.log2(c_pp * math.log2(N))
     ratio, s_min, s_max = 2 ** (1 / 16), 1 / 256, 4096.0
     n_steps = int(math.floor(math.log(s_max / s_min) / math.log(ratio)))

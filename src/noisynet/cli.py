@@ -16,11 +16,7 @@ import click
 from . import advantage as adv_mod
 from . import engine, experiments, planar, reductions, trees
 from .errors import NoisyNetError
-from .protocol import (
-    protocol_from_text,
-    protocol_to_text,
-    star_xor,
-)
+from .protocol import protocol_from_text, star_xor
 from .rng import RngStream
 
 
@@ -166,8 +162,7 @@ def reduce_cmd(ctx, protocol_file, stage, d_max):
         rng = RngStream(ctx.obj["seed"], ("cli", "reduce"))
         p = random_instances.random_tiny_protocol(rng, 0)
     if d_max is None:
-        counts = p.tx_counts()
-        d_max = max(counts[v] for v in p.input_nodes())
+        d_max = random_instances.max_input_sends(p)
 
     if stage == "semi":
         p1, report = reductions.to_semi_noisy(p)
@@ -287,6 +282,8 @@ def bounds_cmd(ctx, gks, alpha, min_s):
         rows.append(("gks_depth_bound", gks, adv_mod.gks_depth_bound(eps, delta, s)))
     if alpha:
         n, D, eps, c = alpha
+        if not n.is_integer():
+            raise ValueError(f"N must be a whole number, got {n:g}")
         rows.append(("alpha_bound", alpha, adv_mod.alpha_bound(int(n), D, eps, c)))
     if min_s:
         N, eps = min_s

@@ -140,7 +140,8 @@ def _collect_primitives(p: Protocol, probes=()) -> tuple:
     """The protocol's primitive table plus the primitives the ``(node,
     expr)`` probes add.  The table is collected once and kept on the
     protocol as ``_primitives``: a protocol is validated once in
-    ``__post_init__`` and never mutated (``with_`` builds a new one)."""
+    ``__post_init__`` and never mutated (``dataclasses.replace`` builds a
+    new one)."""
     if "_primitives" not in p.__dict__:
         p.__dict__["_primitives"] = _add_primitives(p, (), p.all_expressions())
     return _add_primitives(p, p.__dict__["_primitives"], probes)

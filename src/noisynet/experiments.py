@@ -20,7 +20,7 @@ import numpy as np
 
 from . import advantage as adv_mod
 from . import planar, random_instances, reductions, trees
-from .errors import EmptyS2, NoisyNetError, UndersizedCell
+from .errors import EmptyS2, UndersizedCell
 from .noise import iid_noisy_law, regen_output_law, regen_table
 from .protocol import star_xor
 from .rng import RngStream

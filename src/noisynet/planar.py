@@ -224,12 +224,6 @@ class Tessellation:
     def M(self) -> int:
         return self.m * self.m
 
-    @property
-    def members(self) -> dict:
-        """(row, col) -> sorted node list"""
-        groups = _group(self.cell, np.arange(len(self.cell)), self.M)
-        return {(j // self.m + 1, j % self.m + 1): g for j, g in enumerate(groups)}
-
 
 def _cells_per_side(net: PlanarNetwork) -> int:
     if not 0 < net.radius <= 1:
@@ -275,10 +269,6 @@ class Decomposition:
     aux0: list
     cells: list = field(default_factory=list)  # (row, col) per block
     fixed_bit: int = 0
-
-    @property
-    def input_nodes(self) -> list:
-        return sorted(v for blk in self.input_blocks for v in blk)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -16,11 +16,11 @@ exactly one broadcast per input node).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 
 from . import exprs
-from .exprs import Const, Expr, Maj, OwnInput, Received, Xor
+from .exprs import Expr, Maj, OwnInput, Received, Xor
 from .noise import RegenTable
 
 GENERAL = "general"
@@ -202,22 +202,6 @@ class Protocol:
         out = [(tr.sender, tr.expr) for tr in self.schedule]
         out.append((self.output_node, self.output_expr))
         return out
-
-    def with_(self, **kw) -> "Protocol":
-        base = dict(
-            n_nodes=self.n_nodes,
-            adjacency=dict(self.adjacency),
-            roles=dict(self.roles),
-            schedule=list(self.schedule),
-            output_node=self.output_node,
-            output_expr=self.output_expr,
-            eps=self.eps,
-            klass=self.klass,
-            mask_sources=list(self.mask_sources),
-            meta=dict(self.meta),
-        )
-        base.update(kw)
-        return Protocol(**base)
 
 
 def complete_adjacency(n_nodes: int) -> dict:

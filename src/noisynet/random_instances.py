@@ -132,7 +132,7 @@ def tx_of_aux(tx_of: dict, aux) -> list:
 
 def max_input_sends(p: Protocol) -> int:
     counts = p.tx_counts()
-    return max(counts[v] for v in p.input_nodes())
+    return max((counts[v] for v in p.input_nodes()), default=0)
 
 
 # -- random trees ------------------------------------------------------------
@@ -153,38 +153,38 @@ def random_spaces(rng, k: int, max_size: int = 3) -> list:
     return out
 
 
-def random_oblivious_tree(rng, spaces, depth: int, arity: int = 2):
-    """Full random oblivious tree: random level blocks, random branch
+def random_oblivious_tree(rng, spaces, depth: int):
+    """Full random binary oblivious tree: random level blocks, random branch
     functions per node."""
     r = rng.spawn("tree")
     k = len(spaces)
     levels = [int(r.spawn("lvl", i).integers(k)) for i in range(depth)]
-    return _random_tree_for_levels(r, spaces, levels, arity), levels
+    return _random_tree_for_levels(r, spaces, levels), levels
 
 
-def _random_tree_for_levels(r, spaces, levels, arity):
-    """Full tree, one node per path; a node draws its branch from the
+def _random_tree_for_levels(r, spaces, levels):
+    """Full binary tree, one node per path; a node draws its branch from the
     substream of its depth-first pre-order number."""
     rows, number = [], np.zeros(1, dtype=np.intp)
     for d, b in enumerate(levels):
         rows.append(
             [
-                [int(r.spawn("node", n).spawn("b", s).integers(arity))
+                [int(r.spawn("node", n).spawn("b", s).integers(2))
                  for s in range(spaces[b].size)]
                 for n in number.tolist()
             ]
         )
         # child c follows its parent and c sibling subtrees of this size
-        size = sum(arity**e for e in range(len(levels) - d - 1))
-        number = (number[:, None] + 1 + np.arange(arity) * size).ravel()
-    kids = [np.arange(len(rw) * arity).reshape(-1, arity) for rw in rows]
+        size = 2 ** (len(levels) - d - 1) - 1
+        number = (number[:, None] + 1 + np.arange(2) * size).ravel()
+    kids = [np.arange(len(rw) * 2).reshape(-1, 2) for rw in rows]
     if kids:
         kids[-1] = np.zeros_like(kids[-1])
     return Tree(levels, rows, [np.arange(len(rw)) for rw in rows], kids)
 
 
-def random_readonce_tree(rng, spaces, arity: int = 2):
-    """Read-once tree: a random permutation of a random non-empty subset
+def random_readonce_tree(rng, spaces):
+    """Binary read-once tree: a random permutation of a random non-empty subset
     of the blocks, one level each."""
     r = rng.spawn("ro")
     k = len(spaces)
@@ -194,4 +194,4 @@ def random_readonce_tree(rng, spaces, arity: int = 2):
     for i in range(count):
         j = int(r.spawn("pick", i).integers(len(remaining)))
         order.append(remaining.pop(j))
-    return _random_tree_for_levels(r, spaces, order, arity), order
+    return _random_tree_for_levels(r, spaces, order), order

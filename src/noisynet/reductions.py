@@ -33,7 +33,7 @@ The stages:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,6 +68,8 @@ def to_semi_noisy(p: Protocol):
     received bits equals the original law.
     """
     inputs = p.input_nodes()
+    if not inputs:
+        raise ValueError("the protocol has no input node")
     if p.roles.get(p.output_node) is None or isinstance(
         p.roles[p.output_node], InputRole
     ):
@@ -354,7 +356,7 @@ def fix_randomness(p: Protocol):
         for tr in p.schedule
     ]
     out_expr = exprs.substitute(p.output_expr, subst_for(p.output_node))
-    fixed_p = p.with_(schedule=schedule, output_expr=out_expr, mask_sources=[])
+    fixed_p = replace(p, schedule=schedule, output_expr=out_expr, mask_sources=[])
     if not fixed_p.is_deterministic():
         raise AssertionError("randomness fixing left random atoms behind")
     report = {

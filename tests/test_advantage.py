@@ -1,4 +1,4 @@
-"""Advantage functional, sensitivity, and closed-form bound evaluators."""
+"""Advantage functional and closed-form bound evaluators."""
 
 import itertools
 import math
@@ -8,7 +8,6 @@ import pytest
 
 from noisynet import advantage as adv
 from noisynet.engine import Channel, exact_channel, execute, input_order
-from noisynet.exprs import And, Maj, OwnInput, Table, Thresh, Xor
 from noisynet.protocol import star_xor
 from noisynet.rng import RngStream
 
@@ -44,15 +43,6 @@ def advantage_bruteforce(ch: Channel, f, mu: dict) -> float:
 def test_uniform_distribution():
     mu = adv.uniform_distribution(3)
     assert len(mu) == 8 and abs(sum(mu.values()) - 1.0) < 1e-12
-
-
-def test_mu_star():
-    mu = adv.mu_star(4)
-    assert mu[(0, 0, 0, 0)] == 0.5
-    assert mu[(1, 0, 0, 0)] == 1 / 8
-    assert abs(sum(mu.values()) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        adv.mu_star(0)
 
 
 def test_validate_distribution():
@@ -141,52 +131,6 @@ def test_bruteforce_outcome_cap():
     rows = {(0,): {c: 1.0 / 17 for c in range(17)}}
     with pytest.raises(ValueError):
         advantage_bruteforce(chan(rows), parity, {(0,): 1.0})
-
-
-# -- sensitivity -------------------------------------------------------------
-
-
-def test_sensitivity_parity_is_n():
-    for n in (1, 2, 4):
-        f = Xor(tuple(OwnInput(i) for i in range(n))) if n > 1 else OwnInput(0)
-        assert adv.sensitivity(f, n) == n
-
-
-def test_sensitivity_majority_three_is_two():
-    f = Maj((OwnInput(0), OwnInput(1), OwnInput(2)))
-    assert adv.sensitivity(f, 3) == 2
-
-
-def test_sensitivity_of_callable_and_constant():
-    assert adv.sensitivity(lambda x: sum(x) % 2, 5) == 5
-    assert adv.sensitivity(lambda x: 0, 4) == 0
-    assert adv.sensitivity(And((OwnInput(0), OwnInput(1))), 2) == 2
-
-
-def test_truth_table_expr_matches_callable():
-    f_expr = Maj((OwnInput(0), OwnInput(1), OwnInput(2)))
-
-    def f_call(x):
-        return 1 if sum(x) > 1.5 else 0
-
-    assert list(adv.truth_table(f_expr, 3)) == list(adv.truth_table(f_call, 3))
-
-
-@pytest.mark.parametrize("n", [9, 12])
-def test_truth_table_of_wide_table_matches_its_table(n):
-    # the table index has n bits: it must not wrap at 8 on uint8 columns
-    bits = np.random.default_rng(n).integers(0, 2, 2**n)
-    f = Table(tuple(OwnInput(i) for i in range(n)), tuple(bits.tolist()))
-    assert np.array_equal(adv.truth_table(f, n), bits)
-
-
-@pytest.mark.parametrize(
-    "f", [Thresh((OwnInput(0),) * 256, 1), Maj((OwnInput(0),) * 258)],
-    ids=["thresh-256", "maj-258"],
-)
-def test_truth_table_counts_past_255(f):
-    # x0 = 1 sets all 256 (258) arguments; a count held in 8 bits wraps to 0 (2)
-    assert list(adv.truth_table(f, 2)) == [0, 0, 1, 1]
 
 
 def test_advantage_mc_rejects_zero_trials():

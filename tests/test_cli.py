@@ -48,6 +48,28 @@ def test_bounds_needs_a_flag(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--gks", "0.1", "0.01", "nan"],
+        ["--gks", "0.1", "0.01", "inf"],
+        ["--gks", "0.1", "0.01", "-5"],
+        ["--min-s", "nan", "0.1"],
+        ["--min-s", "inf", "0.1"],
+        ["--alpha", "5", "nan", "0.1", "1"],
+        ["--alpha", "5", "1", "0.1", "nan"],
+        ["--alpha", "5", "inf", "0.1", "1"],
+        ["--alpha", "inf", "1", "0.1", "1"],
+        ["--alpha", "nan", "1", "0.1", "1"],
+        ["--alpha", "5.7", "1", "0.1", "1"],
+    ],
+)
+def test_bounds_rejects_non_finite_and_out_of_range_arguments(capsys, argv):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_unknown_command_is_invalid_input(capsys):
     code, _out, _err = run(capsys, "frobnicate")
     assert code == 1
@@ -176,9 +198,25 @@ def test_reduce_copy_fixes_randomness_as_the_chain_does(capsys):
     code, out, _err = run(capsys, "--seed", "0", "reduce", "--stage", "copy")
     assert code == 0
     p = ri.random_tiny_protocol(RngStream(0, ("cli", "reduce")), 0)
-    d = max(p.tx_counts()[v] for v in p.input_nodes())
-    _ro, _art, report = reductions.protocol_to_read_once(p, d)
+    _ro, _art, report = reductions.protocol_to_read_once(p, ri.max_input_sends(p))
     assert json.loads(out)["report"]["fixed"] == report["noisy_copy"]["fixed"]
+
+
+@pytest.mark.parametrize("d", [[], ["--d", "1"]], ids=["inferred-d", "d-1"])
+@pytest.mark.parametrize("stage", ["semi", "copy", "xnd", "readonce"])
+def test_reduce_of_a_protocol_without_input_nodes_is_invalid_input(
+    tmp_path, capsys, stage, d
+):
+    path = tmp_path / "p.txt"
+    path.write_text(
+        "nodes 2\nnode 0 aux fix=0\nnode 1 aux fix=1\nedge 0 1\n"
+        "tx 0 := in\ntx 1 := rx[0]\nout 1 := rx[0]\n"
+    )
+    code, out, err = run(
+        capsys, "reduce", "--stage", stage, "--protocol-file", str(path), *d
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: the protocol has no input node\n"
 
 
 def test_protocol_text_keeps_every_digit_of_eps():

@@ -1,5 +1,6 @@
 """Exact and sampled protocol execution against closed-form oracles."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -569,12 +570,12 @@ def test_primitive_table_is_kept_per_protocol():
     p = star_xor(2, reps=2, eps=0.2)
     table = engine._collect_primitives(p)
     assert engine._collect_primitives(p) is table
-    assert engine._collect_primitives(p.with_(eps=0.3)) is not table
+    assert engine._collect_primitives(dataclasses.replace(p, eps=0.3)) is not table
     probe = [(p.output_node, p.output_expr)]
     assert engine._collect_primitives(p, probe) == table
     order = engine.input_order(p)
     assert engine.input_order(p) is order and order == (0, 1)
-    assert engine.input_order(p.with_(eps=0.3)) is not order
+    assert engine.input_order(dataclasses.replace(p, eps=0.3)) is not order
 
 
 def test_output_law_of_a_warm_protocol_walks_no_atoms(monkeypatch):
@@ -701,7 +702,7 @@ def test_plan_is_kept_per_protocol():
     plan = p.__dict__["_plan"]
     execute(p, {0: 0, 1: 0}, RngStream(62))
     assert p.__dict__["_plan"] is plan
-    assert "_plan" not in p.with_(eps=0.3).__dict__
+    assert "_plan" not in dataclasses.replace(p, eps=0.3).__dict__
 
 
 @pytest.mark.parametrize("form", ["Xor", "And", "Or"])
@@ -719,8 +720,10 @@ def test_validate_rejects_an_empty_fold(form):
     empty = getattr(exprs, form)(())
     p = star_xor(1, reps=1, eps=0.1)
     with pytest.raises(ValueError, match=rf"^the output expression has {form.lower()}\(\)"):
-        p.with_(output_expr=empty)
+        dataclasses.replace(p, output_expr=empty)
     first = p.schedule[0]
     nested = exprs.Not(exprs.Maj((first.expr, exprs.Table((empty,), (1, 0)), exprs.Const(0))))
     with pytest.raises(ValueError, match=r"^transmission 0 has "):
-        p.with_(schedule=[Transmission(first.sender, nested)] + p.schedule[1:])
+        dataclasses.replace(
+            p, schedule=[Transmission(first.sender, nested)] + p.schedule[1:]
+        )

@@ -184,6 +184,31 @@ def test_array_evaluation_matches_scalar_evaluation(e, seed):
         assert got[i] == want
 
 
+def _uint8_inputs(n):
+    """Column i holds bit i (big-endian) of every n-bit input, as uint8."""
+    idx = np.arange(2**n)
+    return [((idx >> (n - 1 - i)) & 1).astype(np.uint8) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_wide_table_on_uint8_columns_matches_its_table(n):
+    # the table index has n bits: it must not wrap at 8 on uint8 columns
+    bits = np.random.default_rng(n).integers(0, 2, 2**n)
+    f = Table(tuple(OwnInput(i) for i in range(n)), tuple(bits.tolist()))
+    cols = _uint8_inputs(n)
+    assert np.array_equal(exprs.evaluate(f, lambda atom: cols[atom.index]), bits)
+
+
+@pytest.mark.parametrize(
+    "f", [Thresh((OwnInput(0),) * 256, 1), Maj((OwnInput(0),) * 258)],
+    ids=["thresh-256", "maj-258"],
+)
+def test_uint8_counts_past_255(f):
+    # x0 = 1 sets all 256 (258) arguments; a count held in 8 bits wraps to 0 (2)
+    cols = _uint8_inputs(2)
+    assert list(exprs.evaluate(f, lambda atom: cols[atom.index])) == [0, 0, 1, 1]
+
+
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])  # partial and whole words
 @settings(max_examples=200, deadline=None)
 @given(expressions, st.integers(0, 2**32 - 1))

@@ -298,9 +298,8 @@ def test_tessellation_covers_all_nodes():
     net = sample_network(200, 0.3, RngStream(4))
     tess = tessellate(net)
     assert tess.m == 3 and tess.M == 9
-    assert sorted(v for cell in tess.members.values() for v in cell) == list(
-        range(200)
-    )
+    assert tess.cell.shape == (200,)
+    assert 0 <= tess.cell.min() and tess.cell.max() < tess.M
     for i, (x, y) in enumerate(net.positions):
         r, c = tess.cell[i] // tess.m + 1, tess.cell[i] % tess.m + 1
         assert (c - 1) * tess.side <= x <= c * tess.side + 1e-12
@@ -312,14 +311,11 @@ def test_tessellation_of_gridline_points_follows_the_ceil_rule():
         grid = np.arange(m + 1) / m
         pts = np.array([(x, y) for x in grid for y in grid] + [(0.5, 0.0), (1.0, 0.5)])
         tess = tessellate(PlanarNetwork(pts, radius=1.0 / m))
-        assert tess.m == m
-        members = {(r, c): [] for r in range(1, m + 1) for c in range(1, m + 1)}
+        assert tess.m == m and tess.cell.shape == (len(pts),)
         for i, (x, y) in enumerate(pts):
             col = min(max(1, math.ceil(x / tess.side)), m)
             row = min(max(1, math.ceil(y / tess.side)), m)
             assert tess.cell[i] == (row - 1) * m + col - 1
-            members[(row, col)].append(i)
-        assert tess.members == members
 
 
 def test_chernoff_bound_values():

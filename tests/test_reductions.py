@@ -1,5 +1,6 @@
 """The protocol transformation chain and its exactness guarantees."""
 
+import dataclasses
 import itertools
 import math
 
@@ -184,7 +185,9 @@ def _every_fixing(p):
             for tr in p.schedule
         ]
         out = fixed(p.output_node, p.output_expr)
-        yield p.with_(schedule=schedule, output_expr=out, mask_sources=[])
+        yield dataclasses.replace(
+            p, schedule=schedule, output_expr=out, mask_sources=[]
+        )
 
 
 def _gated(p):
@@ -193,7 +196,7 @@ def _gated(p):
     out = exprs.And((p.output_expr, Rand(0)))
     last = p.schedule[-1]
     schedule = p.schedule[:-1] + [Transmission(last.sender, out, last.noisy, last.eps)]
-    return p.with_(schedule=schedule, output_expr=out)
+    return dataclasses.replace(p, schedule=schedule, output_expr=out)
 
 
 def test_fix_randomness_picks_the_best_fixing():
@@ -325,6 +328,8 @@ def test_chain_reports_certificates():
 
 def test_chain_rejects_mismatched_output():
     p = star_xor(2, reps=1, eps=0.1)
-    bad = p.with_(output_expr=Xor((Received(0), Received(1), Received(2))))
+    bad = dataclasses.replace(
+        p, output_expr=Xor((Received(0), Received(1), Received(2)))
+    )
     with pytest.raises(ValueError):
         reductions.protocol_to_read_once(bad, 1)

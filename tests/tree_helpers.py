@@ -44,9 +44,9 @@ def bit_tree(levels) -> Tree:
     return line_tree([(b, (0, 1)) for b in levels])
 
 
-def random_tree_for_levels(rng, spaces, levels, arity: int = 2) -> Tree:
-    """Full random tree over the given level blocks."""
-    return ri._random_tree_for_levels(rng.spawn("tree"), spaces, levels, arity)
+def random_tree_for_levels(rng, spaces, levels) -> Tree:
+    """Full random binary tree over the given level blocks."""
+    return ri._random_tree_for_levels(rng.spawn("tree"), spaces, levels)
 
 
 def random_move_to_root_levels(rng, k: int, depth: int) -> list:
