@@ -28,7 +28,7 @@ from .errors import (
     TreeCapExceeded,
     UndersizedCell,
 )
-from .experiments import ExperimentConfig, ResultRow, emit, run_experiment
+from .experiments import ExperimentConfig, ResultRow, run_experiment
 from .noise import RegenTable, iid_noisy_law, regen_output_law, regen_table
 from .planar import (
     Decomposition,

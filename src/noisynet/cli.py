@@ -38,11 +38,8 @@ def _echo_json(obj, out=None):
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise click.ClickException(str(exc)) from exc
+    with open(path) as fh:
+        return fh.read()
 
 
 @click.group()
@@ -307,7 +304,7 @@ def experiment_cmd(ctx, exp_id):
     """Run an experiment scenario and emit its CSV."""
     if ctx.obj["config"]:
         cfg = experiments.ExperimentConfig.from_json(_read(ctx.obj["config"]))
-        if ctx.obj["seed"]:
+        if ctx.parent.get_parameter_source("seed") is not click.core.ParameterSource.DEFAULT:
             cfg.seed = ctx.obj["seed"]
     elif exp_id:
         cfg = experiments.ExperimentConfig(experiment=exp_id, seed=ctx.obj["seed"])
@@ -325,16 +322,14 @@ def experiment_cmd(ctx, exp_id):
 def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
     except click.Abort:
         return 1
     except CheckFailure as exc:
         click.echo(f"check failed: {exc}", err=True)
         return 2
-    except (NoisyNetError, ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except (click.ClickException, NoisyNetError, ValueError, OSError) as exc:
+        text = exc.format_message() if isinstance(exc, click.ClickException) else exc
+        click.echo(f"error: {text}", err=True)
         return 1
     except SystemExit as exc:
         code = exc.code or 0

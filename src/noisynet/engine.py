@@ -303,7 +303,7 @@ class _Sim:
     ``x_bits`` maps each input node to its bit, and ``one`` is the value
     of a 1 bit, in the columns' domain: packed words (one input per run of
     rows) and ``one = ONES`` in the exact and sampled passes; 0/1 ints and
-    ``one = 1`` give the run :func:`execute`'s plan compiles.
+    ``one = 1`` give the tests' reference run for :func:`execute`.
     """
 
     def __init__(self, p: Protocol, x_bits: dict, bits: dict, one):

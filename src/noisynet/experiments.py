@@ -21,7 +21,7 @@ import numpy as np
 from . import advantage as adv_mod
 from . import planar, random_instances, reductions, trees
 from .errors import EmptyS2, UndersizedCell
-from .noise import iid_noisy_law, regen_output_law, regen_table
+from .noise import MAX_REGEN_T, iid_noisy_law, regen_output_law, regen_table
 from .protocol import star_xor
 from .rng import RngStream
 
@@ -77,12 +77,6 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def emit(rows, path) -> None:
-    text = render_csv(rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def render_csv(rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -95,16 +89,37 @@ def render_csv(rows) -> str:
 # -- configuration -----------------------------------------------------------
 
 
+#: Per experiment: parameter -> (default, the interval that the value, or
+#: each item of a list, must lie in for the runner to work)
 _PARAM_SCHEMAS = {
-    "E1": {"N": 2000, "radius_factors": [0.0, 0.5, 0.8, 1.0, 1.25, 1.5, 2.0], "seeds": list(range(10))},
-    "E2": {"N": 20000, "seeds": list(range(20))},
-    "E3": {"mus": [20, 50, 100, 200], "N": 1000},
-    "E4": {"ts": [1, 2, 3, 4], "epses": [0.05, 0.1, 0.2, 0.3, 0.45], "bits": [0, 1]},
-    "E5": {"instances": 200},
-    "E6": {"instances": 200, "max_depth": 6, "k": 3},
-    "E7": {"instances": 100, "k": 4},
-    "E8": {"n": 3, "reps": [1, 3, 5], "eps": 0.1, "ms": [3, 4, 5, 6], "minS_eps": 0.1, "c_pp": 1.0},
+    "E1": {"N": (2000, "[1, inf)"), "radius_factors": ([0.0, 0.5, 0.8, 1.0, 1.25, 1.5, 2.0], "[0, inf)"),
+           "seeds": (list(range(10)), "(-inf, inf)")},
+    # the tessellation needs R = sqrt(10 ln N / N) <= 1
+    "E2": {"N": (20000, "[36, inf)"), "seeds": (list(range(20)), "(-inf, inf)")},
+    "E3": {"mus": ([20, 50, 100, 200], "[0, inf)"), "N": (1000, "[1, inf)")},
+    "E4": {"ts": ([1, 2, 3, 4], f"[1, {MAX_REGEN_T}]"), "epses": ([0.05, 0.1, 0.2, 0.3, 0.45], "(0, 0.5)"),
+           "bits": ([0, 1], "[0, 1]")},
+    "E5": {"instances": (200, "[0, inf)")},
+    # a random tree has up to 2^max_depth paths (2^k in E7), at most trees.MAX_TREE_PATHS
+    "E6": {"instances": (200, "[0, inf)"), "max_depth": (6, "[1, 16]"), "k": (3, "[1, inf)")},
+    "E7": {"instances": (100, "[0, inf)"), "k": (4, "[1, 16]")},
+    # N = 2^(2^m) is a finite float for m <= 9
+    "E8": {"n": (3, "[1, inf)"), "reps": ([1, 3, 5], "[1, inf)"), "eps": (0.1, "[0, 1]"),
+           "ms": ([3, 4, 5, 6], "[0, 9]"), "minS_eps": (0.1, "(0, 0.5)"), "c_pp": (1.0, "(0, inf)")},
 }
+
+
+def _fits(value, like, interval: str) -> bool:
+    """Whether a JSON value has the type of its default ``like`` (a float
+    takes an int, a bool is no int, a list's items fit its first item) and
+    lies, or each of its items lies, in ``interval``."""
+    if isinstance(like, list):
+        return isinstance(value, list) and all(_fits(v, like[0], interval) for v in value)
+    if type(value) not in {int, type(like)}:
+        return False
+    lo, hi = (float(b) for b in interval[1:-1].split(","))
+    return (lo < value if interval[0] == "(" else lo <= value) and (
+        value < hi if interval[-1] == ")" else value <= hi)
 
 
 @dataclass
@@ -116,17 +131,21 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if self.experiment not in _PARAM_SCHEMAS:
+        if type(self.experiment) is not str or self.experiment not in _PARAM_SCHEMAS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for key, kinds in (("seed", (int,)), ("params", (dict,)), ("out", (str, type(None))), ("timing", (bool,))):
+            if type(value := getattr(self, key)) not in kinds:
+                names = " or ".join(k.__name__ for k in kinds)
+                raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
         schema = _PARAM_SCHEMAS[self.experiment]
-        unknown = set(self.params) - set(schema)
-        if unknown:
-            raise ValueError(
-                f"unknown parameter(s) for {self.experiment}: {sorted(unknown)}"
-            )
-        merged = dict(schema)
-        merged.update(self.params)
-        self.params = merged
+        for key, value in self.params.items():
+            if key not in schema:
+                raise ValueError(f"unknown parameter {key!r} for {self.experiment}")
+            like, interval = schema[key]
+            if not _fits(value, like, interval):
+                raise ValueError(f"{self.experiment} param {key!r} must be like {like!r} and lie in "
+                                 f"{interval}, got {value!r}")
+        self.params = {key: like for key, (like, _i) in schema.items()} | self.params
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -134,18 +153,18 @@ class ExperimentConfig:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config line {exc.lineno}: {exc.msg}") from exc
+        if not isinstance(obj, dict) or "experiment" not in obj:
+            raise ValueError("config must be a JSON object with an 'experiment' key")
         allowed = {"experiment", "seed", "params", "out", "timing"}
         unknown = set(obj) - allowed
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-        if "experiment" not in obj:
-            raise ValueError("config needs an 'experiment' key")
         return cls(
             experiment=obj["experiment"],
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
             params=obj.get("params", {}),
             out=obj.get("out"),
-            timing=bool(obj.get("timing", False)),
+            timing=obj.get("timing", False),
         )
 
 

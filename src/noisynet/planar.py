@@ -239,23 +239,6 @@ def tessellate(net: PlanarNetwork) -> Tessellation:
     return Tessellation(m=m, side=side, cell=(row - 1) * m + (col - 1))
 
 
-def cell_neighborhood(m: int, cell) -> list:
-    """Cells within distance < R of ``cell`` in an m x m tessellation: the
-    3x3 block, clipped.
-
-    With cell side >= R this is exactly the set of cells whose closed
-    regions come within R of the cell's region.
-    """
-    r, c = cell
-    out = []
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            rr, cc = r + dr, c + dc
-            if 1 <= rr <= m and 1 <= cc <= m:
-                out.append((rr, cc))
-    return out
-
-
 @dataclass
 class Decomposition:
     """Certified (n, k, d, D) cluster decomposition of a network."""
@@ -468,12 +451,14 @@ def _confinement_witnesses(net: PlanarNetwork, blocks, auxes) -> Iterator[tuple]
 
 
 def s1_neighborhoods_disjoint(net: PlanarNetwork, dec: Decomposition) -> bool:
-    """Distinct selected cells must have disjoint cell neighborhoods."""
+    """S1: the selected cells lie on the m x m grid (rows and columns
+    1..m), and every two are at least 3 apart in row or column.
+
+    A cell's neighbourhood, the cells whose closed regions come within R
+    of its region, is its 3x3 block (cell side >= R), so this says the
+    neighbourhoods of distinct selected cells are disjoint.
+    """
     m = _cells_per_side(net)
-    seen = set()
-    for cell in dec.cells:
-        nb = set(cell_neighborhood(m, cell))
-        if nb & seen:
-            return False
-        seen |= nb
-    return True
+    cells = np.array(dec.cells, dtype=np.intp).reshape(-1, 2)
+    gap = np.abs(cells[:, None] - cells[None]).max(axis=2)[np.triu_indices(len(cells), 1)]
+    return bool(((cells >= 1) & (cells <= m)).all() and (gap >= 3).all())

@@ -65,7 +65,6 @@ class Protocol:
     eps: float
     klass: str = GENERAL
     mask_sources: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.adjacency = {v: frozenset(nb) for v, nb in self.adjacency.items()}
@@ -281,7 +280,6 @@ def star_xor(n: int, reps: int = 1, eps: float = 0.1) -> Protocol:
         output_node=center,
         output_expr=out_expr,
         eps=eps,
-        meta={"builder": "star_xor", "n": n, "reps": reps},
     )
 
 
@@ -330,7 +328,6 @@ def repetition_majority_parity(net, dec, r: int, eps: float = 0.1) -> Protocol:
         output_node=agg,
         output_expr=out_expr,
         eps=eps,
-        meta={"builder": "repetition_majority_parity", "r": r},
     )
 
 
@@ -401,7 +398,6 @@ def cluster_sum(net, dec, r_local: int, r_up: int, eps: float = 0.1) -> Protocol
         output_node=holder,
         output_expr=running,
         eps=eps,
-        meta={"builder": "cluster_sum", "r_local": r_local, "r_up": r_up},
     )
 
 

@@ -99,7 +99,7 @@ def random_tiny_protocol(rng, index: int) -> Protocol:
         pool = [Const(roles[hub].fixed_bit)]
         for v in members:
             pool.extend(Received(t) for t in tx_of.get(v, []))
-        pool.extend(Received(t) for t in tx_of_aux(tx_of, aux))
+        pool.extend(Received(t) for t in sorted(s for h in aux for s in tx_of.get(h, [])))
         rr = r.spawn("hub", j)
         if len(pool) > 1 and rr.random() < 0.5:
             # bias toward parity-like transcripts so advantages are
@@ -119,15 +119,7 @@ def random_tiny_protocol(rng, index: int) -> Protocol:
         output_node=last.sender,
         output_expr=last.expr,
         eps=eps,
-        meta={"builder": "random_tiny_protocol", "index": index, "k": k, "n": n},
     )
-
-
-def tx_of_aux(tx_of: dict, aux) -> list:
-    out = []
-    for h in aux:
-        out.extend(tx_of.get(h, []))
-    return sorted(out)
 
 
 def max_input_sends(p: Protocol) -> int:

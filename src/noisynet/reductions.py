@@ -97,7 +97,6 @@ def to_semi_noisy(p: Protocol):
     schedule: list = []
     recv: dict = {}  # (reader, original t) -> Expr
     next_noise = {v: 0 for v in range(n_nodes1)}
-    gadget_of: dict = {}
     probe_pairs: list = []
 
     def fresh_noise(w, eps):
@@ -126,7 +125,6 @@ def to_semi_noisy(p: Protocol):
             new_expr = rewrite(tr.expr, tr.sender)
             idx = len(schedule)
             schedule.append(Transmission(tr.sender, new_expr, noisy=False))
-            gadget_of[t] = [idx]
             for w in nbrs:
                 if tr.noisy and 0.0 < eps_t < 1.0:
                     recv[(w, t)] = Xor(
@@ -141,13 +139,11 @@ def to_semi_noisy(p: Protocol):
             i0 = len(schedule)
             schedule.append(Transmission(v, b0, noisy=False))
             schedule.append(Transmission(v, b1, noisy=False))
-            i2 = i0 + 2
             schedule.append(
                 Transmission(prime_of[v], OwnInput(0), noisy=True, eps=tr.eps)
             )
-            gadget_of[t] = [i0, i0 + 1, i2]
             for w in nbrs:
-                r0, r1, c = Received(i0), Received(i1 := i0 + 1), Received(i2)
+                r0, r1, c = Received(i0), Received(i0 + 1), Received(i0 + 2)
                 same = exprs.Not(Xor((r0, r1)))
                 recv[(w, t)] = mux(
                     same, mux(c, r0, r1), Xor((r0, fresh_noise(w, eps_t)))
@@ -165,15 +161,9 @@ def to_semi_noisy(p: Protocol):
         output_expr=out_expr,
         eps=p.eps,
         klass=SEMI_NOISY,
-        meta={
-            "stage": "semi-noisy",
-            "prime_of": prime_of,
-            "gadget_of": gadget_of,
-        },
     )
     report = {
         "prime_of": prime_of,
-        "gadget_of": gadget_of,
         "probe_pairs": probe_pairs,
         "t_aux": sum(
             1 for tr in p.schedule if isinstance(p.roles[tr.sender], AuxRole)
@@ -278,7 +268,6 @@ def to_noisy_copy(p1: Protocol, d: int, fix=True):
         eps=eps,
         klass=NOISY_COPY,
         mask_sources=mask_sources,
-        meta={**p1.meta, "stage": "noisy-copy", "d": d, "eps_d": eps_d},
     )
     report = {
         "d": d,
@@ -380,7 +369,6 @@ class XndTreeArtifact:
     spaces: list  # BlockSpace per block (tree index order)
     block_ids: list  # original 1-based block index per tree block
     block_nodes: list  # input nodes per tree block, x-part order
-    lambdas: list  # per tree block: sorted aux senders with a noise vector
     noise_probs: list  # per tree block: each value's noise-vector probability
     eps_d: float
     report: dict = field(default_factory=dict)
@@ -559,7 +547,6 @@ def to_xnd_tree(p2: Protocol) -> XndTreeArtifact:
         spaces=spaces,
         block_ids=block_ids,
         block_nodes=[blocks[j] for j in block_ids],
-        lambdas=lambdas,
         noise_probs=noise_probs,
         eps_d=eps_d,
         report={
@@ -599,8 +586,8 @@ def protocol_to_read_once(p: Protocol, d: int, D=None):
     """Full chain to a read-once noisy tree with stage-wise advantages
     and per-collapsed-query certificates.
 
-    The certificate compares every collapsed query's exact advantage
-    against the closed-form bound (constant 1) at the query's actual
+    The certificate reports every collapsed query's exact advantage
+    beside the closed-form bound (constant 1) at the query's actual
     depth and at the budget depth 3D (when ``D`` is given).
     """
     if p.schedule and p.output_expr != p.schedule[-1].expr:

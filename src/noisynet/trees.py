@@ -258,22 +258,36 @@ def tree_advantage(t, spaces):
 # -- rearrangements ---------------------------------------------------------
 
 
-def _move_below(t, cut, laws, spaces):
+def _move_below(t, cut, spaces):
     """Move-to-root applied to the subtree below every path to level ``cut``.
 
-    The levels above ``cut`` get one node per path (no pruning), and
-    ``laws(state)`` gives each path's block laws, one row per path.  Below
-    a path, the candidates are the last-level nodes it reaches; the one
-    whose branch has the largest |beta(v)| goes up to level ``cut``, ties
-    toward the first in path order.  Its children all share the path's
-    own copy of the subtree minus the last level.  Returns the tree and
-    the search: (candidate walk, alphas, children's signs b, betas, the
-    chosen candidate of each path).
+    The levels above ``cut`` get one node per path (no pruning), and each
+    path gets its own block laws, one row per path: a block queried above
+    ``cut`` has its law renormalised on the values the path admits (a
+    zero-mass path falls back to uniform; it adds no advantage), and any
+    other block keeps its prior law ``sp.mu()``.  Below a path, the
+    candidates are the last-level nodes it reaches; the one whose branch
+    has the largest |beta(v)| goes up to level ``cut``, ties toward the
+    first in path order.  Its children all share the path's own copy of
+    the subtree minus the last level.  Returns the tree and the search:
+    (candidate walk, alphas, children's signs b, the chosen candidate of
+    each path).
+
+    A block not queried above ``cut`` keeps ``mu`` rather than
+    ``mu / mu.sum()``, and ``mu.sum()`` need not be exactly 1.0.  The
+    target block is always queried above a positive cut, so the betas do
+    not see this; the other blocks enter the choice only through the
+    signs of their factor sums, which a positive scale keeps, unless a
+    sum that is zero in exact arithmetic rounds to 0.0 on one side only.
     """
     last = depth(t) - 1
     target, arity = t.blocks[last], t.arities[last]
     above = _walk(t, _roots([0]), range(cut))
-    mus = laws(above)
+    mus = [np.tile(sp.mu(), (len(above[0]), 1)) for sp in spaces]
+    for j, admitted in above[3].items():
+        w = mus[j] * admitted
+        s = w.sum(axis=1)[:, None]
+        mus[j] = np.divide(w, s, out=np.full_like(w, 1.0 / w.shape[1]), where=s > 0)
     signed = [m * np.array(sp.h, dtype=float) for m, sp in zip(mus, spaces)]
     cand = _walk(t, _roots(above[2]), range(cut, last), [m != 0 for m in mus])
     owner, _paths, nodes, _masks = cand
@@ -330,7 +344,7 @@ def _move_below(t, cut, laws, spaces):
         row_of,
         kids,
     )
-    return out, (cand, alpha, b, betas, star)
+    return out, (cand, alpha, b, star)
 
 
 def move_to_root(t, spaces):
@@ -340,8 +354,9 @@ def move_to_root(t, spaces):
     function with the largest |beta(v)| is promoted, where
     beta(v) = E[h(X_block) b(branch_v(X_block))] and b is the optimal
     sign weighting of the input tree; ties break toward the first node
-    in path order.  Returns (tree, witness weighting, info).  The
-    witness b_hat certifies adv(out) >= adv(in): its correlation equals
+    in path order.  Returns (tree, witness weighting, info), with the
+    promoted node's path as ``info["chosen_path"]``.  The witness b_hat
+    certifies adv(out) >= adv(in): its correlation equals
     E[|alpha|] |beta(v*)| >= adv(in).
     """
     lb = level_blocks(t)
@@ -350,21 +365,13 @@ def move_to_root(t, spaces):
     if lb[-1] in lb[:-1]:
         raise ValueError("target block must be queried only at the last level")
     count_paths(t)
-    out, (cand, alpha, b, betas, star) = _move_below(
-        t, 0, lambda _above: [sp.mu()[None, :] for sp in spaces], spaces
-    )
+    out, (cand, alpha, b, star) = _move_below(t, 0, spaces)
     paths, s = cand[1].tolist(), int(star[0])
     w = (np.where(alpha >= 0, 1.0, -1.0)[:, None] * b[s]).tolist()
     witness = {
         (c, *path): w[i][c] for i, path in enumerate(paths) for c in range(b.shape[1])
     }
-    info = {
-        "target_block": lb[-1],
-        "chosen_path": tuple(paths[s]),
-        "beta": betas[s],
-        "candidates": len(paths),
-    }
-    return out, witness, info
+    return out, witness, {"chosen_path": tuple(paths[s])}
 
 
 def merge_superqueries(t):
@@ -442,28 +449,17 @@ def reorder(t, spaces):
     """Rearrange an oblivious tree into an ordered one, advantage
     non-decreasing at every step.
 
-    Each iteration works on the superquery-merged tree.  If the last
-    superquery's block is fresh (queried nowhere earlier) it is moved
-    to the root, pushing the last alternation one level deeper;
-    otherwise the last superquery alternates with an earlier run at
-    level r'' and move-to-root is applied to every subtree rooted just
-    below r'', each under the block laws conditioned on its path,
-    removing that alternation.  The pair (alternation count,
-    -depth of last alternation) strictly decreases lexicographically,
-    which bounds the iteration count; the per-step log is returned as a
+    Each iteration works on the superquery-merged tree and takes one
+    step: the last superquery moves just below the last earlier run of
+    its block, or to the root when there is none.  That is, with
+    ``cut`` the level after that run (0 when the block is fresh),
+    move-to-root is applied to every subtree rooted at level ``cut``,
+    each under the block laws of its path (:func:`_move_below`).  The
+    pair (alternation count, -depth of last alternation) strictly
+    decreases lexicographically, which bounds the iteration count; the
+    per-step log, with each step's ``cut_level``, is returned as a
     termination certificate.
     """
-
-    def conditioned(above):
-        # zero-mass paths fall back to uniform (they add no advantage)
-        out = []
-        for j, sp in enumerate(spaces):
-            w = sp.mu() * above[3].get(j, np.ones((len(above[0]), 1), bool))
-            s = w.sum(axis=1)[:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out.append(np.where(s <= 0, 1.0 / w.shape[1], w / s))
-        return out
-
     cert = []
     current = t
     guard = (len(spaces) * max(1, depth(t))) ** 2 + 1
@@ -475,26 +471,17 @@ def reorder(t, spaces):
             return current, cert
         merged, record = merge_superqueries(current)
         lb = level_blocks(merged)
-        if lb[-1] not in lb[:-1]:
-            new_merged, _w, info = move_to_root(merged, spaces)
-            new_record = [record[-1]] + record[:-1]
-            case = "fresh-last-block"
-        else:
-            cut = max(i for i in range(len(lb) - 1) if lb[i] == lb[-1]) + 1
-            new_merged, _search = _move_below(merged, cut, conditioned, spaces)
-            new_record = record[:cut] + [record[-1]] + record[cut:-1]
-            info = {"cut_level": cut}
-            case = "last-level-alternation"
-        current = expand_superqueries(new_merged, new_record)
+        cut = max((i + 1 for i, b in enumerate(lb[:-1]) if b == lb[-1]), default=0)
+        new_merged, _search = _move_below(merged, cut, spaces)
+        current = expand_superqueries(new_merged, record[:cut] + record[-1:] + record[cut:-1])
         adv_after, _ = tree_advantage(current, spaces)
         cert.append(
             {
-                "case": case,
+                "cut_level": cut,
                 "alternations": len(alts),
                 "last_alternation": max(alts),
                 "advantage_before": adv_before,
                 "advantage_after": adv_after,
-                "info": {k: v for k, v in info.items() if k != "chosen_path"},
             }
         )
         adv_before = adv_after  # the next step starts from this tree

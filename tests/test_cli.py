@@ -46,6 +46,7 @@ def test_bounds_outputs_csv(capsys):
 def test_bounds_needs_a_flag(capsys):
     code, _out, err = run(capsys, "bounds")
     assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -62,12 +63,13 @@ def test_bounds_needs_a_flag(capsys):
         ["--alpha", "inf", "1", "0.1", "1"],
         ["--alpha", "nan", "1", "0.1", "1"],
         ["--alpha", "5.7", "1", "0.1", "1"],
+        ["--gks", "0.1", "x", "1"],  # rejected by click
     ],
 )
 def test_bounds_rejects_non_finite_and_out_of_range_arguments(capsys, argv):
     code, out, err = run(capsys, "bounds", *argv)
     assert code == 1 and out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_command_is_invalid_input(capsys):
@@ -100,6 +102,37 @@ def test_experiment_bad_config_is_invalid_input(tmp_path, capsys):
     cfg.write_text(json.dumps({"experiment": "E4", "typo_key": 1}))
     code, _out, err = run(capsys, "--config", str(cfg), "experiment")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"experiment": "E4", "params": {"ts": "abc"}}, "'ts'"),
+        ({"experiment": "E1", "params": {"N": "5"}}, "'N'"),
+        ({"experiment": "E2", "params": {"N": 1}}, "'N'"),  # R > 1
+        ({"experiment": "E3", "params": {"N": 0}}, "'N'"),
+        ({"experiment": "E8", "params": {"ms": [40]}}, "'ms'"),  # 2^(2^40) overflows
+        ({"experiment": "E3", "seed": 1.7}, "'seed'"),
+        ({"experiment": "E3", "timing": "no"}, "'timing'"),
+        ({"experiment": "E5", "params": {"instances": -3}}, "'instances'"),
+        ({"experiment": "E6", "params": {"k": 0}}, "'k'"),
+    ],
+)
+def test_experiment_config_rejects_bad_values(tmp_path, capsys, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(path), "experiment")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and key in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_seed_flag_overrides_config_seed(tmp_path, capsys, seed):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "E6", "seed": 5, "params": {"instances": 1}}))
+    code, out, _err = run(capsys, "--seed", seed, "--config", str(path), "experiment")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[-3] == seed
 
 
 def test_gen_network_and_decompose(tmp_path, capsys):
@@ -170,6 +203,7 @@ def test_advantage_missing_file_is_invalid_input(capsys):
         capsys, "advantage", "--protocol-file", "/nonexistent/p.txt"
     )
     assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_reduce_default_instance(capsys):
@@ -242,6 +276,18 @@ def test_protocol_text_round_trips(seed, index):
         back = protocol_from_text(text)
         assert protocol_to_text(back) == text
         assert back.schedule == q.schedule
+
+
+def test_protocol_text_round_trip_gives_an_equal_protocol():
+    """The text carries every field a builder or the semi-noisy stage sets."""
+    rng = RngStream(0, ("experiment", "E5"))
+    protocols = [star_xor(3, reps=2, eps=0.15)]
+    for i in range(20):
+        p = ri.random_tiny_protocol(rng, i)
+        protocols += [p, reductions.to_semi_noisy(p)[0]]
+    assert len(protocols) == 41
+    for p in protocols:
+        assert protocol_from_text(protocol_to_text(p)) == p
 
 
 def _builder_protocols():

@@ -1,5 +1,6 @@
 """Random planar networks, tessellation, and cluster decomposition."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -340,6 +341,24 @@ def test_decompose_uniform_counts_properties():
     back = Decomposition.from_json(dec.to_json())
     assert back.input_blocks == dec.input_blocks
     assert back.cells == dec.cells
+
+
+@pytest.mark.parametrize(
+    "cells, ok",
+    [
+        ([(-1, -1), (1, 1)], False),  # off the grid: its clipped block is empty
+        ([(6, 6)], False),  # off the 5 x 5 grid
+        ([(1, 1), (1, 1)], False),
+        ([(1, 1), (3, 3)], False),
+        ([], True),
+        ([(1, 1)], True),
+        ([(1, 1), (4, 4)], True),
+    ],
+)
+def test_s1_needs_grid_cells_three_apart(cells, ok):
+    net = sample_network(2000, 0.2, RngStream(1))  # m = 5
+    dec = dataclasses.replace(decompose_for_uniform_counts(net), cells=cells)
+    assert planar.s1_neighborhoods_disjoint(net, dec) is ok
 
 
 def test_confinement_witnesses_match_brute_force():
