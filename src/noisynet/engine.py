@@ -27,13 +27,13 @@ last word never reach a law, and ``np.bincount`` adds the same weights
 in the same row order as an unpacked grid would.
 
 ``execute`` samples one run on Python ints through a plan compiled once
-per protocol (``_plan``): one function per transmission, every atom and
-form resolved when it is built, so a Monte-Carlo trial costs a few
-microseconds.  The packed passes interpret the schedule through ``_Sim``
-instead: a ``chain`` round runs about 1,000 protocols and 580 probe sets
-about once each, and a prototype that compiled them too made that round
-slower (2.09 to 2.38 s at seed 1, 0.22 s of it compiling).  Both read a
-link by one rule (``_link``).
+per protocol (``_plan``): ``_Sim`` runs once over bits that are functions
+of the run (``_Fn``), so plan and passes read every atom through one
+function and :func:`exprs.evaluate` alone says what a form means; a trial
+costs a few microseconds.  The passes interpret the schedule instead: a
+``chain`` round runs about 1,000 protocols and 580 probe sets about once
+each, and a prototype that compiled them too made that round slower
+(2.09 to 2.38 s at seed 1, 0.22 s of it compiling).
 
 The packed Monte-Carlo sampler draws each two-outcome primitive (a
 channel bit, a ``Rand`` or ``Noise`` bit, a one-coordinate mask) as
@@ -302,8 +302,9 @@ class _Sim:
 
     ``x_bits`` maps each input node to its bit, and ``one`` is the value
     of a 1 bit, in the columns' domain: packed words (one input per run of
-    rows) and ``one = ONES`` in the exact and sampled passes; 0/1 ints and
-    ``one = 1`` give the tests' reference run for :func:`execute`.
+    rows) and ``one = ONES`` in the exact and sampled passes; with
+    ``one = 1``, :class:`_Fn` bits compile :func:`_plan`, and 0/1 ints give
+    the tests' reference run for :func:`execute`.
     """
 
     def __init__(self, p: Protocol, x_bits: dict, bits: dict, one):
@@ -497,6 +498,39 @@ class ExecutionTrace:
     output: int
 
 
+class _Fn:
+    """A bit of a run as a function ``f`` of the run list ``v``, and ``i``
+    its index in ``v`` when ``f`` only reads that index.  ``^ & |`` return
+    the function of the result, folded on a 0/1 int operand."""
+
+    def __init__(self, f, i=None):
+        self.f, self.i = f, i
+
+    def _join(self, o, op):
+        f, g, i, j = self.f, o.f, self.i, o.i
+        if i is not None and j is not None:
+            return _Fn(lambda v: op(v[i], v[j]))
+        return _Fn(lambda v: op(f(v), g(v)))
+
+    def __xor__(self, o):
+        if type(o) is int:
+            return _Fn(lambda v, f=self.f: 1 ^ f(v)) if o else self
+        return self._join(o, operator.xor)
+
+    def __and__(self, o):
+        if type(o) is int:
+            return self if o else 0
+        return self._join(o, operator.and_)
+
+    def __or__(self, o):
+        if type(o) is int:
+            return 1 if o else self
+        return self._join(o, operator.or_)
+
+    # all three operators commute
+    __rxor__, __rand__, __ror__ = __xor__, __and__, __or__
+
+
 def _plan(p: Protocol) -> tuple:
     """``(inputs, draws, steps)``: ``p`` compiled for :func:`execute`, built
     on its first call and kept on the protocol as ``_plan``, as
@@ -504,60 +538,42 @@ def _plan(p: Protocol) -> tuple:
 
     A run is one list ``v`` of 0/1 ints: the sent bits at 0..T-1, then the
     bit columns of the primitives in table order, then the bits of the
-    input nodes ``inputs`` that read their input.  ``draws`` holds p_1 per
+    input nodes ``inputs``, in :func:`input_order`.  ``draws`` holds p_1 per
     two-outcome primitive, the normalised cumulative sum and the width per
     wider mask.  ``steps`` holds one function of ``v`` per transmission,
-    then one for the output, every atom resolved by ``_Sim``'s rules."""
+    then one for the output: ``_Sim`` evaluates each once over :class:`_Fn`
+    reads of ``v``, and a step reads transmission t's bit as ``v[t]``."""
     if "_plan" in p.__dict__:
         return p.__dict__["_plan"]
     T = len(p.schedule)
-    slots: dict = {}  # column key or input node -> its place in v
+    prims = _collect_primitives(p)
+    cols = [col for pr in prims for col in pr.columns]
+    inputs = input_order(p)
+    reads = [_Fn(operator.itemgetter(i), i) for i in range(T + len(cols) + len(inputs))]
+    sim = _Sim(p, dict(zip(inputs, reads[T + len(cols):])), dict(zip(cols, reads[T:])), 1)
+    sim.sent = reads[:T]
     draws = []
-    for pr in _collect_primitives(p):
-        for col in pr.columns:
-            slots[col] = T + len(slots)
+    for pr in prims:
         if pr.size == 2:
             draws.append(float(pr.probs[1]))
         else:
             cdf = np.cumsum(pr.probs)
             draws.append(((cdf / cdf[-1]).tolist(), len(pr.columns)))
-    inputs = []
-
-    def atom(node, a):
-        if isinstance(a, exprs.Received):
-            t, link = a.t, _link(p, node, a.t)
-            if link is None:
-                return lambda v: 0
-            flip, eps = link
-            if eps is not None:
-                c = slots[("chan", node, t)]
-                return lambda v: v[t] ^ v[c]
-            return (lambda v: 1 ^ v[t]) if flip else operator.itemgetter(t)
-        if isinstance(a, exprs.OwnInput):
-            role = p.roles[node]
-            if not isinstance(role, InputRole):
-                bit = 1 if role.fixed_bit else 0
-                return lambda v: bit
-            if node not in slots:
-                slots[node] = T + len(slots)
-                inputs.append(node)
-            return operator.itemgetter(slots[node])
-        return operator.itemgetter(slots[_internal_key(node, a)])
-
-    steps = tuple(
-        exprs.compile_int(e, functools.partial(atom, node))
-        for node, e in p.all_expressions()
-    )
-    p.__dict__["_plan"] = tuple(inputs), tuple(draws), steps
+    steps = []
+    for node, e in p.all_expressions():
+        bit = exprs.evaluate(e, functools.partial(sim.value, node), 1)
+        steps.append(bit.f if type(bit) is _Fn else lambda v, c=bit: c)
+    p.__dict__["_plan"] = inputs, tuple(draws), tuple(steps)
     return p.__dict__["_plan"]
 
 
 def execute(p: Protocol, x_bits: dict, rng) -> ExecutionTrace:
-    """Sample one full run through the protocol's :func:`_plan`.  One
-    uniform per primitive is mapped to an outcome as the packed sampler's
-    draws are: a two-outcome primitive is 1 iff u < p_1, a wider one takes
-    the outcome ``Generator.choice`` gives, the first whose normalised
-    cumulative sum exceeds u (``bisect_right`` is ``np.searchsorted`` with
+    """Sample one full run through the protocol's :func:`_plan`; ``x_bits``
+    maps every input node to its bit.  One uniform per primitive is mapped
+    to an outcome as the packed sampler's draws are: a two-outcome
+    primitive is 1 iff u < p_1, a wider one takes the outcome
+    ``Generator.choice`` gives, the first whose normalised cumulative sum
+    exceeds u (``bisect_right`` is ``np.searchsorted`` with
     ``side="right"``)."""
     inputs, draws, steps = _plan(p)
     T = len(p.schedule)

@@ -146,6 +146,9 @@ class ExperimentConfig:
                 raise ValueError(f"{self.experiment} param {key!r} must be like {like!r} and lie in "
                                  f"{interval}, got {value!r}")
         self.params = {key: like for key, (like, _i) in schema.items()} | self.params
+        if self.experiment == "E3" and max(self.params["mus"], default=0) > self.params["N"]:
+            raise ValueError(f"E3 param 'mus' must lie in [0, N] for N = {self.params['N']}, "
+                             f"got {self.params['mus']!r}")  # p = mu / N is a probability
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

@@ -23,18 +23,15 @@ and is generic over the domain of bits it returns, given the value of a
 * ``one=1`` with 0/1 numpy arrays -- one bit per element (truth tables);
 * ``one`` = all-ones ``uint64`` with packed words -- 64 rows per machine
   word (bit-slicing, Biham 1997), the exact engine's enumeration grid.
+* ``one=1`` with functions of a run (``engine._Fn``) -- a compiled plan.
 
 Every connective is written with ``^ & |`` and ``one`` only: ``Not`` is
 ``one ^ x``, ``Maj`` and ``Thresh`` add their arguments with a bit-sliced
 ripple counter, and ``Table`` runs a Shannon mux tree compiled once per
-table.  These formulas are exact in all three domains.  The caller
+table.  These formulas are exact in all four domains.  The caller
 decides what an atom means: the exact engine returns packed grid
 columns, and a pure boolean function raises ``ValueError`` for the atoms
 it cannot read.
-
-:func:`compile_int` resolves an expression once into a function of 0/1
-ints with the same meaning, for a caller that evaluates it many times: a
-sampled trace compiles each transmission and then reads the bits it drew.
 """
 
 from __future__ import annotations
@@ -217,53 +214,6 @@ def _mux_tree(node, bits: list, one):
         return s
     a, b = _mux_tree(if0, bits, one), _mux_tree(if1, bits, one)
     return a ^ (s & (a ^ b))  # a where s is 0, b where s is 1
-
-
-def compile_int(expr: Expr, atom):
-    """``expr`` as a function of one argument on 0/1 ints, each atom ``a``
-    read by the function ``atom(a)`` returns; every form is resolved here,
-    once.  The meaning is :func:`evaluate`'s with ``one=1``: a ``Maj`` tie
-    is 0, a ``Thresh`` with k <= 0 is 1 and with k above its arity 0, and a
-    ``Table`` is indexed by its argument bits, the first highest."""
-    if isinstance(expr, Const):
-        c = 1 if expr.value else 0
-        return lambda v: c
-    if isinstance(expr, ATOMS):
-        return atom(expr)
-    if isinstance(expr, Not):
-        f = compile_int(expr.arg, atom)
-        return lambda v: 1 ^ f(v)
-    if not isinstance(expr, (Xor, And, Or, Maj, Thresh, Table)):
-        raise TypeError(f"not an expression: {expr!r}")
-    fs = [compile_int(a, atom) for a in expr.args]
-    if not fs and isinstance(expr, (Xor, And, Or)):
-        raise TypeError(f"{NAMES[type(expr)]} of no arguments")  # as evaluate's fold
-    if isinstance(expr, Table):
-        table = tuple(1 if b else 0 for b in expr.table)
-
-        def index(v):
-            i = 0
-            for f in fs:
-                i = i << 1 | f(v)
-            return table[i]
-
-        return index
-    # the other forms read only how many arguments are 1: Xor its parity,
-    # the rest whether it reaches k
-    if isinstance(expr, Thresh):
-        k = expr.k
-    else:
-        k = {Xor: None, And: len(fs), Or: 1, Maj: len(fs) // 2 + 1}[type(expr)]
-
-    def count(v):
-        n = 0
-        for f in fs:  # a loop: a list comprehension costs a call on 3.11
-            n += f(v)
-        if k is None:
-            return n & 1
-        return 1 if n >= k else 0
-
-    return count
 
 
 def nodes(expr: Expr) -> list:

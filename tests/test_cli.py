@@ -1,6 +1,8 @@
 """Command-line harness: subcommands and exit-code contract."""
 
+import csv
 import hashlib
+import io
 import json
 import shlex
 from pathlib import Path
@@ -116,6 +118,7 @@ def test_experiment_bad_config_is_invalid_input(tmp_path, capsys):
         ({"experiment": "E3", "timing": "no"}, "'timing'"),
         ({"experiment": "E5", "params": {"instances": -3}}, "'instances'"),
         ({"experiment": "E6", "params": {"k": 0}}, "'k'"),
+        ({"experiment": "E3", "params": {"mus": [2000]}}, "'mus' must lie in [0, N]"),
     ],
 )
 def test_experiment_config_rejects_bad_values(tmp_path, capsys, config, key):
@@ -124,6 +127,15 @@ def test_experiment_config_rejects_bad_values(tmp_path, capsys, config, key):
     code, out, err = run(capsys, "--config", str(path), "experiment")
     assert (code, out) == (1, "")
     assert err.startswith("error:") and key in err and err.count("\n") == 1
+
+
+def test_experiment_config_takes_mu_equal_to_n(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "E3", "params": {"N": 10, "mus": [10]}}))
+    code, out, _err = run(capsys, "--config", str(path), "experiment")
+    assert code == 0
+    [row] = list(csv.DictReader(io.StringIO(out)))
+    assert (row["params"], row["value"], row["ok"]) == ('{"N":10,"mu":10,"p":1.0}', "0", "1")
 
 
 @pytest.mark.parametrize("seed", ["0", "7"])

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import operator
 from collections import Counter
 from types import SimpleNamespace
 
@@ -703,6 +704,24 @@ def test_plan_is_kept_per_protocol():
     execute(p, {0: 0, 1: 0}, RngStream(62))
     assert p.__dict__["_plan"] is plan
     assert "_plan" not in dataclasses.replace(p, eps=0.3).__dict__
+
+
+def test_fn_operators_match_ints():
+    """``^ & |`` on 0, 1, plain reads of v[0] and v[1] and their composed
+    xor give, as an int or through ``.f``, the ints' result on every v; a
+    0/1 int operand folds to the other operand or to a constant."""
+    a, b = engine._Fn(operator.itemgetter(0), 0), engine._Fn(operator.itemgetter(1), 1)
+    operands = [0, 1, a, b, a ^ b]
+    for op in (operator.xor, operator.and_, operator.or_):
+        for x, y in itertools.product(operands, repeat=2):
+            bit = op(x, y)
+            for v in itertools.product((0, 1), repeat=2):
+                want = op(*(u if type(u) is int else u.f(v) for u in (x, y)))
+                assert (bit if type(bit) is int else bit.f(v)) == want, (op, x, y, v)
+    for x in (a, a ^ b):
+        for y in (x ^ 0, 0 ^ x, x & 1, 1 & x, x | 0, 0 | x):
+            assert y is x
+        assert [x & 0, 0 & x, x | 1, 1 | x] == [0, 0, 1, 1]
 
 
 @pytest.mark.parametrize("form", ["Xor", "And", "Or"])

@@ -1,7 +1,9 @@
-"""Every module-level import in the package is read by its module.
+"""Every module-level import in the package is read by its module, and
+every module-level private name is read somewhere in the package.
 
-No linter ships with the toolchain, so this is the unused-import check.
-``__init__`` is excepted: its imports are the package's exports.
+No linter ships with the toolchain, so these are the unused-import and
+dead-code checks.  ``__init__`` is excepted from the first: its imports
+are the package's exports.
 """
 
 import ast
@@ -37,3 +39,63 @@ def test_unused_imports_finds_only_unread_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _private_defs(stmt) -> list:
+    """The private names (``_x``, not dunders) a module-level def, class or
+    assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reads(stmt) -> tuple:
+    """``(names, attributes)`` that ``stmt`` reads: its ``Name`` loads, and
+    its attribute names with the names it imports by ``from ... import``."""
+    names, attrs = set(), set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            attrs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            attrs.update(a.name for a in n.names)
+    return names, attrs
+
+
+def unread_private_names(sources: dict) -> list:
+    """``module.name`` for each module-level private name in the ``{module:
+    source}`` map that no statement reads besides the one defining it; a
+    bare name is read only in its own module."""
+    stmts = [
+        (m, stmt, _reads(stmt)) for m, text in sorted(sources.items()) for stmt in ast.parse(text).body
+    ]
+    return [
+        f"{m}.{name}"
+        for m, d, _ in stmts
+        for name in _private_defs(d)
+        if not any(
+            name in attrs or (m2 == m and name in names)
+            for m2, s, (names, attrs) in stmts
+            if s is not d
+        )
+    ]
+
+
+def test_unread_private_names_finds_only_unread_names():
+    sources = {
+        "a": "def _rec(n):\n    return _rec(n)\n_k = _x = _z = _w = 1\n"
+             "def f():\n    return _k\n",
+        "b": "import a\nfrom a import _x\n_y = a._z\nclass _C: pass\ndef g():\n    return _w\n",
+    }
+    assert unread_private_names(sources) == ["a._rec", "a._w", "b._y", "b._C"]
+
+
+def test_package_reads_every_private_name():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
