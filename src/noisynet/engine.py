@@ -26,14 +26,15 @@ codes are unpacked for the first ``n`` rows only, so the pad rows of the
 last word never reach a law, and ``np.bincount`` adds the same weights
 in the same row order as an unpacked grid would.
 
-``execute`` samples one run on Python ints through a plan compiled once
-per protocol (``_plan``): ``_Sim`` runs once over bits that are functions
-of the run (``_Fn``), so plan and passes read every atom through one
-function and :func:`exprs.evaluate` alone says what a form means; a trial
-costs a few microseconds.  The passes interpret the schedule instead: a
-``chain`` round runs about 1,000 protocols and 580 probe sets about once
-each, and a prototype that compiled them too made that round slower
-(2.09 to 2.38 s at seed 1, 0.22 s of it compiling).
+``execute`` samples one run on Python ints through a straight-line
+program compiled once per protocol (``_plan``) by running ``_Sim`` over
+places of the run (``_Fn``), one step per connective, so plan and passes
+read every atom through one function and :func:`exprs.evaluate` alone
+says what a form means; a trial costs a few microseconds.  The passes
+interpret the schedule instead: a ``chain`` round runs about 1,000
+protocols and 580 probe sets about once each, and a prototype that
+compiled them too made that round slower (2.09 to 2.38 s at seed 1,
+0.22 s of it compiling).
 
 The packed Monte-Carlo sampler draws each two-outcome primitive (a
 channel bit, a ``Rand`` or ``Noise`` bit, a one-coordinate mask) as
@@ -303,8 +304,8 @@ class _Sim:
     ``x_bits`` maps each input node to its bit, and ``one`` is the value
     of a 1 bit, in the columns' domain: packed words (one input per run of
     rows) and ``one = ONES`` in the exact and sampled passes; with
-    ``one = 1``, :class:`_Fn` bits compile :func:`_plan`, and 0/1 ints give
-    the tests' reference run for :func:`execute`.
+    ``one = 1``, :class:`_Fn` places write :func:`_plan`'s program, and 0/1
+    ints give the tests' reference run for :func:`execute`.
     """
 
     def __init__(self, p: Protocol, x_bits: dict, bits: dict, one):
@@ -499,22 +500,23 @@ class ExecutionTrace:
 
 
 class _Fn:
-    """A bit of a run as a function ``f`` of the run list ``v``, and ``i``
-    its index in ``v`` when ``f`` only reads that index.  ``^ & |`` return
-    the function of the result, folded on a 0/1 int operand."""
+    """Place ``i`` of a run list ``v``, whose places past the leaves the
+    program ``prog`` fills: a dict from each step ``(op, i, j)``, the bit
+    ``op(v[i], v[j])``, to its place, in order.  ``^ & |`` with another
+    place add a step, or share an equal one, and return its place; a 0/1
+    int operand folds, and ``x ^ 1`` reads the 1 at place 1."""
 
-    def __init__(self, f, i=None):
-        self.f, self.i = f, i
+    def __init__(self, prog: dict, i: int):
+        self.prog, self.i = prog, i
 
     def _join(self, o, op):
-        f, g, i, j = self.f, o.f, self.i, o.i
-        if i is not None and j is not None:
-            return _Fn(lambda v: op(v[i], v[j]))
-        return _Fn(lambda v: op(f(v), g(v)))
+        i, j = self.i, o.i
+        key = (op, i, j) if i < j else (op, j, i)  # all three operators commute
+        return _Fn(self.prog, self.prog.setdefault(key, len(self.prog)))
 
     def __xor__(self, o):
         if type(o) is int:
-            return _Fn(lambda v, f=self.f: 1 ^ f(v)) if o else self
+            return self._join(_Fn(self.prog, 1), operator.xor) if o else self
         return self._join(o, operator.xor)
 
     def __and__(self, o):
@@ -527,31 +529,32 @@ class _Fn:
             return 1 if o else self
         return self._join(o, operator.or_)
 
-    # all three operators commute
     __rxor__, __rand__, __ror__ = __xor__, __and__, __or__
 
 
 def _plan(p: Protocol) -> tuple:
-    """``(inputs, draws, steps)``: ``p`` compiled for :func:`execute`, built
-    on its first call and kept on the protocol as ``_plan``, as
-    :func:`_collect_primitives` keeps its table.
+    """``(inputs, draws, steps, places)``: ``p`` compiled for
+    :func:`execute`, built on its first call and kept on the protocol as
+    ``_plan``, as :func:`_collect_primitives` keeps its table.
 
-    A run is one list ``v`` of 0/1 ints: the sent bits at 0..T-1, then the
-    bit columns of the primitives in table order, then the bits of the
+    A run is one list ``v`` of 0/1 ints: 0 and 1 at places 0 and 1, then
+    the bit columns of the primitives in table order, then the bits of the
     input nodes ``inputs``, in :func:`input_order`.  ``draws`` holds p_1 per
     two-outcome primitive, the normalised cumulative sum and the width per
-    wider mask.  ``steps`` holds one function of ``v`` per transmission,
-    then one for the output: ``_Sim`` evaluates each once over :class:`_Fn`
-    reads of ``v``, and a step reads transmission t's bit as ``v[t]``."""
+    wider mask.  ``steps`` is a straight-line program over ``v``, one
+    ``(op, i, j)`` per connective that appends ``op(v[i], v[j])``, and
+    ``places`` the places of the transmissions' bits, then the output's.
+    ``_Sim`` runs once over :class:`_Fn` places to write it, so a subterm
+    is computed once however often it is read."""
     if "_plan" in p.__dict__:
         return p.__dict__["_plan"]
-    T = len(p.schedule)
     prims = _collect_primitives(p)
     cols = [col for pr in prims for col in pr.columns]
     inputs = input_order(p)
-    reads = [_Fn(operator.itemgetter(i), i) for i in range(T + len(cols) + len(inputs))]
-    sim = _Sim(p, dict(zip(inputs, reads[T + len(cols):])), dict(zip(cols, reads[T:])), 1)
-    sim.sent = reads[:T]
+    prog = {i: i for i in range(2 + len(cols) + len(inputs))}
+    reads = [_Fn(prog, i) for i in prog]
+    sim = _Sim(p, dict(zip(inputs, reads[2 + len(cols):])), dict(zip(cols, reads[2:])), 1)
+    [out] = sim.run(p.all_expressions()[-1:])
     draws = []
     for pr in prims:
         if pr.size == 2:
@@ -559,11 +562,9 @@ def _plan(p: Protocol) -> tuple:
         else:
             cdf = np.cumsum(pr.probs)
             draws.append(((cdf / cdf[-1]).tolist(), len(pr.columns)))
-    steps = []
-    for node, e in p.all_expressions():
-        bit = exprs.evaluate(e, functools.partial(sim.value, node), 1)
-        steps.append(bit.f if type(bit) is _Fn else lambda v, c=bit: c)
-    p.__dict__["_plan"] = inputs, tuple(draws), tuple(steps)
+    steps = tuple(k for k in prog if type(k) is tuple)
+    places = tuple(b.i if type(b) is _Fn else b for b in [*sim.sent, out])
+    p.__dict__["_plan"] = inputs, tuple(draws), steps, places
     return p.__dict__["_plan"]
 
 
@@ -575,9 +576,8 @@ def execute(p: Protocol, x_bits: dict, rng) -> ExecutionTrace:
     ``Generator.choice`` gives, the first whose normalised cumulative sum
     exceeds u (``bisect_right`` is ``np.searchsorted`` with
     ``side="right"``)."""
-    inputs, draws, steps = _plan(p)
-    T = len(p.schedule)
-    v = [0] * T
+    inputs, draws, steps, places = _plan(p)
+    v = [0, 1]
     for d, u in zip(draws, rng.numpy_generator().random(len(draws)).tolist()):
         if type(d) is float:
             v.append(1 if u < d else 0)
@@ -586,9 +586,10 @@ def execute(p: Protocol, x_bits: dict, rng) -> ExecutionTrace:
             index = bisect.bisect_right(cdf, u)
             v += [noise.mask_bit(index, w, j) for j in range(w)]
     v += [int(x_bits[node]) for node in inputs]
-    for t in range(T):
-        v[t] = steps[t](v)
-    return ExecutionTrace(sent=v[:T], output=steps[T](v))
+    for op, i, j in steps:
+        v.append(op(v[i], v[j]))
+    *sent, output = [v[k] for k in places]
+    return ExecutionTrace(sent=sent, output=output)
 
 
 # -- error probability ------------------------------------------------------

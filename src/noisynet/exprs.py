@@ -23,7 +23,7 @@ and is generic over the domain of bits it returns, given the value of a
 * ``one=1`` with 0/1 numpy arrays -- one bit per element (truth tables);
 * ``one`` = all-ones ``uint64`` with packed words -- 64 rows per machine
   word (bit-slicing, Biham 1997), the exact engine's enumeration grid.
-* ``one=1`` with functions of a run (``engine._Fn``) -- a compiled plan.
+* ``one=1`` with places of a run list (``engine._Fn``) -- a compiled plan.
 
 Every connective is written with ``^ & |`` and ``one`` only: ``Not`` is
 ``one ^ x``, ``Maj`` and ``Thresh`` add their arguments with a bit-sliced

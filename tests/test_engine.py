@@ -706,22 +706,76 @@ def test_plan_is_kept_per_protocol():
     assert "_plan" not in dataclasses.replace(p, eps=0.3).__dict__
 
 
+def _run_program(prog: dict, leaves) -> list:
+    """The run list of a ``_Fn`` program: 0, 1, ``leaves``, then each step."""
+    v = [0, 1, *leaves]
+    for step in prog:
+        if type(step) is tuple:
+            op, i, j = step
+            v.append(op(v[i], v[j]))
+    return v
+
+
 def test_fn_operators_match_ints():
-    """``^ & |`` on 0, 1, plain reads of v[0] and v[1] and their composed
-    xor give, as an int or through ``.f``, the ints' result on every v; a
-    0/1 int operand folds to the other operand or to a constant."""
-    a, b = engine._Fn(operator.itemgetter(0), 0), engine._Fn(operator.itemgetter(1), 1)
+    """``^ & |`` on 0, 1, places a = v[2] and b = v[3] and their composed
+    xor give, as an int or through the program, the ints' result on every
+    leaf pair; a 0/1 int operand folds, and an equal step is shared."""
+    prog = {i: i for i in range(4)}
+    a, b = engine._Fn(prog, 2), engine._Fn(prog, 3)
     operands = [0, 1, a, b, a ^ b]
     for op in (operator.xor, operator.and_, operator.or_):
         for x, y in itertools.product(operands, repeat=2):
             bit = op(x, y)
-            for v in itertools.product((0, 1), repeat=2):
-                want = op(*(u if type(u) is int else u.f(v) for u in (x, y)))
-                assert (bit if type(bit) is int else bit.f(v)) == want, (op, x, y, v)
+            for leaves in itertools.product((0, 1), repeat=2):
+                v = _run_program(prog, leaves)
+                want = op(*(u if type(u) is int else v[u.i] for u in (x, y)))
+                assert (bit if type(bit) is int else v[bit.i]) == want, (op, x, y, leaves)
     for x in (a, a ^ b):
         for y in (x ^ 0, 0 ^ x, x & 1, 1 & x, x | 0, 0 | x):
             assert y is x
         assert [x & 0, 0 & x, x | 1, 1 | x] == [0, 0, 1, 1]
+    size = len(prog)
+    assert [(b ^ a).i, (a & b).i, (1 ^ a).i] == [(a ^ b).i, (b & a).i, (a ^ 1).i]
+    assert len(prog) == size
+
+
+def _plan_size(p) -> int:
+    _inputs, _draws, steps, _places = engine._plan(p)
+    return len(steps)
+
+
+def test_plan_is_linear_in_the_forms():
+    """The plan has one step per connective of the forms ``_Sim`` builds, a
+    shared subterm once: a ``Maj`` of r bits is a ripple counter of at most
+    2 ceil(log2(r + 1)) steps per bit, a ``Table`` of n arguments at most
+    three steps per node of its 2^n-leaf mux tree."""
+    p = star_xor(2, reps=31, eps=0.2)
+    # per leaf: 31 noisy links and one counter; then one xor of the two
+    assert _plan_size(p) <= 2 * (31 + 2 * 5 * 31) + 1
+    _assert_plan_matches_sim(p, 40, RngStream(71, ("plan-maj",)))
+    q = star_xor(1, reps=12, eps=0.2)
+    bits = np.random.default_rng(73).integers(0, 2, 2**12).tolist()
+    q.output_expr = exprs.Table(tuple(exprs.Received(t) for t in range(12)), tuple(bits))
+    assert _plan_size(q) <= 12 + 1 + 3 * (2**12 - 1)
+    _assert_plan_matches_sim(q, 40, RngStream(79, ("plan-table",)))
+
+
+def test_execute_runs_a_wide_fold():
+    """An Xor of 2,000 received bits runs as a flat loop of steps; the
+    output announces it, so its steps are shared with the last send."""
+    wide = exprs.Xor(tuple(exprs.Received(t) for t in range(2000)))
+    p = Protocol(
+        n_nodes=2,
+        adjacency={0: frozenset({1}), 1: frozenset({0})},
+        roles={0: InputRole(1), 1: AuxRole(0)},
+        schedule=[Transmission(sender=0, expr=exprs.OwnInput(0))] * 2000
+        + [Transmission(sender=1, expr=wide)],
+        output_node=1,
+        output_expr=wide,
+        eps=0.2,
+    )
+    assert _plan_size(p) == 2000 + 1999
+    _assert_plan_matches_sim(p, 4, RngStream(83, ("plan-xor",)))
 
 
 @pytest.mark.parametrize("form", ["Xor", "And", "Or"])
