@@ -107,9 +107,8 @@ def decompose_cmd(ctx, network_path, n_nodes):
 
 
 @cli.command("run-protocol")
-@click.option("--builder", type=click.Choice(["star-xor", "file"]),
-              default="star-xor", show_default=True)
-@click.option("--protocol-file", type=click.Path(), default=None)
+@click.option("--protocol-file", type=click.Path(), default=None,
+              help="Protocol text; star_xor(--n, --reps, --eps) when omitted.")
 @click.option("--n", "n_inputs", type=int, default=3, show_default=True)
 @click.option("--reps", type=int, default=1, show_default=True)
 @click.option("--eps", type=float, default=0.1, show_default=True)
@@ -117,11 +116,13 @@ def decompose_cmd(ctx, network_path, n_nodes):
               default="exact", show_default=True)
 @click.option("--trials", type=int, default=100_000, show_default=True)
 @click.pass_context
-def run_protocol(ctx, builder, protocol_file, n_inputs, reps, eps, method, trials):
+def run_protocol(ctx, protocol_file, n_inputs, reps, eps, method, trials):
     """Report a protocol's worst-case parity error probability."""
-    if builder == "file":
-        if not protocol_file:
-            raise click.ClickException("--builder file needs --protocol-file")
+    if protocol_file:
+        given = [o.opts[0] for o in ctx.command.params if o.name in ("n_inputs", "reps", "eps")
+                and ctx.get_parameter_source(o.name) is not click.core.ParameterSource.DEFAULT]
+        if given:
+            raise click.ClickException(f"{', '.join(given)} cannot be given with --protocol-file")
         p = protocol_from_text(_read(protocol_file))
     else:
         p = star_xor(n_inputs, reps=reps, eps=eps)

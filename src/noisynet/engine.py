@@ -122,21 +122,6 @@ def _internal_key(node, atom) -> tuple:
     return ("rand" if isinstance(atom, exprs.Rand) else "noise", node, atom.i)
 
 
-def _link(p: Protocol, node, t):
-    """How ``node`` reads transmission ``t``: ``None`` when it is not a
-    neighbour of the sender (the read is 0), else ``(flip, eps)``: the sent
-    bit XOR ``flip``, XOR the Bernoulli(eps) channel bit ``("chan", node,
-    t)`` unless ``eps`` is None.  A noiseless or ε = 0 link copies the bit
-    and an ε = 1 link flips it; only a link with 0 < ε < 1 draws a bit."""
-    tr = p.schedule[t]
-    if not p.is_neighbor(node, tr.sender):
-        return None
-    eps = p.tx_eps(tr) if tr.noisy else 0.0
-    if eps in (0.0, 1.0):
-        return int(eps), None
-    return 0, eps
-
-
 def _collect_primitives(p: Protocol, probes=()) -> tuple:
     """The protocol's primitive table plus the primitives the ``(node,
     expr)`` probes add.  The table is collected once and kept on the
@@ -156,7 +141,7 @@ def _add_primitives(p: Protocol, table: tuple, contexts) -> tuple:
     for node, expr in contexts:
         for atom in exprs.atoms(expr):
             if isinstance(atom, exprs.Received):
-                _flip, eps = _link(p, node, atom.t) or (0, None)
+                _flip, eps = p.link(node, atom.t) or (0, None)
                 if eps is not None:
                     key = ("chan", node, atom.t)
                     prims[key] = _Primitive(key, (1 - eps, eps))
@@ -304,8 +289,9 @@ class _Sim:
     ``x_bits`` maps each input node to its bit, and ``one`` is the value
     of a 1 bit, in the columns' domain: packed words (one input per run of
     rows) and ``one = ONES`` in the exact and sampled passes; with
-    ``one = 1``, :class:`_Fn` places write :func:`_plan`'s program, and 0/1
-    ints give the tests' reference run for :func:`execute`.
+    ``one = 1``, :class:`_Fn` places write :func:`_plan`'s program, 0/1
+    ints give the tests' reference run for :func:`execute`, and 0/1 arrays
+    with a preset ``sent`` evaluate one level of ``reductions.to_xnd_tree``.
     """
 
     def __init__(self, p: Protocol, x_bits: dict, bits: dict, one):
@@ -331,7 +317,7 @@ class _Sim:
         key = (node, t)
         if key in self._rx:
             return self._rx[key]
-        link = _link(self.p, node, t)
+        link = self.p.link(node, t)
         val = 0
         if link is not None:
             flip, eps = link
@@ -341,16 +327,16 @@ class _Sim:
         self._rx[key] = val
         return val
 
+    def ev(self, node, expr):
+        """The bits of ``expr`` evaluated at ``node``."""
+        return exprs.evaluate(expr, functools.partial(self.value, node), self.one)
+
     def run(self, probes) -> list:
         """Run the schedule, then return the bits of each ``(node, expr)``
         probe."""
-
-        def ev(node, expr):
-            return exprs.evaluate(expr, functools.partial(self.value, node), self.one)
-
         for tr in self.p.schedule:
-            self.sent.append(ev(tr.sender, tr.expr))
-        return [ev(node, e) for node, e in probes]
+            self.sent.append(self.ev(tr.sender, tr.expr))
+        return [self.ev(node, e) for node, e in probes]
 
 
 def _codes(values, n: int) -> np.ndarray:

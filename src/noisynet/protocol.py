@@ -3,8 +3,9 @@
 A protocol is a fixed-length schedule of single-bit transmissions on a
 communication graph.  Each transmission is driven by a closed boolean
 expression evaluated at the sender; receivers get independent noisy copies
-(or exact copies, for transmissions flagged noiseless).  The declared
-answer is computed by the sender of the last transmission.
+(or exact copies, for transmissions flagged noiseless), as
+:meth:`Protocol.link` states.  The declared answer is computed by the
+sender of the last transmission.
 
 Node roles split the vertex set into input nodes (one input bit each,
 grouped into blocks) and auxiliary nodes (input fixed).  The ``klass`` tag
@@ -97,9 +98,6 @@ class Protocol:
     def k_blocks(self) -> int:
         return len(self.blocks())
 
-    def is_neighbor(self, v: int, w: int) -> bool:
-        return w in self.adjacency.get(v, frozenset())
-
     def tx_counts(self) -> dict:
         counts = {v: 0 for v in range(self.n_nodes)}
         for tr in self.schedule:
@@ -108,6 +106,21 @@ class Protocol:
 
     def tx_eps(self, tr: Transmission) -> float:
         return self.eps if tr.eps is None else tr.eps
+
+    def link(self, node: int, t: int):
+        """How ``node`` hears transmission ``t``: the one read rule of every
+        stage.  ``None`` when ``node`` is not a neighbour of the sender (the
+        read is 0); else ``(flip, eps)``: the sent bit XOR ``flip``, XOR a
+        Bernoulli(eps) channel bit (the engine's ``("chan", node, t)``)
+        unless ``eps`` is None.  A noiseless or ε = 0 link copies the bit
+        and an ε = 1 link flips it; only a link with 0 < ε < 1 draws a bit."""
+        tr = self.schedule[t]
+        if tr.sender not in self.adjacency.get(node, ()):
+            return None
+        eps = self.tx_eps(tr) if tr.noisy else 0.0
+        if eps in (0.0, 1.0):
+            return int(eps), None
+        return 0, eps
 
     # -- validation --------------------------------------------------------
 

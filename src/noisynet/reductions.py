@@ -79,7 +79,6 @@ def to_semi_noisy(p: Protocol):
             raise ValueError("noiseless transmissions by input nodes unsupported")
 
     prime_of = {v: p.n_nodes + i for i, v in enumerate(inputs)}
-    n_nodes1 = p.n_nodes + len(inputs)
     adjacency = {v: set(p.adjacency.get(v, ())) for v in range(p.n_nodes)}
     for v in inputs:
         vp = prime_of[v]
@@ -96,22 +95,22 @@ def to_semi_noisy(p: Protocol):
 
     schedule: list = []
     recv: dict = {}  # (reader, original t) -> Expr
-    next_noise = {v: 0 for v in range(n_nodes1)}
+    next_noise = dict.fromkeys(range(p.n_nodes), 0)
     probe_pairs: list = []
 
-    def fresh_noise(w, eps):
-        i = next_noise[w]
+    def heard(w, t, got):
+        """``got``, transmission ``t``'s bit, as ``w`` hears it over ``p.link``."""
+        flip, eps = p.link(w, t)
+        got = exprs.Not(got) if flip else got
+        if eps is None:
+            return got
         next_noise[w] += 1
-        return Noise(i, eps)
-
-    def recv_expr(w, t):
-        got = recv.get((w, t))
-        return got if got is not None else Const(0)
+        return Xor((got, Noise(next_noise[w] - 1, eps)))
 
     def rewrite(expr, reader, own=None):
         def m(atom):
             if isinstance(atom, Received):
-                return recv_expr(reader, atom.t)
+                return recv.get((reader, atom.t), Const(0))
             if isinstance(atom, OwnInput) and own is not None:
                 return Const(own)
             return None
@@ -119,41 +118,27 @@ def to_semi_noisy(p: Protocol):
         return exprs.substitute(expr, m)
 
     for t, tr in enumerate(p.schedule):
-        eps_t = p.tx_eps(tr)
-        nbrs = sorted(p.adjacency.get(tr.sender, ()))
-        if isinstance(p.roles[tr.sender], AuxRole):
-            new_expr = rewrite(tr.expr, tr.sender)
-            idx = len(schedule)
-            schedule.append(Transmission(tr.sender, new_expr, noisy=False))
-            for w in nbrs:
-                if tr.noisy and 0.0 < eps_t < 1.0:
-                    recv[(w, t)] = Xor(
-                        (Received(idx), fresh_noise(w, eps_t))
-                    )
-                else:
-                    recv[(w, t)] = Received(idx)
+        v = tr.sender
+        aux = isinstance(p.roles[v], AuxRole)
+        r0 = Received(len(schedule))
+        if aux:
+            schedule.append(Transmission(v, rewrite(tr.expr, v), noisy=False))
         else:
-            v = tr.sender
-            b0 = rewrite(tr.expr, v, own=0)
-            b1 = rewrite(tr.expr, v, own=1)
-            i0 = len(schedule)
-            schedule.append(Transmission(v, b0, noisy=False))
-            schedule.append(Transmission(v, b1, noisy=False))
-            schedule.append(
-                Transmission(prime_of[v], OwnInput(0), noisy=True, eps=tr.eps)
-            )
-            for w in nbrs:
-                r0, r1, c = Received(i0), Received(i0 + 1), Received(i0 + 2)
-                same = exprs.Not(Xor((r0, r1)))
-                recv[(w, t)] = mux(
-                    same, mux(c, r0, r1), Xor((r0, fresh_noise(w, eps_t)))
-                )
-        for w in nbrs:
+            # announce the bit for input 0 and for input 1, then v' sends x
+            r1, c = Received(r0.t + 1), Received(r0.t + 2)
+            schedule.append(Transmission(v, rewrite(tr.expr, v, own=0), noisy=False))
+            schedule.append(Transmission(v, rewrite(tr.expr, v, own=1), noisy=False))
+            schedule.append(Transmission(prime_of[v], OwnInput(0), noisy=True, eps=tr.eps))
+            same = exprs.Not(Xor((r0, r1)))
+        # the nodes ``p.link`` lets hear t: the sender's neighbours
+        for w in sorted(p.adjacency.get(v, ())):
+            got = heard(w, t, r0)
+            recv[(w, t)] = got if aux else mux(same, mux(c, r0, r1), got)
             probe_pairs.append(((w, Received(t)), (w, recv[(w, t)])))
 
     out_expr = rewrite(p.output_expr, p.output_node)
     p1 = Protocol(
-        n_nodes=n_nodes1,
+        n_nodes=p.n_nodes + len(inputs),
         adjacency=adjacency,
         roles=roles,
         schedule=schedule,
@@ -204,6 +189,9 @@ def to_noisy_copy(p1: Protocol, d: int, fix=True):
             raise ValueError("per-transmission noise overrides unsupported here")
     inputs = p1.input_nodes()
     counts = p1.tx_counts()
+    if d < 1:
+        why = "" if any(counts[v] for v in inputs) else ": no input node broadcasts"
+        raise ValueError(f"d must be at least 1, got {d}{why}")
     for v in inputs:
         if counts[v] > d:
             raise ValueError(f"input node {v} sends {counts[v]} > d = {d} times")
@@ -240,7 +228,7 @@ def to_noisy_copy(p1: Protocol, d: int, fix=True):
             told = atom.t
             if told in occurrence:
                 v, i = occurrence[told]
-                if not p1.is_neighbor(reader, v):
+                if p1.link(reader, told) is None:
                     return Const(0)
                 return Xor(
                     (Received(t0[v]), MaskBit(source_for(reader, v), i))
@@ -369,7 +357,6 @@ class XndTreeArtifact:
     spaces: list  # BlockSpace per block (tree index order)
     block_ids: list  # original 1-based block index per tree block
     block_nodes: list  # input nodes per tree block, x-part order
-    noise_probs: list  # per tree block: each value's noise-vector probability
     eps_d: float
     report: dict = field(default_factory=dict)
 
@@ -377,6 +364,8 @@ class XndTreeArtifact:
         """Per-block law over extended values given the input bits.
 
         ``x_key`` lists input bits in canonical input order (block-major).
+        A value's probability is 2^-nb times its noise vectors', so the
+        noise law is ``probs`` times 2^nb, exactly.
         """
         out = []
         pos = 0
@@ -385,7 +374,7 @@ class XndTreeArtifact:
             x_part = tuple(x_key[pos : pos + nb])
             pos += nb
             match = np.array([val[0] == x_part for val in sp.values])
-            out.append(np.where(match, self.noise_probs[b], 0.0))
+            out.append(np.where(match, np.multiply(sp.probs, 2.0**nb), 0.0))
         return out
 
 
@@ -411,11 +400,11 @@ def to_xnd_tree(p2: Protocol) -> XndTreeArtifact:
     if not p2.is_deterministic():
         raise ValueError("fix internal randomness before building the tree")
     eps_d = None
-    t0_of = {}  # schedule index of broadcast -> input node
+    t0 = {}  # input node -> schedule index of its broadcast
     aux_sched = []
     for t, tr in enumerate(p2.schedule):
         if isinstance(p2.roles[tr.sender], InputRole):
-            t0_of[t] = tr.sender
+            t0[tr.sender] = t
             e = p2.tx_eps(tr)
             if eps_d is None:
                 eps_d = e
@@ -436,10 +425,9 @@ def to_xnd_tree(p2: Protocol) -> XndTreeArtifact:
     block_index = {j: i for i, j in enumerate(block_ids)}
     node_block = {v: j for j, vs in blocks.items() for v in vs}
 
-    # per level: the block it reads, the input broadcasts and the earlier
-    # levels it adjacently reads
+    # per level: the block it reads and the earlier levels it reads; a
+    # read that ``p2.link`` gives no link is 0 and reads nothing
     level_block: list = []
-    level_reads: list = []
     level_bits: list = []
     added_edges: list = []
     lambdas = [set() for _ in block_ids]
@@ -448,16 +436,14 @@ def to_xnd_tree(p2: Protocol) -> XndTreeArtifact:
         reads = set()
         bits = set()
         for atom in exprs.atoms(tr.expr):
-            if not isinstance(atom, Received):
+            if not isinstance(atom, Received) or p2.link(tr.sender, atom.t) is None:
                 continue
-            sender = p2.schedule[atom.t].sender
-            if not p2.is_neighbor(tr.sender, sender):
-                continue
-            if atom.t in t0_of:
+            if atom.t in aux_new_index:
+                bits.add(aux_new_index[atom.t])
+            else:
+                sender = p2.schedule[atom.t].sender
                 read_blocks.add(node_block[sender])
                 reads.add(sender)
-            else:
-                bits.add(aux_new_index[atom.t])
         if len(read_blocks) > 1:
             raise ValueError(
                 f"transmission {t} reads several blocks; not a single query"
@@ -466,7 +452,6 @@ def to_xnd_tree(p2: Protocol) -> XndTreeArtifact:
             j = read_blocks.pop() if read_blocks else block_ids[0]
         b = block_index[j]
         level_block.append(b)
-        level_reads.append(reads)
         level_bits.append(sorted(bits))
         if reads:
             lambdas[b].add(tr.sender)
@@ -478,7 +463,7 @@ def to_xnd_tree(p2: Protocol) -> XndTreeArtifact:
     # block spaces: values (x part, z parts per lambda); x is uniform and
     # the target is the block parity
     spaces = []
-    noise_probs = []
+    columns = []  # per block: x as each broadcast's sent bit, z as its channel bits
     for b, j in enumerate(block_ids):
         nodes = blocks[j]
         nb = len(nodes)
@@ -488,7 +473,7 @@ def to_xnd_tree(p2: Protocol) -> XndTreeArtifact:
             raise TreeCapExceeded(
                 f"block {j} value space {space} exceeds {MAX_BLOCK_SPACE}", size=space
             )
-        values, probs, hs, pzs = [], [], [], []
+        values, probs, hs = [], [], []
         px = 0.5**nb
         for x in itertools.product((0, 1), repeat=nb):
             for zs in itertools.product(
@@ -501,38 +486,30 @@ def to_xnd_tree(p2: Protocol) -> XndTreeArtifact:
                 values.append((x, zs))
                 probs.append(px * pz)
                 hs.append(-1 if sum(x) % 2 else 1)
-                pzs.append(pz)
         spaces.append(
             trees.BlockSpace(tuple(values), tuple(probs), tuple(hs))
         )
-        noise_probs.append(np.array(pzs))
+        flat = np.array([x + sum(zs, ()) for x, zs in values])  # a column per bit
+        columns.append((
+            {t0[v]: flat[:, i] for i, v in enumerate(nodes)},
+            {("chan", s, t0[v]): flat[:, nb * (1 + li) + i]
+             for li, s in enumerate(lambdas[b]) for i, v in enumerate(nodes)},
+        ))
 
-    # one branch table per level: rows index the read transcript bits
-    # (big-endian over the sorted levels), columns the block values
+    # one branch table per level, the level's expression run by ``_Sim``:
+    # rows index the read transcript bits (big-endian over the sorted
+    # levels), columns the block values
     tables, row_of = [], []
     for level, (_t, tr) in enumerate(aux_sched):
         b = level_block[level]
-        sp = spaces[b]
         bits = level_bits[level]
         row = np.arange(2 ** len(bits))[:, None]
-        shift = {k: len(bits) - 1 - i for i, k in enumerate(bits)}
-        reads = level_reads[level]
-        li = lambdas[b].index(tr.sender) if reads else None
-        cols = {  # input node -> x XOR z over the block's values
-            v: np.array([x[vi] ^ zs[li][vi] for x, zs in sp.values])
-            for vi, v in enumerate(blocks[block_ids[b]])
-            if v in reads
-        }
-
-        def value(atom):
-            if isinstance(atom, OwnInput):
-                return p2.roles[tr.sender].fixed_bit
-            if atom.t in t0_of:
-                return cols.get(t0_of[atom.t], 0)
-            k = aux_new_index[atom.t]
-            return row >> shift[k] & 1 if k in shift else 0
-
-        tables.append(np.broadcast_to(exprs.evaluate(tr.expr, value), (len(row), sp.size)))
+        sent, chan = columns[b]
+        sim = engine._Sim(p2, {}, chan, 1)
+        sim.sent = dict(sent)
+        for i, k in enumerate(bits):
+            sim.sent[aux_sched[k][0]] = row >> len(bits) - 1 - i & 1
+        tables.append(np.broadcast_to(sim.ev(tr.sender, tr.expr), (len(row), spaces[b].size)))
         # node q of this level is the transcript prefix with bits q
         # (big-endian); it takes the row its read bits index
         r = np.zeros(2**level, dtype=np.intp)
@@ -547,7 +524,6 @@ def to_xnd_tree(p2: Protocol) -> XndTreeArtifact:
         spaces=spaces,
         block_ids=block_ids,
         block_nodes=[blocks[j] for j in block_ids],
-        noise_probs=noise_probs,
         eps_d=eps_d,
         report={
             "depth": T,
@@ -561,7 +537,8 @@ def to_xnd_tree(p2: Protocol) -> XndTreeArtifact:
 def check_leaf_law(p2: Protocol, art: XndTreeArtifact) -> float:
     """Max-over-inputs TV between the protocol's auxiliary transcript law
     and the tree's leaf law."""
-    aux = [(tr.sender, tr.expr) for tr in p2.schedule if tr.sender not in p2.input_nodes()]
+    inputs = set(p2.input_nodes())
+    aux = [(tr.sender, tr.expr) for tr in p2.schedule if tr.sender not in inputs]
     ch = engine.exact_channel(p2, aux)
     tree_law = np.zeros_like(ch.law)
     for i, key in enumerate(ch.keys):

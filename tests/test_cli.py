@@ -265,6 +265,68 @@ def test_reduce_of_a_protocol_without_input_nodes_is_invalid_input(
     assert err == "error: the protocol has no input node\n"
 
 
+@pytest.mark.parametrize("stage", ["copy", "xnd", "readonce"])
+def test_reduce_of_a_protocol_whose_inputs_never_send_names_them(tmp_path, capsys, stage):
+    path = tmp_path / "p.txt"
+    path.write_text(
+        "nodes 2\nnode 0 input block=1\nnode 1 aux fix=0\nedge 0 1\n"
+        "tx 1 := in\nout 1 := in\n"
+    )
+    code, out, err = run(capsys, "reduce", "--stage", stage, "--protocol-file", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: d must be at least 1, got 0: no input node broadcasts\n"
+
+
+#: A relay of the star's XOR over one auxiliary link whose ε is ``EPS``.
+_RELAY_TEXT = """nodes 4
+eps 0.1
+node 0 input block=1
+node 1 input block=1
+node 2 aux fix=0
+node 3 aux fix=0
+edge 0 2
+edge 1 2
+edge 2 3
+tx 0 := in
+tx 1 := in
+tx 2 eps=EPS := xor(rx[0],rx[1])
+tx 3 := rx[2]
+out 3 := rx[2]
+"""
+
+
+@pytest.mark.parametrize("eps", ["0.0", "1.0"])
+def test_reduce_hears_an_edge_auxiliary_link(tmp_path, capsys, eps):
+    # an ε = 1 link flips the bit, and the semi-noisy stage must flip it too
+    path = tmp_path / "p.txt"
+    path.write_text(_RELAY_TEXT.replace("EPS", eps))
+    for stage, key in (("semi", "fidelity_tv"), ("xnd", "leaf_law_tv")):
+        code, out, err = run(capsys, "reduce", "--stage", stage, "--protocol-file", str(path))
+        assert code == 0, err
+        assert json.loads(out)[key] <= 1e-12
+    code, out, err = run(capsys, "reduce", "--protocol-file", str(path))
+    assert code == 0 and json.loads(out)["monotone"] is True, err
+
+
+def test_run_protocol_reads_the_given_file(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text(_RELAY_TEXT.replace("EPS", "1.0"))
+    code, out, err = run(capsys, "run-protocol", "--protocol-file", str(path))
+    assert code == 0, err
+    # the flipped relay errs unless the XOR of two 0.1-noisy bits is wrong;
+    # star_xor(3), which run-protocol builds without a file, errs 0.244
+    assert abs(json.loads(out)["error"] - (1 - 0.18)) < 1e-9
+
+
+@pytest.mark.parametrize("flag", [["--n", "3"], ["--reps", "2"], ["--eps", "0.2"]])
+def test_run_protocol_rejects_star_options_beside_a_file(tmp_path, capsys, flag):
+    path = tmp_path / "p.txt"
+    path.write_text(_RELAY_TEXT.replace("EPS", "0.0"))
+    code, out, err = run(capsys, "run-protocol", "--protocol-file", str(path), *flag)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag[0]} cannot be given with --protocol-file\n"
+
+
 def test_protocol_text_keeps_every_digit_of_eps():
     p1, _ = reductions.to_semi_noisy(star_xor(2, reps=1, eps=0.123456789))
     p2, _ = reductions.to_noisy_copy(p1, 1, fix=False)
@@ -392,7 +454,7 @@ def test_own_input_index_other_than_zero_is_invalid_input(tmp_path, capsys):
     for body, want in ((_NOISY_TEXT, 0), (text, 1)):
         path.write_text(body)
         code, _out, err = run(
-            capsys, "run-protocol", "--builder", "file", "--protocol-file", str(path)
+            capsys, "run-protocol", "--protocol-file", str(path)
         )
         assert code == want, err
 
@@ -416,7 +478,7 @@ def test_conflicting_noise_eps_is_invalid_input(tmp_path, capsys):
     for body, want in ((_NOISY_TEXT, 0), (out_04, 1)):
         path.write_text(body)
         code, _out, err = run(
-            capsys, "run-protocol", "--builder", "file", "--protocol-file", str(path)
+            capsys, "run-protocol", "--protocol-file", str(path)
         )
         assert code == want, err
         assert want == 0 or "the output expression reads noise[0,0.4]" in err
@@ -454,7 +516,7 @@ def test_node_outside_the_network_is_invalid_input(tmp_path, capsys, old, new, w
     for body, code_want in ((_XOR_TEXT, 0), (text, 1)):
         path.write_text(body)
         for argv in (
-            ("run-protocol", "--builder", "file", "--protocol-file", str(path)),
+            ("run-protocol", "--protocol-file", str(path)),
             ("reduce", "--stage", "xnd", "--protocol-file", str(path)),
         ):
             code, _out, err = run(capsys, *argv)
@@ -483,7 +545,7 @@ def test_mask_bit_outside_its_mask_is_invalid_input(tmp_path, capsys):
     for j, want in ((1, 0), (7, 1)):
         path.write_text(_mask_text(j))
         code, _out, err = run(
-            capsys, "run-protocol", "--builder", "file", "--protocol-file", str(path)
+            capsys, "run-protocol", "--protocol-file", str(path)
         )
         assert code == want, err
 

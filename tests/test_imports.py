@@ -1,5 +1,7 @@
-"""Every module-level import in the package is read by its module, and
-every module-level private name is read somewhere in the package.
+"""Every module-level import in the package is read by its module, every
+module-level private name is read somewhere in the package, and every
+method or property of a package class is read by the package, the tests
+or perfbench.
 
 No linter ships with the toolchain, so these are the unused-import and
 dead-code checks.  ``__init__`` is excepted from the first: its imports
@@ -7,11 +9,13 @@ are the package's exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "noisynet"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "noisynet"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -99,3 +103,55 @@ def test_unread_private_names_finds_only_unread_names():
 def test_package_reads_every_private_name():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def _attribute_reads(node) -> Counter:
+    """How often ``node`` reads each attribute name, a string constant
+    counting as a read of the name it spells."""
+    return Counter(
+        n.attr if isinstance(n, ast.Attribute) else n.value
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Constant) and isinstance(n.value, str)
+    )
+
+
+def unread_methods(package: dict, sources: dict) -> list:
+    """``module.Class.name`` for each method or property (not a dunder) of a
+    module-level class in the ``{module: source}`` map ``package`` that no
+    code in ``sources`` reads besides its own body.  A string constant is
+    a read, as perfbench installs its wrappers by name with ``getattr``."""
+    reads = Counter()
+    for text in sources.values():
+        reads.update(_attribute_reads(ast.parse(text)))
+    return [
+        f"{m}.{cls.name}.{f.name}"
+        for m, text in sorted(package.items())
+        for cls in ast.parse(text).body
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")
+        and reads[f.name] == _attribute_reads(f)[f.name]
+    ]
+
+
+def test_unread_methods_finds_only_unread_methods():
+    package = {
+        "a": "class A:\n    def __init__(self):\n        self.rec = 0\n"
+             "    def used(self):\n        return 1\n"
+             "    def rec(self):\n        return self.rec()\n"
+             "    @property\n    def prop(self):\n        return 1\n"
+             "    def named(self):\n        pass\n",
+    }
+    sources = {**package, "b": "import a\na.A().used()\ngetattr(a.A, 'named')\n"}
+    assert unread_methods(package, sources) == ["a.A.rec", "a.A.prop"]
+
+
+def test_every_method_is_read():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    sources = {
+        str(p): p.read_text()
+        for d in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+        for p in d.glob("*.py")
+    }
+    assert unread_methods(package, sources) == []

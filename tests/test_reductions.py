@@ -302,6 +302,90 @@ def test_xnd_tree_reads_a_non_neighbor_transmission_as_zero():
     assert reductions.check_leaf_law(p2, art) <= 1e-12
 
 
+# -- edge links --------------------------------------------------------------
+# A link with ε = 0 copies the bit and one with ε = 1 flips it; neither
+# draws a bit.  Every stage must hear such a link as ``Protocol.link`` says.
+
+
+def _relay(eps, where):
+    """Two inputs, their XOR at hub 2, relayed to node 3; the input links
+    (``where == "input"``) or the hub's link (``"aux"``) have noise ``eps``."""
+    over = {"input": (0, 1), "aux": (2,)}[where]
+    schedule = [
+        Transmission(0, OwnInput(0), eps=eps if 0 in over else None),
+        Transmission(1, OwnInput(0), eps=eps if 1 in over else None),
+        Transmission(2, Xor((Received(0), Received(1))), eps=eps if 2 in over else None),
+        Transmission(3, Received(2)),
+    ]
+    return Protocol(
+        n_nodes=4,
+        adjacency={0: {2}, 1: {2}, 2: {0, 1, 3}, 3: {2}},
+        roles={0: InputRole(1), 1: InputRole(1), 2: AuxRole(0), 3: AuxRole(0)},
+        schedule=schedule,
+        output_node=3,
+        output_expr=Received(2),
+        eps=0.1,
+    )
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+@pytest.mark.parametrize("where", ["input", "aux"])
+def test_semi_noisy_hears_edge_links_exactly(where, eps):
+    p = _relay(eps, where)
+    p1, report = reductions.to_semi_noisy(p)
+    assert reductions.check_simulation_fidelity(p, p1, report) <= 1e-12
+    assert engine.exact_channel(p).total_variation(engine.exact_channel(p1)) <= 1e-12
+    links = {p.link(w, t) for t in range(p.T) for w in range(p.n_nodes)}
+    assert links == {None, (0, 0.1), (int(eps), None)}
+    # an edge link draws no bit: the hub, which hears the inputs, reads no
+    # noise, where a degenerate Noise(i, 0.0) or Noise(i, 1.0) would be one
+    hub_noise = [pr for pr in engine._collect_primitives(p1) if pr.key[:2] == ("noise", 2)]
+    assert (hub_noise == []) == (where == "input")
+
+
+@pytest.mark.parametrize("eps", ["0.0", "1.0"])
+def test_xnd_tree_hears_edge_input_broadcasts(eps):
+    # noisy copies are never edge links (ε^d with 0 < ε < 1/2), but a
+    # noisy-copy protocol read from text may have them
+    p2 = protocol_from_text(
+        "nodes 3\neps 0.1\nclass noisy-copy\n"
+        "node 0 input block=1\nnode 1 input block=1\nnode 2 aux fix=0\n"
+        f"edge 0 2\nedge 1 2\ntx 0 eps={eps} := in\ntx 1 eps={eps} := in\n"
+        "tx 2 noiseless := xor(rx[0],rx[1])\nout 2 := xor(rx[0],rx[1])\n"
+    )
+    art = reductions.to_xnd_tree(p2)
+    assert reductions.check_leaf_law(p2, art) <= 1e-12
+    assert abs(reductions.stage_advantage(p2) - 1.0) <= 1e-12
+
+
+def test_random_protocols_with_one_edge_link():
+    """One transmission of each instance gets ε = 0 or 1.  The semi-noisy
+    stage keeps the law; through an auxiliary link the whole chain runs,
+    and an input link's override is refused by the noisy-copy stage."""
+    rng = RngStream(61)
+    chains = 0
+    for i in range(24):
+        p = ri.random_tiny_protocol(rng, i)
+        r = rng.spawn("edge", i)
+        t, eps = int(r.integers(p.T)), float(r.integers(2))
+        schedule = list(p.schedule)
+        schedule[t] = dataclasses.replace(schedule[t], eps=eps)
+        q = dataclasses.replace(p, schedule=schedule)
+        q1, report = reductions.to_semi_noisy(q)
+        assert reductions.check_simulation_fidelity(q, q1, report) <= 1e-12, i
+        d = ri.max_input_sends(q)
+        if isinstance(q.roles[schedule[t].sender], InputRole):
+            with pytest.raises(ValueError, match="overrides unsupported"):
+                reductions.to_noisy_copy(q1, d)
+            continue
+        chains += 1
+        q2, art = chain_to_tree(q, d)
+        assert reductions.check_leaf_law(q2, art) <= 1e-12, i
+        _ro, _art, chain = reductions.protocol_to_read_once(q, d)
+        assert chain["monotone"], (i, chain["advantages"])
+    assert chains >= 5
+
+
 # -- full chain --------------------------------------------------------------
 
 
