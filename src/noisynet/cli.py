@@ -114,7 +114,7 @@ def decompose_cmd(ctx, network_path, n_nodes):
 @click.option("--eps", type=float, default=0.1, show_default=True)
 @click.option("--method", type=click.Choice(["exact", "mc"]),
               default="exact", show_default=True)
-@click.option("--trials", type=int, default=100_000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
 @click.pass_context
 def run_protocol(ctx, protocol_file, n_inputs, reps, eps, method, trials):
     """Report a protocol's worst-case parity error probability."""
@@ -239,7 +239,7 @@ def tree_cmd(ctx, tree_file, do_reorder, do_collapse, do_advantage):
 @click.option("--protocol-file", type=click.Path(), required=True)
 @click.option("--method", type=click.Choice(["exact", "mc"]),
               default="exact", show_default=True)
-@click.option("--trials", type=int, default=100_000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
 @click.pass_context
 def advantage_cmd(ctx, protocol_file, method, trials):
     """Exact or Monte-Carlo parity advantage of a protocol's output bit."""

@@ -24,7 +24,10 @@ words, 64 grid rows (or Monte-Carlo trials) per word, and expressions
 run on whole words with ``one = ONES`` (see :mod:`exprs`).  Outcome
 codes are unpacked for the first ``n`` rows only, so the pad rows of the
 last word never reach a law, and ``np.bincount`` adds the same weights
-in the same row order as an unpacked grid would.
+in the same row order as an unpacked grid would.  A sampled one-bit law
+is counted on the words instead: the popcount of the output bit over the
+first ``trials`` lanes is the count of code 1, the same integer that
+``np.bincount`` of the unpacked codes gives.
 
 ``execute`` samples one run on Python ints through a straight-line
 program compiled once per protocol (``_plan``) by running ``_Sim`` over
@@ -172,6 +175,13 @@ def _to_words(bits) -> np.ndarray:
     return packed.view("<u8")
 
 
+def _lanes(n: int) -> np.ndarray:
+    """Packed words whose set bits are the first ``n`` rows, ``n >= 1``."""
+    words = np.full((n + 63) // 64, ONES)
+    words[-1] >>= np.uint64(-n % 64)
+    return words
+
+
 def _column_words(stride: int, total: int) -> np.ndarray:
     """Packed bits of a binary grid column that flips every ``stride`` rows."""
     n_words = (total + 63) // 64
@@ -242,9 +252,7 @@ def _bernoulli_words(bitgen, p: float, trials: int) -> np.ndarray:
     c = math.ceil(p * 2.0**53)
     if c <= 0:
         return out
-    undecided = np.full(n_words, ONES)
-    if trials % 64:
-        undecided[-1] = np.uint64((1 << trials % 64) - 1)
+    undecided = _lanes(trials)
     if c >= 2**53:
         return undecided
     words = np.arange(n_words)  # the packed words that hold undecided lanes
@@ -459,19 +467,26 @@ def exact_channel(p: Protocol, probes=None) -> Channel:
 def sampled_channel(p: Protocol, inputs, trials: int, rng, probes=None) -> Channel:
     """Monte-Carlo estimate of the law of the probe list, as in
     :func:`exact_channel` (``None`` is the output probe), vectorized over
-    trials."""
+    trials.  One probe's law is counted by popcount over the first
+    ``trials`` lanes of its packed words; a wider list unpacks outcome
+    codes and adds them with ``np.bincount``."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     prims = _collect_primitives(p, () if probes is None else probes)
     probes = p.all_expressions()[-1:] if probes is None else list(probes)
     width = 2 ** len(probes)
     law = np.empty((len(inputs), width))
+    valid = _lanes(trials)  # a ``Not`` sets the pad lanes of the last word
     for i, x_bits in enumerate(inputs):
         bits = _sampled_arrays(prims, trials, rng.spawn("mc", i))
         # each input bit is the same in every trial: a constant word
         own = {v: ONES if x_bits[v] else 0 for v in input_order(p)}
-        codes = _codes(_Sim(p, own, bits, ONES).run(probes), trials)
-        law[i] = np.bincount(codes, minlength=width) / trials
+        values = _Sim(p, own, bits, ONES).run(probes)
+        if len(values) == 1:
+            k = np.bitwise_count(values[0] & valid).sum()
+            law[i] = np.array([trials - k, k]) / trials
+        else:
+            law[i] = np.bincount(_codes(values, trials), minlength=width) / trials
     keys = [assignment_key(p, x_bits) for x_bits in inputs]
     return Channel(keys, law)
 

@@ -210,6 +210,24 @@ def test_advantage_mc_zero_trials_is_invalid_input(tmp_path, capsys):
     assert "trials" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("method", ["exact", "mc"])
+@pytest.mark.parametrize("command", ["run-protocol", "advantage"])
+def test_trials_below_one_are_invalid_input_for_every_method(
+    tmp_path, capsys, command, method, trials
+):
+    """The exact methods read no trials, yet a count below 1 is rejected."""
+    path = tmp_path / "p.txt"
+    path.write_text(protocol_to_text(star_xor(2, reps=1, eps=0.1)))
+    code, out, err = run(
+        capsys, command, "--protocol-file", str(path),
+        "--method", method, "--trials", trials,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--trials" in err
+
+
 def test_advantage_missing_file_is_invalid_input(capsys):
     code, _out, err = run(
         capsys, "advantage", "--protocol-file", "/nonexistent/p.txt"

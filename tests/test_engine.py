@@ -298,6 +298,68 @@ def test_sampled_channel_laws_are_pinned(case):
     assert hashlib.sha256(law.tobytes()).hexdigest() == _SAMPLED_LAW_SHA256[case]
 
 
+def _not_received():
+    """Node 1 announces the complement of the bit it hears from node 0, so
+    the pad lanes of the output's last word are set."""
+    out = parse("not(rx[0])")
+    return Protocol(
+        n_nodes=2,
+        adjacency={0: frozenset({1}), 1: frozenset({0})},
+        roles={0: InputRole(1), 1: AuxRole(0)},
+        schedule=[
+            Transmission(sender=0, expr=exprs.OwnInput(0)), Transmission(sender=1, expr=out)
+        ],
+        output_node=1,
+        output_expr=out,
+        eps=0.2,
+    )
+
+
+#: sha256 of the output laws ``sampled_channel`` estimates, computed when
+#: every law was counted from unpacked codes: trial counts around a word
+#: boundary, and an output whose pad lanes are set
+_ONE_BIT_LAW_SHA256 = {
+    ("star_xor", 1): "fb0d43c33d0bebb6079feae55666d2c3fa506f3060153858faafa63d972754c4",
+    ("star_xor", 63): "ba7be5283bc0225ffe49a3b9755d3251c08917516a36063e7e2878e2b31869fd",
+    ("star_xor", 64): "7c6b307022097f556e5f1275fda7fb4048de2d20fd39f9d5244aacb5f525e64a",
+    ("star_xor", 65): "9ba8a80db7d4cdcb1ed72d1245f9942dbab3e6411ed9d62cdc14c27f80106a4d",
+    ("star_xor", 1000): "61ec4b789bcea524686a60d095c73c0a7ed9728e013b90cf407f728a634c807b",
+    ("not_received", 1): "f192dc7d8f8e51b5782248598724a065ac9cf30d5ae200fd886c79b0940c2fc6",
+    ("not_received", 63): "ef279540f5d4a2458e32709d1e0156a9016a5d0ff80523d20b0537b096f4bde6",
+    ("not_received", 64): "0d6bc98888428643f3f00c2ff4489192aaed4a339f4d2c2c9261d88589d9c225",
+    ("not_received", 65): "ab5b3a087c4dad7458909bcd3729a67526ea5217f600cf15687fd1bfcebe277e",
+    ("not_received", 1000): "15f78fb11cb7beec3d3d0b7237678563309e6ee145e7b2c6bc76ce83ec3ad954",
+}
+
+
+@pytest.mark.parametrize("case, trials", sorted(_ONE_BIT_LAW_SHA256))
+def test_one_bit_laws_are_pinned(case, trials):
+    p = star_xor(2, reps=3, eps=0.2) if case == "star_xor" else _not_received()
+    xs = engine.all_input_assignments(p)
+    law = sampled_channel(p, xs, trials, RngStream(43, ("one-bit-pin", case, trials))).law
+    assert hashlib.sha256(law.tobytes()).hexdigest() == _ONE_BIT_LAW_SHA256[case, trials]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    index=st.integers(0, 10_000), trials=st.integers(1, 200), seed=st.integers(0, 2**32)
+)
+@example(index=0, trials=1, seed=0)
+def test_one_bit_law_is_the_bincount_of_its_codes(index, trials, seed):
+    """A one-probe row counts the same trials as unpacking the output's
+    codes would, down to the float."""
+    p = ri.random_tiny_protocol(RngStream(59), index)
+    xs = engine.all_input_assignments(p)
+    law = sampled_channel(p, xs, trials, RngStream(seed)).law
+    prims = engine._collect_primitives(p)
+    for i, x_bits in enumerate(xs):
+        bits = engine._sampled_arrays(prims, trials, RngStream(seed).spawn("mc", i))
+        own = {v: engine.ONES if x_bits[v] else 0 for v in engine.input_order(p)}
+        values = engine._Sim(p, own, bits, engine.ONES).run(p.all_expressions()[-1:])
+        want = np.bincount(engine._codes(values, trials), minlength=2) / trials
+        assert np.array_equal(law[i], want)
+
+
 def test_error_probability_mc_needs_rng():
     p = star_xor(1, reps=1, eps=0.1)
     with pytest.raises(ValueError):
