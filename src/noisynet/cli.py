@@ -24,6 +24,12 @@ class CheckFailure(Exception):
     """A property/certification check failed on otherwise valid input."""
 
 
+def _require_law(what: str, tv: float):
+    """A check failure when the law check ``what`` reads a TV above 1e-12."""
+    if tv > 1e-12:
+        raise CheckFailure(f"{what} TV {tv:g} exceeds 1e-12")
+
+
 def _emit(text: str, out=None):
     """Write ``text`` to the file ``out``, or to stdout when none is given."""
     if out:
@@ -40,6 +46,15 @@ def _echo_json(obj, out=None):
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
+
+
+def _reject_given(ctx, names, reason: str):
+    """Invalid input when the command line sets any of the options ``names``
+    (parameter names), which ``reason`` says are not read."""
+    given = [o.opts[0] for o in ctx.command.params if o.name in names
+             and ctx.get_parameter_source(o.name) is not click.core.ParameterSource.DEFAULT]
+    if given:
+        raise click.ClickException(f"{', '.join(given)} cannot be given {reason}")
 
 
 @click.group()
@@ -118,11 +133,10 @@ def decompose_cmd(ctx, network_path, n_nodes):
 @click.pass_context
 def run_protocol(ctx, protocol_file, n_inputs, reps, eps, method, trials):
     """Report a protocol's worst-case parity error probability."""
+    if method == "exact":
+        _reject_given(ctx, ("trials",), "with --method exact")
     if protocol_file:
-        given = [o.opts[0] for o in ctx.command.params if o.name in ("n_inputs", "reps", "eps")
-                and ctx.get_parameter_source(o.name) is not click.core.ParameterSource.DEFAULT]
-        if given:
-            raise click.ClickException(f"{', '.join(given)} cannot be given with --protocol-file")
+        _reject_given(ctx, ("n_inputs", "reps", "eps"), "with --protocol-file")
         p = protocol_from_text(_read(protocol_file))
     else:
         p = star_xor(n_inputs, reps=reps, eps=eps)
@@ -166,8 +180,7 @@ def reduce_cmd(ctx, protocol_file, stage, d_max):
         p1, report = reductions.to_semi_noisy(p)
         tv = reductions.check_simulation_fidelity(p, p1, report)
         _echo_json({"stage": "semi", "T": p1.T, "fidelity_tv": tv}, ctx.obj["out"])
-        if tv > 1e-12:
-            raise CheckFailure(f"simulation fidelity TV {tv:g} exceeds 1e-12")
+        _require_law("simulation fidelity", tv)
         return
     if stage == "copy":
         p1, _ = reductions.to_semi_noisy(p)
@@ -184,19 +197,28 @@ def reduce_cmd(ctx, protocol_file, stage, d_max):
              "leaf_law_tv": tv, "report": art.report},
             ctx.obj["out"],
         )
-        if tv > 1e-12:
-            raise CheckFailure(f"leaf-law TV {tv:g} exceeds 1e-12")
+        _require_law("leaf-law", tv)
         return
     readonce, art, report = reductions.protocol_to_read_once(p, d_max)
+    # the chain checks no law: its stages are deterministic, so rebuild the
+    # semi-noisy and noisy-copy protocols to check its first and tree stages
+    p1, rep1 = reductions.to_semi_noisy(p)
+    p2, _ = reductions.to_noisy_copy(p1, d_max)
+    fidelity_tv = reductions.check_simulation_fidelity(p, p1, rep1)
+    leaf_law_tv = reductions.check_leaf_law(p2, art)
     _echo_json(
         {
             "stage": "readonce",
             "advantages": report["advantages"],
             "monotone": report["monotone"],
             "alphas": report["alphas"],
+            "fidelity_tv": fidelity_tv,
+            "leaf_law_tv": leaf_law_tv,
         },
         ctx.obj["out"],
     )
+    _require_law("simulation fidelity", fidelity_tv)
+    _require_law("leaf-law", leaf_law_tv)
     if not report["monotone"]:
         raise CheckFailure("advantage chain is not monotone")
 
@@ -243,6 +265,8 @@ def tree_cmd(ctx, tree_file, do_reorder, do_collapse, do_advantage):
 @click.pass_context
 def advantage_cmd(ctx, protocol_file, method, trials):
     """Exact or Monte-Carlo parity advantage of a protocol's output bit."""
+    if method == "exact":
+        _reject_given(ctx, ("trials",), "with --method exact")
     p = protocol_from_text(_read(protocol_file))
     mu = adv_mod.uniform_distribution(len(p.input_nodes()))
     if method == "exact":
@@ -259,7 +283,8 @@ def advantage_cmd(ctx, protocol_file, method, trials):
             evaluator, adv_mod.parity_sign, mu, trials, rng
         )
     _echo_json(
-        {"method": est.method, "advantage": est.value, "ci": est.ci},
+        {"method": est.method, "advantage": est.value, "ci": est.ci,
+         "level": est.level, "interval": est.interval},
         ctx.obj["out"],
     )
 

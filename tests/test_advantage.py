@@ -2,9 +2,14 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 from noisynet import advantage as adv
 from noisynet.engine import Channel, exact_channel, execute, input_order
@@ -125,6 +130,111 @@ def test_advantage_mc_close_to_exact():
     assert abs(est.value - 0.64) < 0.03
     lo, hi = est.ci
     assert lo <= est.value <= hi
+
+
+def _star_evaluator(p):
+    order = input_order(p)
+    return lambda x_key, r: execute(p, dict(zip(order, x_key)), r).output
+
+
+def test_advantage_mc_reads_one_eval_stream_in_trial_order():
+    """The outcomes are ``execute`` run in trial order on one fresh
+    ``rng.spawn("eval")``: no trial has a stream of its own."""
+    p = star_xor(3, reps=3, eps=0.2)
+    evaluate = _star_evaluator(p)
+    seen = []
+
+    def recording(x_key, r):
+        seen.append((x_key, evaluate(x_key, r)))
+        return seen[-1][1]
+
+    rng = RngStream(11, ("addressing",))
+    adv.advantage_mc(recording, parity, adv.uniform_distribution(3), 300, rng)
+    replay = rng.spawn("eval")
+    assert len(seen) == 300
+    assert [evaluate(x, replay) for x, _ in seen] == [out for _, out in seen]
+
+
+def test_advantage_mc_trial_i_reads_raw_words_ik_to_ik_plus_k():
+    """An evaluator that reads k doubles gets, at trial i, the raw words
+    [ik, (i+1)k) of the eval stream, as a batch of ``random_raw`` would."""
+    k, trials = 3, 50
+    rng = RngStream(4, ("addressing",))
+    seen = []
+
+    def draws(x_key, r):
+        seen.append(r.random(k).tolist())
+        return len(seen)  # every outcome distinct: the plug-in path
+
+    est = adv.advantage_mc(draws, parity, adv.uniform_distribution(2), trials, rng)
+    raw = rng.spawn("eval").numpy_generator().bit_generator.random_raw(trials * k)
+    assert seen == ((raw >> 11) * 2.0**-53).reshape(trials, k).tolist()
+    assert est.ci is None and est.interval is None and est.level is None
+
+
+def test_advantage_mc_keeps_the_plug_in_for_an_unbalanced_target():
+    p = star_xor(2, reps=1, eps=0.1)
+    mu = {(0, 0): 0.4, (0, 1): 0.2, (1, 0): 0.2, (1, 1): 0.2}  # sum mu f = 0.2
+    rng = RngStream(5, ("plug-in",))
+    est = adv.advantage_mc(_star_evaluator(p), parity, mu, 2000, rng)
+    assert est.ci is None and est.interval is None
+    want = adv.advantage_exact(exact_channel(p), parity, mu).value
+    assert abs(est.value - want) < 0.1
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(1, 0), (1, 1), (2, 1), (10, 0), (10, 3), (10, 10), (1000, 0), (1000, 1),
+     (1000, 500), (1000, 999), (1000, 1000), (100_000, 0), (100_000, 1),
+     (100_000, 37_519), (100_000, 50_000), (100_000, 99_999), (100_000, 100_000)],
+)
+@pytest.mark.parametrize("level", [0.5, 0.95, 0.99])
+def test_clopper_pearson_matches_scipy_beta_quantiles(n, k, level):
+    lo, hi = adv.clopper_pearson(k, n, level)
+    want_lo = 0.0 if k == 0 else beta.ppf((1 - level) / 2, k, n - k + 1)
+    want_hi = 1.0 if k == n else beta.ppf((1 + level) / 2, k + 1, n - k)
+    assert abs(lo - want_lo) <= 1e-12 and abs(hi - want_hi) <= 1e-12
+
+
+@pytest.mark.parametrize("k, n, level", [(-1, 5, 0.95), (6, 5, 0.95), (0, 0, 0.95),
+                                          (2, 5, 1.0), (2, 5, 0.0)])
+def test_clopper_pearson_rejects_bad_arguments(k, n, level):
+    with pytest.raises(ValueError):
+        adv.clopper_pearson(k, n, level)
+
+
+@pytest.mark.parametrize("n, eps", [(3, 0.45), (1, 0.1)], ids=["adv-0.001", "adv-0.8"])
+def test_advantage_mc_interval_covers_the_exact_advantage(n, eps):
+    """At least 88 of 100 seeded 95% intervals hold the exact advantage;
+    P(Bin(100, 0.95) <= 87) = 0.0015."""
+    p = star_xor(n, reps=1, eps=eps)
+    mu = adv.uniform_distribution(n)
+    exact = adv.advantage_exact(exact_channel(p), parity, mu).value
+    evaluate = _star_evaluator(p)
+    covered = 0
+    for seed in range(100):
+        est = adv.advantage_mc(evaluate, parity, mu, 1000, RngStream(seed, ("coverage",)))
+        assert est.interval == "clopper-pearson" and est.level == 0.95
+        lo, hi = est.ci
+        assert lo <= est.value <= hi
+        covered += lo <= exact <= hi
+    assert covered >= 88
+
+
+def test_advantage_mc_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from noisynet import advantage as a, engine as e, protocol as pr; "
+        "from noisynet.rng import RngStream; p = pr.star_xor(2); o = e.input_order(p); "
+        "est = a.advantage_mc(lambda x, r: e.execute(p, dict(zip(o, x)), r).output, "
+        "a.parity_sign, a.uniform_distribution(2), 200, RngStream(1)); "
+        "assert est.ci is not None; print([m for m in sys.modules if m.startswith('scipy')])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_bruteforce_outcome_cap():

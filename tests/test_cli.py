@@ -1,6 +1,7 @@
 """Command-line harness: subcommands and exit-code contract."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisynet import random_instances as ri, reductions, trees
+from noisynet import exprs, random_instances as ri, reductions, trees
 from noisynet.cli import cli, main
 from noisynet.noise import regen_table
 from noisynet.planar import Decomposition
@@ -193,6 +194,36 @@ def test_advantage_mc_repeats_under_a_seed(tmp_path, capsys):
     assert abs(doc["advantage"] - 0.64) < 0.05
 
 
+def test_advantage_mc_output_is_pinned(tmp_path, capsys):
+    """sha256 of the stdout under RNG_VERSION philox4x64-sha256-v4: one
+    eval stream for all trials and a Clopper-Pearson interval."""
+    path = tmp_path / "p.txt"
+    path.write_text(protocol_to_text(star_xor(2, reps=1, eps=0.1)))
+    code, out, _err = run(capsys, "--seed", "3", "advantage", "--protocol-file", str(path),
+                          "--method", "mc", "--trials", "4000")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["interval"], doc["level"]) == ("clopper-pearson", 0.95)
+    assert doc["ci"][0] <= 0.64 <= doc["ci"][1]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "08877a8840c7689a2b828ac07dc2e8fcb705fac96ae956506a4fd3ba4abb7ecf"
+    )
+
+
+@pytest.mark.parametrize("command", ["run-protocol", "advantage"])
+def test_trials_beside_the_exact_method_is_invalid_input(tmp_path, capsys, command):
+    """The exact method reads no trials, so an explicit --trials is
+    rejected, as --n is beside --protocol-file."""
+    path = tmp_path / "p.txt"
+    path.write_text(protocol_to_text(star_xor(2, reps=1, eps=0.1)))
+    argv = (command, "--protocol-file", str(path), "--trials", "500")
+    for extra in ((), ("--method", "exact")):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: --trials cannot be given with --method exact\n"
+    assert run(capsys, *argv, "--method", "mc")[0] == 0
+
+
 def test_run_protocol_mc_zero_trials_is_invalid_input(capsys):
     code, _out, err = run(capsys, "run-protocol", "--method", "mc", "--trials", "0")
     assert code == 1
@@ -324,6 +355,49 @@ def test_reduce_hears_an_edge_auxiliary_link(tmp_path, capsys, eps):
         assert json.loads(out)[key] <= 1e-12
     code, out, err = run(capsys, "reduce", "--protocol-file", str(path))
     assert code == 0 and json.loads(out)["monotone"] is True, err
+
+
+def _flip_last_transmission(real):
+    """A semi-noisy stage that negates the last transmission and the output:
+    no advantage moves, but every copy of that bit is flipped."""
+    def stage(p):
+        p1, report = real(p)
+        last = p1.schedule[-1]
+        flipped = dataclasses.replace(last, expr=exprs.Not(last.expr))
+        schedule = [*p1.schedule[:-1], flipped]
+        return dataclasses.replace(p1, schedule=schedule, output_expr=flipped.expr), report
+    return stage
+
+
+def _flip_last_level(real):
+    """A tree stage whose last level takes the other branch: no advantage
+    moves, but every leaf's last bit is flipped."""
+    def stage(p2):
+        art = real(p2)
+        t = art.root
+        root = trees.Tree(t.blocks, (*t.rows[:-1], 1 - t.rows[-1]), t.row_of, t.children)
+        return dataclasses.replace(art, root=root)
+    return stage
+
+
+@pytest.mark.parametrize(
+    "name, breaker, key",
+    [("to_semi_noisy", _flip_last_transmission, "fidelity_tv"),
+     ("to_xnd_tree", _flip_last_level, "leaf_law_tv")],
+)
+def test_reduce_readonce_checks_both_laws(tmp_path, capsys, monkeypatch, name, breaker, key):
+    path = tmp_path / "p.txt"
+    path.write_text(protocol_to_text(star_xor(2, reps=1, eps=0.1)))
+    code, out, _err = run(capsys, "reduce", "--protocol-file", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["fidelity_tv"] <= 1e-12 and doc["leaf_law_tv"] <= 1e-12
+    monkeypatch.setattr(reductions, name, breaker(getattr(reductions, name)))
+    code, out, err = run(capsys, "reduce", "--protocol-file", str(path))
+    doc = json.loads(out)
+    assert code == 2 and err.startswith("check failed: ")
+    assert doc[key] > 0.5 and doc["monotone"] is True
+    assert {round(a, 9) for a in doc["advantages"].values()} == {0.64}
 
 
 def test_run_protocol_reads_the_given_file(tmp_path, capsys):
