@@ -147,7 +147,9 @@ def clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple:
     ``n`` trials (Clopper and Pearson, 1934): the (1 - level)/2 quantile of
     Beta(k, n - k + 1) and the (1 + level)/2 quantile of Beta(k + 1, n - k),
     with ends 0 at k = 0 and 1 at k = n.  It covers every proportion with
-    probability at least ``level``.  Pure Python, to about 1e-13."""
+    probability at least ``level``.  Pure Python, to about 1e-13 absolute:
+    an end below ~1e-5 may carry a relative error up to ~1e-9, since the
+    Beta prefactor's ``lgamma`` terms cancel."""
     if not (0 <= k <= n and n >= 1 and 0.0 < level < 1.0):
         raise ValueError(f"need 0 <= k <= n, n >= 1 and 0 < level < 1, got {k}, {n}, {level}")
     tail = (1.0 - level) / 2

@@ -176,51 +176,44 @@ def reduce_cmd(ctx, protocol_file, stage, d_max):
     if d_max is None:
         d_max = random_instances.max_input_sends(p)
 
+    out = ctx.obj["out"]
+    if stage == "readonce":
+        _readonce, art, report = reductions.protocol_to_read_once(p, d_max)
+        # the chain checks no law; check its own semi-noisy and tree stages
+        p1, p2 = report["protocols"]
+        fidelity_tv = reductions.check_simulation_fidelity(p, p1, report["semi_noisy"])
+        leaf_law_tv = reductions.check_leaf_law(p2, art)
+        _echo_json(
+            {"stage": "readonce", "advantages": report["advantages"],
+             "monotone": report["monotone"], "alphas": report["alphas"],
+             "fidelity_tv": fidelity_tv, "leaf_law_tv": leaf_law_tv},
+            out,
+        )
+        _require_law("simulation fidelity", fidelity_tv)
+        _require_law("leaf-law", leaf_law_tv)
+        if not report["monotone"]:
+            raise CheckFailure("advantage chain is not monotone")
+        return
+    # the chain's prefix up to ``stage``: semi -> copy -> fix -> xnd
+    p1, report = reductions.to_semi_noisy(p)
     if stage == "semi":
-        p1, report = reductions.to_semi_noisy(p)
         tv = reductions.check_simulation_fidelity(p, p1, report)
-        _echo_json({"stage": "semi", "T": p1.T, "fidelity_tv": tv}, ctx.obj["out"])
+        _echo_json({"stage": "semi", "T": p1.T, "fidelity_tv": tv}, out)
         _require_law("simulation fidelity", tv)
         return
+    p2, report = reductions.to_noisy_copy(p1, d_max)
+    p2, report["fixed"] = reductions.fix_randomness(p2)
     if stage == "copy":
-        p1, _ = reductions.to_semi_noisy(p)
-        p2, report = reductions.to_noisy_copy(p1, d_max)
-        _echo_json({"stage": "copy", "T": p2.T, "report": report}, ctx.obj["out"])
+        _echo_json({"stage": "copy", "T": p2.T, "report": report}, out)
         return
-    if stage == "xnd":
-        p1, _ = reductions.to_semi_noisy(p)
-        p2, _ = reductions.to_noisy_copy(p1, d_max)
-        art = reductions.to_xnd_tree(p2)
-        tv = reductions.check_leaf_law(p2, art)
-        _echo_json(
-            {"stage": "xnd", "depth": trees.depth(art.root),
-             "leaf_law_tv": tv, "report": art.report},
-            ctx.obj["out"],
-        )
-        _require_law("leaf-law", tv)
-        return
-    readonce, art, report = reductions.protocol_to_read_once(p, d_max)
-    # the chain checks no law: its stages are deterministic, so rebuild the
-    # semi-noisy and noisy-copy protocols to check its first and tree stages
-    p1, rep1 = reductions.to_semi_noisy(p)
-    p2, _ = reductions.to_noisy_copy(p1, d_max)
-    fidelity_tv = reductions.check_simulation_fidelity(p, p1, rep1)
-    leaf_law_tv = reductions.check_leaf_law(p2, art)
+    art = reductions.to_xnd_tree(p2)
+    tv = reductions.check_leaf_law(p2, art)
     _echo_json(
-        {
-            "stage": "readonce",
-            "advantages": report["advantages"],
-            "monotone": report["monotone"],
-            "alphas": report["alphas"],
-            "fidelity_tv": fidelity_tv,
-            "leaf_law_tv": leaf_law_tv,
-        },
-        ctx.obj["out"],
+        {"stage": "xnd", "depth": trees.depth(art.root),
+         "leaf_law_tv": tv, "report": art.report},
+        out,
     )
-    _require_law("simulation fidelity", fidelity_tv)
-    _require_law("leaf-law", leaf_law_tv)
-    if not report["monotone"]:
-        raise CheckFailure("advantage chain is not monotone")
+    _require_law("leaf-law", tv)
 
 
 @cli.command("tree")

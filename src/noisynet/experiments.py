@@ -294,9 +294,9 @@ def _e5_chain(cfg, rng):
     for i in range(cfg.params["instances"]):
         p = random_instances.random_tiny_protocol(rng, i)
         d = random_instances.max_input_sends(p)
-        p1, rep1 = reductions.to_semi_noisy(p)
-        tv = reductions.check_simulation_fidelity(p, p1, rep1)
         _tree, _art, report = reductions.protocol_to_read_once(p, d)
+        p1, _p2 = report["protocols"]
+        tv = reductions.check_simulation_fidelity(p, p1, report["semi_noisy"])
         advs = report["advantages"]
         ok = report["monotone"] and tv <= 1e-12
         rows.append(
@@ -306,13 +306,7 @@ def _e5_chain(cfg, rng):
                     "instance": i,
                     "d": d,
                     "tv": tv,
-                    "chain": [
-                        advs["general"],
-                        advs["semi_noisy"],
-                        advs["noisy_copy"],
-                        advs["xnd_tree"],
-                        advs["read_once"],
-                    ],
+                    "chain": [advs[s] for s in reductions.STAGES if s != "ordered"],
                 },
                 value=advs["read_once"],
                 reference=advs["general"],

@@ -465,10 +465,10 @@ def protocol_from_text(text: str) -> Protocol:
                 parts = body.split()
                 v = int(parts[0])
                 if parts[1] == "input":
-                    block = int(parts[2].split("=")[1])
+                    block = int(parts[2].partition("=")[2])
                     roles[v] = InputRole(block)
                 elif parts[1] == "aux":
-                    fix = int(parts[2].split("=")[1])
+                    fix = int(parts[2].partition("=")[2])
                     roles[v] = AuxRole(fix)
                 else:
                     raise ValueError(f"unknown role {parts[1]!r}")
@@ -497,7 +497,7 @@ def protocol_from_text(text: str) -> Protocol:
                 output = (int(node_s), exprs.parse(expr_text))
             else:
                 raise ValueError(f"unknown directive {head!r}")
-        except ValueError as exc:
+        except (ValueError, IndexError) as exc:  # a token too few reads past the list
             raise ValueError(f"line {lineno}: {exc}") from exc
     if n_nodes is None:
         raise ValueError("missing 'nodes' line")

@@ -19,8 +19,10 @@ The stages:
 * :func:`to_noisy_copy` -- fronts the schedule with one epsilon^d-noisy
   broadcast per input node; receivers regenerate the d epsilon-noisy
   copies they previously saw via regeneration masks, which leaves the
-  per-input outcome law unchanged.  Internal randomness is then fixed
-  to its parity-advantage-maximizing assignment (:func:`fix_randomness`).
+  per-input outcome law unchanged.
+* :func:`fix_randomness` -- fixes internal randomness to its
+  parity-advantage-maximizing assignment; by averaging, no advantage is
+  lost.
 * :func:`to_xnd_tree` -- unrolls the deterministic auxiliary transcript
   into a binary decision tree; the channel noise of the input
   broadcasts becomes per-(block, sender) noise vectors folded into the
@@ -55,6 +57,8 @@ from .protocol import (
 MAX_BLOCK_SPACE = 2**12
 #: Longest auxiliary transcript :func:`to_xnd_tree` unrolls.
 MAX_TREE_DEPTH = 16
+#: The stages :func:`protocol_to_read_once` scores, in chain order.
+STAGES = ("general", "semi_noisy", "noisy_copy", "xnd_tree", "ordered", "read_once")
 
 
 # -- stage 1: semi-noisy -----------------------------------------------------
@@ -147,17 +151,7 @@ def to_semi_noisy(p: Protocol):
         eps=p.eps,
         klass=SEMI_NOISY,
     )
-    report = {
-        "prime_of": prime_of,
-        "probe_pairs": probe_pairs,
-        "t_aux": sum(
-            1 for tr in p.schedule if isinstance(p.roles[tr.sender], AuxRole)
-        ),
-        "t_input": sum(
-            1 for tr in p.schedule if isinstance(p.roles[tr.sender], InputRole)
-        ),
-    }
-    return p1, report
+    return p1, {"prime_of": prime_of, "probe_pairs": probe_pairs}
 
 
 def check_simulation_fidelity(p: Protocol, p1: Protocol, report):
@@ -173,9 +167,10 @@ def check_simulation_fidelity(p: Protocol, p1: Protocol, report):
 # -- stage 2: noisy-copy -----------------------------------------------------
 
 
-def to_noisy_copy(p1: Protocol, d: int, fix=True):
+def to_noisy_copy(p1: Protocol, d: int):
     """One epsilon^d broadcast per input node, masks regenerating the d
-    epsilon-noisy copies, internal randomness fixed when ``fix`` is true.
+    epsilon-noisy copies.  The masks are internal randomness, which
+    :func:`fix_randomness` fixes as a step of its own.
 
     Returns (p2, report).
     """
@@ -263,11 +258,7 @@ def to_noisy_copy(p1: Protocol, d: int, fix=True):
         "broadcast_of": t0,
         "aux_map": old_to_new,
         "mask_sources": len(mask_sources),
-        "fixed": None,
     }
-    if fix and not p2.is_deterministic():
-        p2, fix_report = fix_randomness(p2)
-        report["fixed"] = fix_report
     return p2, report
 
 
@@ -275,12 +266,13 @@ def fix_randomness(p: Protocol):
     """Replace internal random atoms by the constants maximizing the
     exact parity advantage of the output under uniform inputs; by
     averaging, the best fixing is at least as good as the randomized
-    protocol.
+    protocol.  Returns (fixed protocol, report), or ``(p, None)`` when
+    ``p`` has no internal randomness.
     """
     prims = engine._collect_primitives(p)
     internal = [pr for pr in prims if pr.internal]
     if not internal:
-        return p, {"assignments": 1, "chosen": {}, "identity": True}
+        return p, None
     external = [pr for pr in prims if not pr.internal]
     # one joint grid with the internal primitives varying slowest, so each
     # internal assignment owns a contiguous slab of external outcomes
@@ -341,7 +333,7 @@ def fix_randomness(p: Protocol):
         "chosen": {str(k): int(v) for k, v in chosen.items()},
         "advantage": float(advs[r_star]),
         "advantage_randomized": adv_before,
-        "identity": False,
+        "identity": False,  # a key `reduce --stage copy` prints
     }
     return fixed_p, report
 
@@ -565,7 +557,9 @@ def protocol_to_read_once(p: Protocol, d: int, D=None):
 
     The certificate reports every collapsed query's exact advantage
     beside the closed-form bound (constant 1) at the query's actual
-    depth and at the budget depth 3D (when ``D`` is given).
+    depth and at the budget depth 3D (when ``D`` is given).  The report's
+    ``protocols`` are the semi-noisy and the fixed noisy-copy stages, for
+    law checks that would otherwise rebuild them.
     """
     if p.schedule and p.output_expr != p.schedule[-1].expr:
         raise ValueError(
@@ -576,6 +570,7 @@ def protocol_to_read_once(p: Protocol, d: int, D=None):
     p1, rep1 = to_semi_noisy(p)
     adv1 = stage_advantage(p1)
     p2, rep2 = to_noisy_copy(p1, d)
+    p2, rep2["fixed"] = fix_randomness(p2)
     adv2 = stage_advantage(p2)
     art = to_xnd_tree(p2)
     ordered, cert = trees.reorder(art.root, art.spaces)
@@ -601,23 +596,12 @@ def protocol_to_read_once(p: Protocol, d: int, D=None):
             entry["bound_at_3D"] = adv_mod.alpha_bound(n_b, 3 * D, art.eps_d, 1.0)
         query_certs.append(entry)
 
+    chain = (adv0, adv1, adv2, adv_tree, adv_ordered, adv_ro)
     report = {
-        "advantages": {
-            "general": adv0,
-            "semi_noisy": adv1,
-            "noisy_copy": adv2,
-            "xnd_tree": adv_tree,
-            "ordered": adv_ordered,
-            "read_once": adv_ro,
-        },
+        "advantages": dict(zip(STAGES, chain)),
         # the slack absorbs rounding only: steps reach -2.2e-15 on the chain
-        "monotone": bool(
-            adv0 <= adv1 + 1e-9
-            and adv1 <= adv2 + 1e-9
-            and adv2 <= adv_tree + 1e-9
-            and adv_tree <= adv_ordered + 1e-9
-            and adv_ordered <= adv_ro + 1e-9
-        ),
+        "monotone": all(a <= b + 1e-9 for a, b in zip(chain, chain[1:])),
+        "protocols": (p1, p2),
         "semi_noisy": rep1,
         "noisy_copy": rep2,
         "tree": art.report,

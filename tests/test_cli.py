@@ -11,10 +11,10 @@ from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noisynet import exprs, random_instances as ri, reductions, trees
+from noisynet import experiments, exprs, random_instances as ri, reductions, trees
 from noisynet.cli import cli, main
 from noisynet.noise import regen_table
 from noisynet.planar import Decomposition
@@ -297,6 +297,93 @@ def test_reduce_copy_fixes_randomness_as_the_chain_does(capsys):
     assert json.loads(out)["report"]["fixed"] == report["noisy_copy"]["fixed"]
 
 
+#: sha256 of ``reduce`` stdout on the seeded default instance, per seed and
+#: stage; an edit to the chain or to ``reduce`` must leave these bytes
+_REDUCE_SHA256 = {
+    ("0", "semi"): "ad84c5db3414e47a7a5f65d0b3ff64df3b66aea2eb807fcf8eff4aa12092232c",
+    ("0", "copy"): "c89aa22e8adfdcae0b090f79d6ce151009632a0454dfbb0da9392f9c5c3de6f5",
+    ("0", "xnd"): "05ee41862f4cf90389250133ea3d78c3c92c9fb8f54a60a84f3805f51577d43b",
+    ("0", "readonce"): "6a0fb48af0e9717ac823352e33dd6f17129b6197b8f5b4ccd5e1ac30e92d0556",
+    ("1", "semi"): "d8ae8a2824dc4cc17dedd4dd35878e333543bdcd08fb81f7f8ff84311ca95c7e",
+    ("1", "copy"): "a85cc9b8188124ec48df271780ba6d16a799d75fa88226401cd29a2e8ae427b5",
+    ("1", "xnd"): "43df08939e06aebf1aa4699b9e5ceea21b889de4aafa35d3b468d831dcccb9f9",
+    ("1", "readonce"): "7f57cb81e8bd558385881289e43ee42ea8df8150bf250c40966a4d4d53d2a9c4",
+}
+
+
+@pytest.mark.parametrize("seed, stage", sorted(_REDUCE_SHA256))
+def test_reduce_output_is_pinned(capsys, seed, stage):
+    code, out, _err = run(capsys, "--seed", seed, "reduce", "--stage", stage)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _REDUCE_SHA256[seed, stage]
+
+
+def _count_stage_calls(monkeypatch):
+    """Counts of the calls to each chain stage builder, through ``reductions``."""
+    calls = dict.fromkeys(("to_semi_noisy", "to_noisy_copy", "fix_randomness"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(reductions, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(reductions, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("stage", ["semi", "copy", "xnd", "readonce"])
+def test_reduce_builds_each_stage_once(capsys, monkeypatch, stage):
+    calls = _count_stage_calls(monkeypatch)
+    code, _out, err = run(capsys, "reduce", "--stage", stage)
+    assert code == 0, err
+    built = 0 if stage == "semi" else 1
+    assert calls == {"to_semi_noisy": 1, "to_noisy_copy": built, "fix_randomness": built}
+
+
+def test_e5_builds_the_semi_noisy_stage_once_per_instance(monkeypatch):
+    calls = _count_stage_calls(monkeypatch)
+    cfg = experiments.ExperimentConfig(experiment="E5", params={"instances": 3})
+    assert len(experiments.run_experiment(cfg)) == 3
+    assert calls == {"to_semi_noisy": 3, "to_noisy_copy": 3, "fix_randomness": 3}
+
+
+#: Tokens a mutation puts in place of one token of a protocol text line.
+_MUTANT_TOKENS = [
+    "0", "1", "2", "-1", "99", "0.5", "nan", "inf", "in", "rx[0]", "rx[99]",
+    "rand[0]", "not(in)", "xor()", "eps=0.0", "eps=1.0", "noiseless",
+    "block=3", "fix=1", ":=", "?",
+]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 999), data=st.data())
+def test_protocol_commands_keep_the_exit_contract_on_mutated_text(
+    tmp_path, capsys, seed, index, data
+):
+    """A tiny protocol's text with one line deleted, duplicated or given
+    another token, through every command that reads a protocol file: the
+    exit code is 0, 1 or 2, exit 1 prints exactly one ``error:`` line, and
+    no exception escapes."""
+    lines = protocol_to_text(ri.random_tiny_protocol(RngStream(seed), index)).splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(st.sampled_from(["delete", "duplicate", "token"]))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        toks = lines[i].split()
+        toks[data.draw(st.integers(0, len(toks) - 1))] = data.draw(st.sampled_from(_MUTANT_TOKENS))
+        lines[i] = " ".join(toks)
+    path = tmp_path / "p.txt"
+    path.write_text("\n".join(lines) + "\n")
+    stages = (["reduce", "--stage", s] for s in ("semi", "copy", "xnd", "readonce"))
+    for argv in (["advantage"], ["run-protocol"], *stages):
+        code, out, err = run(capsys, *argv, "--protocol-file", str(path))
+        assert code in (0, 1, 2), (argv, code)
+        assert code != 1 or (err.startswith("error: ") and err.count("\n") == 1), (argv, err)
+        assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("d", [[], ["--d", "1"]], ids=["inferred-d", "d-1"])
 @pytest.mark.parametrize("stage", ["semi", "copy", "xnd", "readonce"])
 def test_reduce_of_a_protocol_without_input_nodes_is_invalid_input(
@@ -421,7 +508,7 @@ def test_run_protocol_rejects_star_options_beside_a_file(tmp_path, capsys, flag)
 
 def test_protocol_text_keeps_every_digit_of_eps():
     p1, _ = reductions.to_semi_noisy(star_xor(2, reps=1, eps=0.123456789))
-    p2, _ = reductions.to_noisy_copy(p1, 1, fix=False)
+    p2, _ = reductions.to_noisy_copy(p1, 1)
     for p in (p1, p2):
         q = protocol_from_text(protocol_to_text(p))
         assert q.eps == p.eps
@@ -436,7 +523,7 @@ def test_protocol_text_round_trips(seed, index):
     # the semi-noisy stage noiseless transmissions
     p = ri.random_tiny_protocol(RngStream(seed), index)
     p1, _ = reductions.to_semi_noisy(p)
-    p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p), fix=False)
+    p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p))
     for q in (p1, p2):
         text = protocol_to_text(q)
         back = protocol_from_text(text)
@@ -489,7 +576,7 @@ def _e5_stage_protocols():
     for i in range(20):
         p = ri.random_tiny_protocol(rng, i)
         p1, _ = reductions.to_semi_noisy(p)
-        p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p), fix=False)
+        p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p))
         yield from (p, p1, p2)
 
 
@@ -614,6 +701,15 @@ def test_node_outside_the_network_is_invalid_input(tmp_path, capsys, old, new, w
             code, _out, err = run(capsys, *argv)
             assert code == code_want, err
             assert code_want == 0 or f"error: {want}" in err
+
+
+@pytest.mark.parametrize("line", ["node 2 aux noiseless", "node 2 aux", "node 2"])
+def test_role_line_without_its_setting_is_invalid_input(tmp_path, capsys, line):
+    path = tmp_path / "p.txt"
+    path.write_text(_XOR_TEXT.replace("node 2 aux fix=0", line))
+    code, out, err = run(capsys, "run-protocol", "--protocol-file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 5: ") and err.count("\n") == 1
 
 
 def _mask_text(j):

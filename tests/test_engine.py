@@ -227,7 +227,7 @@ def _law_case(name):
     d1 = name == "noisy_copy_d1"
     p = ri.random_tiny_protocol(RngStream(7), 2 if d1 else 1)
     p1, _ = reductions.to_semi_noisy(p)
-    p2, _ = reductions.to_noisy_copy(p1, 1 if d1 else ri.max_input_sends(p), fix=False)
+    p2, _ = reductions.to_noisy_copy(p1, 1 if d1 else ri.max_input_sends(p))
     prims = engine._collect_primitives(p2)
     assert {"noise", "mask"} <= {pr.key[0] for pr in prims}
     assert not d1 or {pr.size for pr in prims if pr.key[0] == "mask"} == {2}
@@ -414,7 +414,7 @@ def _pass_case(name):
         return p, [pr for pr, _ in report["probe_pairs"]]
     if kind == "semi":
         return p1, [pr for _, pr in report["probe_pairs"]]
-    p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p), fix=False)
+    p2, _ = reductions.to_noisy_copy(p1, ri.max_input_sends(p))
     aux = [(tr.sender, tr.expr) for tr in p2.schedule if tr.sender not in p2.input_nodes()]
     return p2, aux
 
@@ -754,7 +754,7 @@ def test_plan_matches_sim_on_random_protocols(index, stage):
     if stage != "general":
         p, _ = reductions.to_semi_noisy(p)
     if stage == "noisy-copy":
-        p, _ = reductions.to_noisy_copy(p, ri.max_input_sends(p), fix=False)
+        p, _ = reductions.to_noisy_copy(p, ri.max_input_sends(p))
     _assert_plan_matches_sim(p, 24, RngStream(59, ("plan-random", index, stage)))
 
 

@@ -158,7 +158,7 @@ def test_weight_table_equals_the_per_mask_formula(t, eps):
 def _noisy_copy_text():
     """A noisy-copy protocol with one 2-bit mask source, as text."""
     p1, _ = reductions.to_semi_noisy(star_xor(1, reps=2, eps=0.1))
-    p2, _ = reductions.to_noisy_copy(p1, 2, fix=False)
+    p2, _ = reductions.to_noisy_copy(p1, 2)
     return protocol_to_text(p2)
 
 
