@@ -14,7 +14,7 @@ import sys
 import click
 
 from . import advantage as adv_mod
-from . import engine, experiments, planar, reductions, trees
+from . import engine, experiments, planar, random_instances, reductions, trees
 from .errors import NoisyNetError
 from .protocol import protocol_from_text, star_xor
 from .rng import RngStream
@@ -112,10 +112,8 @@ def decompose_cmd(ctx, network_path, n_nodes):
     report = planar.verify_decomposition(net, dec)
     if not (report["ok"] and planar.s1_neighborhoods_disjoint(net, dec)):
         raise CheckFailure(f"decomposition certification failed: {report}")
-    out = ctx.obj["out"]
-    if out:
-        with open(out, "w") as fh:
-            fh.write(dec.to_json() + "\n")
+    if ctx.obj["out"]:
+        _emit(dec.to_json() + "\n", ctx.obj["out"])
     click.echo(
         f"n={dec.n} k={dec.k} d={dec.d:.6g} D={dec.D:.6g} certified=True"
     )
@@ -166,8 +164,6 @@ def run_protocol(ctx, protocol_file, n_inputs, reps, eps, method, trials):
 @click.pass_context
 def reduce_cmd(ctx, protocol_file, stage, d_max):
     """Run the reduction chain and print its certification report."""
-    from . import random_instances
-
     if protocol_file:
         p = protocol_from_text(_read(protocol_file))
     else:
@@ -243,10 +239,8 @@ def tree_cmd(ctx, tree_file, do_reorder, do_collapse, do_advantage):
     if do_advantage:
         value, _w = trees.tree_advantage(root, spaces)
         info["advantage"] = value
-    out = ctx.obj["out"]
-    if out and (do_reorder or do_collapse):
-        with open(out, "w") as fh:
-            fh.write(trees.tree_to_json(root, spaces, meta) + "\n")
+    if ctx.obj["out"] and (do_reorder or do_collapse):
+        _emit(trees.tree_to_json(root, spaces, meta) + "\n", ctx.obj["out"])
     _echo_json({"depth": trees.depth(root), **info})
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import advantage as adv_mod
 from . import planar, random_instances, reductions, trees
+from .engine import error_probability, parity_of_inputs
 from .errors import EmptyS2, UndersizedCell
 from .noise import MAX_REGEN_T, iid_noisy_law, regen_output_law, regen_table
 from .protocol import star_xor
@@ -371,8 +372,6 @@ def _e7_product(cfg, rng):
 
 
 def _e8_budget(cfg, rng):
-    from .engine import error_probability, parity_of_inputs
-
     rows = []
     n, eps = cfg.params["n"], cfg.params["eps"]
     for r in cfg.params["reps"]:

@@ -17,6 +17,8 @@ exactly one broadcast per input node).
 
 from __future__ import annotations
 
+import re
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -137,12 +139,16 @@ class Protocol:
                 raise ValueError(f"node {v} has no role")
             if isinstance(self.roles[v], AuxRole) and self.roles[v].fixed_bit not in (0, 1):
                 raise ValueError(f"node {v} has fixed bit {self.roles[v].fixed_bit}, not 0 or 1")
+            if isinstance(self.roles[v], InputRole) and self.roles[v].block < 1:
+                raise ValueError(f"node {v} has block {self.roles[v].block}; blocks count from 1")
             if v in self.adjacency.get(v, frozenset()):
                 raise ValueError(f"node {v} is its own neighbor")
         for v, nb in self.adjacency.items():
             for w in nb:
                 if v not in self.adjacency.get(w, frozenset()):
                     raise ValueError(f"adjacency not symmetric at ({v},{w})")
+        if self.klass not in (GENERAL, SEMI_NOISY, NOISY_COPY):
+            raise ValueError(f"unknown protocol class {self.klass!r}")
         # noise levels must lie in [0, 1]; NaN fails every comparison
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps = {self.eps!r} is outside [0, 1]")
@@ -353,8 +359,6 @@ def cluster_sum(net, dec, r_local: int, r_up: int, eps: float = 0.1) -> Protocol
     the network, with ``r_up``-fold repetition per hop).  The last leader
     announces the overall parity.
     """
-    from collections import deque
-
     if r_local < 1 or r_up < 1:
         raise ValueError("repetition factors must be >= 1")
     n_nodes = net.n_nodes
@@ -417,6 +421,25 @@ def cluster_sum(net, dec, r_local: int, r_up: int, eps: float = 0.1) -> Protocol
 # -- protocol file format ---------------------------------------------------
 
 
+#: The rest of each directive's line after its first word, in the forms
+#: :func:`protocol_to_text` writes; a space stands for a run of whitespace,
+#: and numbers are ASCII, as in an expression.
+_INT, _FLOAT = "([0-9]+)", "([0-9.eE+-]+)"
+_LINES = {
+    head: re.compile(pattern.replace(" ", r"\s+"))
+    for head, pattern in {
+        "nodes": _INT,
+        "eps": _FLOAT,
+        "class": f"({GENERAL}|{SEMI_NOISY}|{NOISY_COPY})",
+        "node": f"{_INT} (?:input block={_INT}|aux fix={_INT})",
+        "edge": f"{_INT} {_INT}",
+        "masksrc": f"{_INT} (.+)",
+        "tx": f"{_INT}( noiseless)?(?: eps={_FLOAT})? := (.+)",
+        "out": f"{_INT} := (.+)",
+    }.items()
+}
+
+
 def protocol_to_text(p: Protocol) -> str:
     lines = [f"nodes {p.n_nodes}", f"eps {float(p.eps)!r}", f"class {p.klass}"]
     for v in range(p.n_nodes):
@@ -440,69 +463,45 @@ def protocol_to_text(p: Protocol) -> str:
 
 
 def protocol_from_text(text: str) -> Protocol:
-    n_nodes = None
-    eps = 0.1
-    klass = GENERAL
+    once: dict = {"eps": 0.1, "class": GENERAL}  # the nodes, eps, class and out values
     roles: dict = {}
-    edges = []
-    schedule = []
-    mask_sources = []
-    output = None
+    edges, schedule, mask_sources, seen = [], [], [], set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        head, *rest = line.split(None, 1)
         try:
-            head, *rest = line.split(None, 1)
-            body = rest[0] if rest else ""
-            if head == "nodes":
-                n_nodes = int(body)
-            elif head == "eps":
-                eps = float(body)
-            elif head == "class":
-                klass = body.strip()
-            elif head == "node":
-                parts = body.split()
-                v = int(parts[0])
-                if parts[1] == "input":
-                    block = int(parts[2].partition("=")[2])
-                    roles[v] = InputRole(block)
-                elif parts[1] == "aux":
-                    fix = int(parts[2].partition("=")[2])
-                    roles[v] = AuxRole(fix)
-                else:
-                    raise ValueError(f"unknown role {parts[1]!r}")
-            elif head == "edge":
-                a, b = body.split()
-                edges.append((int(a), int(b)))
-            elif head == "masksrc":
-                node_s, table_json = body.split(None, 1)
-                mask_sources.append(
-                    MaskSource(int(node_s), RegenTable.from_json(table_json))
-                )
-            elif head == "tx":
-                lhs, expr_text = body.split(":=", 1)
-                toks = lhs.split()
-                sender = int(toks[0])
-                noisy = "noiseless" not in toks
-                tr_eps = None
-                for tok in toks[1:]:
-                    if tok.startswith("eps="):
-                        tr_eps = float(tok[4:])
-                schedule.append(
-                    Transmission(sender, exprs.parse(expr_text), noisy, tr_eps)
-                )
-            elif head == "out":
-                node_s, expr_text = body.split(":=", 1)
-                output = (int(node_s), exprs.parse(expr_text))
-            else:
+            if head not in _LINES:
                 raise ValueError(f"unknown directive {head!r}")
-        except (ValueError, IndexError) as exc:  # a token too few reads past the list
+            m = _LINES[head].fullmatch("".join(rest))
+            if m is None:
+                raise ValueError(f"{line!r} matches no form of the {head!r} line")
+            g = m.groups()
+            what = f"node {int(g[0])}" if head == "node" else head
+            if what in seen:
+                raise ValueError(f"a second {what!r} line")
+            if head == "edge":
+                edges.append((int(g[0]), int(g[1])))
+            elif head == "masksrc":
+                mask_sources.append(MaskSource(int(g[0]), RegenTable.from_json(g[1])))
+            elif head == "tx":
+                tr_eps = None if g[2] is None else float(g[2])
+                schedule.append(Transmission(int(g[0]), exprs.parse(g[3]), g[1] is None, tr_eps))
+            else:  # a line that may appear at most once
+                seen.add(what)
+                if head == "node":
+                    roles[int(g[0])] = AuxRole(int(g[2])) if g[1] is None else InputRole(int(g[1]))
+                elif head == "out":
+                    once[head] = (int(g[0]), exprs.parse(g[1]))
+                else:
+                    once[head] = {"nodes": int, "eps": float, "class": str}[head](g[0])
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    if n_nodes is None:
-        raise ValueError("missing 'nodes' line")
-    if output is None:
-        raise ValueError("missing 'out' line")
+    for head in ("nodes", "out"):
+        if head not in once:
+            raise ValueError(f"missing {head!r} line")
+    n_nodes, output = once["nodes"], once["out"]
     adjacency = {v: set() for v in range(n_nodes)}
     for a, b in edges:  # Protocol.validate rejects an end outside range(n_nodes)
         adjacency.setdefault(a, set()).add(b)
@@ -514,7 +513,7 @@ def protocol_from_text(text: str) -> Protocol:
         schedule=schedule,
         output_node=output[0],
         output_expr=output[1],
-        eps=eps,
-        klass=klass,
+        eps=once["eps"],
+        klass=once["class"],
         mask_sources=mask_sources,
     )

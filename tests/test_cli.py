@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import shlex
 from pathlib import Path
@@ -19,6 +20,7 @@ from noisynet.cli import cli, main
 from noisynet.noise import regen_table
 from noisynet.planar import Decomposition
 from noisynet.protocol import (
+    _LINES,
     cluster_sum,
     protocol_from_text,
     protocol_to_text,
@@ -710,6 +712,47 @@ def test_role_line_without_its_setting_is_invalid_input(tmp_path, capsys, line):
     code, out, err = run(capsys, "run-protocol", "--protocol-file", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: line 5: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, lineno",
+    [
+        ("node 1 input block=1", "node 1 aux block=1", 4),
+        ("node 0 input block=1", "node 0 input fix=1", 3),
+        ("node 0 input block=1", "node 0 input block=1 junk", 3),
+        ("node 0 input block=1", "node 0 input block=-1", 3),
+        ("tx 0 := in", "tx 0 junk := in", 8),
+        ("tx 0 := in", "tx 0 eps=0.2 noiseless eps=0.3 := in", 8),
+        ("tx 0 := in", "tx 0 eps=0.2 noiseless := in", 8),
+        ("eps 0.1", "eps 0.1\nclass bogus", 3),
+        ("nodes 3", "nodes 3\nnodes 3", 2),
+        ("eps 0.1", "eps 0.1\neps 0.2", 3),
+        ("eps 0.1", "eps 0.1\nclass general\nclass general", 4),
+        ("node 2 aux fix=0", "node 2 aux fix=0\nnode 2 aux fix=0", 6),
+        ("node 2 aux fix=0", "node 2 aux fix=0\nnode 02 input block=1", 6),
+        ("out 2 :=", "out 2 := rx[0]\nout 2 :=", 12),
+    ],
+    ids=["aux_block", "input_fix", "trailing_token", "negative_block", "tx_token",
+         "tx_two_eps", "tx_eps_before_noiseless", "unknown_class", "second_nodes",
+         "second_eps", "second_class", "second_role", "second_role_padded", "second_out"],
+)
+def test_line_matching_no_form_is_invalid_input(tmp_path, capsys, old, new, lineno):
+    """Each line is read by one pattern in full, and nodes, eps, class, out
+    and each node's role line come at most once."""
+    path = tmp_path / "p.txt"
+    path.write_text(_XOR_TEXT.replace(old, new))
+    code, out, err = run(capsys, "run-protocol", "--protocol-file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
+
+
+def test_every_written_line_matches_its_pattern():
+    """The writer and the reader keep one grammar: each line of the pinned
+    protocols' text is its directive and a full match of its pattern."""
+    for p in itertools.chain(_builder_protocols(), _e5_stage_protocols()):
+        for line in protocol_to_text(p).splitlines():
+            head, rest = line.split(" ", 1)
+            assert _LINES[head].fullmatch(rest), line
 
 
 def _mask_text(j):

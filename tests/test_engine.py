@@ -862,3 +862,18 @@ def test_validate_rejects_an_empty_fold(form):
         dataclasses.replace(
             p, schedule=[Transmission(first.sender, nested)] + p.schedule[1:]
         )
+
+
+@pytest.mark.parametrize("block", [0, -1])
+def test_validate_rejects_a_block_below_one(block):
+    # blocks are 1-based, in code as in the text's block=j
+    p = star_xor(2, reps=1, eps=0.1)
+    with pytest.raises(ValueError, match=rf"^node 1 has block {block}; blocks count from 1$"):
+        dataclasses.replace(p, roles={**p.roles, 1: InputRole(block)})
+
+
+@pytest.mark.parametrize("klass", ["bogus", "Semi-Noisy", ""])
+def test_validate_rejects_an_unknown_class(klass):
+    p = star_xor(2, reps=1, eps=0.1)
+    with pytest.raises(ValueError, match=rf"^unknown protocol class {klass!r}$"):
+        dataclasses.replace(p, klass=klass)

@@ -1,7 +1,8 @@
 """Every module-level import in the package is read by its module, every
-module-level private name is read somewhere in the package, and every
-method or property of a package class is read by the package, the tests
-or perfbench.
+import inside a function defers a module that ``import noisynet`` does
+not load, every module-level private name is read somewhere in the
+package, and every method or property of a package class is read by the
+package, the tests or perfbench.
 
 No linter ships with the toolchain, so these are the unused-import and
 dead-code checks.  ``__init__`` is excepted from the first: its imports
@@ -9,6 +10,8 @@ are the package's exports.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -43,6 +46,60 @@ def test_unused_imports_finds_only_unread_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def function_level_imports(source: str, package: str) -> list:
+    """The module each import inside a function of ``source`` names, in line
+    order, a relative import resolved in ``package``: ``from . import m``
+    names ``package.m`` and ``from .m import f`` names ``package.m``."""
+    functions = [
+        n for n in ast.walk(ast.parse(source))
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    imports = {
+        n for f in functions for n in ast.walk(f) if isinstance(n, (ast.Import, ast.ImportFrom))
+    }
+    names = []
+    for node in sorted(imports, key=lambda n: (n.lineno, n.col_offset)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif node.module is None:
+            names += [f"{package}.{a.name}" for a in node.names]
+        else:
+            names.append(f"{package}.{node.module}" if node.level else node.module)
+    return names
+
+
+def test_function_level_imports_resolves_each_form():
+    source = (
+        "import os\nfrom a import b\ndef f():\n    import x.y\n"
+        "    from . import m, n\n    def g():\n        from .k import z\n"
+        "class C:\n    def h(self):\n        from scipy.stats import binom\n"
+    )
+    assert function_level_imports(source, "pkg") == [
+        "x.y", "pkg.m", "pkg.n", "pkg.k", "scipy.stats",
+    ]
+
+
+@pytest.fixture(scope="module")
+def loaded_by_the_package() -> set:
+    """The modules a fresh ``import noisynet`` loads."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        "import noisynet; print(*sys.modules, sep='\\n')"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    return set(result.stdout.split())
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_function_level_imports_defer_a_module(module, loaded_by_the_package):
+    """A function-level import of a module the package loads anyway defers
+    nothing; it belongs at the module top."""
+    names = function_level_imports((PACKAGE / module).read_text(), "noisynet")
+    assert [n for n in names if n in loaded_by_the_package] == []
 
 
 def _private_defs(stmt) -> list:
