@@ -39,7 +39,11 @@ protocols and 580 probe sets about once each, and a prototype that
 compiled them too made that round slower (2.09 to 2.38 s at seed 1,
 0.22 s of it compiling).
 
-The packed Monte-Carlo sampler draws each two-outcome primitive (a
+The packed Monte-Carlo sampler (``RNG_VERSION`` v5) draws every
+primitive once per :func:`sampled_channel` call, from one
+``spawn("mc")`` stream shared by every input, and runs each input on
+those same draws with its input bits as constant words (common random
+numbers).  It draws each two-outcome primitive (a
 channel bit, a ``Rand`` or ``Noise`` bit, a one-coordinate mask) as
 words from the stream's raw Philox output, with the law of
 ``random() < p``: a 53-bit integer is compared with ceil(p * 2^53) one
@@ -467,7 +471,11 @@ def exact_channel(p: Protocol, probes=None) -> Channel:
 def sampled_channel(p: Protocol, inputs, trials: int, rng, probes=None) -> Channel:
     """Monte-Carlo estimate of the law of the probe list, as in
     :func:`exact_channel` (``None`` is the output probe), vectorized over
-    trials.  One probe's law is counted by popcount over the first
+    trials.  The primitives are drawn once per call, from
+    ``rng.spawn("mc")``, and every input runs on those same ``trials``
+    draws (common random numbers): each row is still a Binomial(trials, .)
+    count over trials, and a row is the same whichever other inputs share
+    the call.  One probe's law is counted by popcount over the first
     ``trials`` lanes of its packed words; a wider list unpacks outcome
     codes and adds them with ``np.bincount``."""
     if trials < 1:
@@ -477,8 +485,8 @@ def sampled_channel(p: Protocol, inputs, trials: int, rng, probes=None) -> Chann
     width = 2 ** len(probes)
     law = np.empty((len(inputs), width))
     valid = _lanes(trials)  # a ``Not`` sets the pad lanes of the last word
+    bits = _sampled_arrays(prims, trials, rng.spawn("mc"))
     for i, x_bits in enumerate(inputs):
-        bits = _sampled_arrays(prims, trials, rng.spawn("mc", i))
         # each input bit is the same in every trial: a constant word
         own = {v: ONES if x_bits[v] else 0 for v in input_order(p)}
         values = _Sim(p, own, bits, ONES).run(probes)
@@ -616,7 +624,12 @@ def error_probability(
     """Worst-case-over-inputs probability that the output differs from f.
 
     ``f`` maps a canonical input bit tuple to {0, 1}.  The Monte-Carlo
-    method reports the max of the per-input upper confidence bounds.
+    method reports the max of the per-input upper ends of Wilson intervals
+    at ``z`` (finite and positive).  :func:`sampled_channel` runs every
+    input on the same draws, so the rows are dependent, but each input's
+    error count is still Binomial(trials, its error) and its own interval
+    keeps its coverage.  The max covers the worst-case error whatever the
+    rows' dependence: it is at least the worst input's own upper end.
     """
     if method == "exact":
         ch = exact_channel(p)
@@ -629,6 +642,8 @@ def error_probability(
         raise ValueError("method must be 'exact' or 'mc'")
     if rng is None:
         raise ValueError("Monte-Carlo error estimation needs an rng stream")
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"z must be finite and positive, got {z}")
     ch = sampled_channel(p, all_input_assignments(p), trials, rng)
     per_input = {}
     for key, vec in zip(ch.keys, ch.law.tolist()):

@@ -30,6 +30,9 @@ class PlanarNetwork:
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("positions must be an (N, 2) array")
+        # NaN passes both bounds, and ``tessellate`` would index a cell with it
+        if not np.isfinite(positions).all():
+            raise ValueError("positions must be finite")
         if positions.size and (positions.min() < 0.0 or positions.max() > 1.0):
             raise ValueError("positions must lie in the unit square")
         if not (math.isfinite(radius) and radius >= 0):

@@ -17,7 +17,7 @@ import operator
 import numpy as np
 
 #: Generator family identifier; it changes whenever a seed would name other draws.
-RNG_VERSION = "philox4x64-sha256-v4"
+RNG_VERSION = "philox4x64-sha256-v5"
 
 
 def _key_text(part) -> str:

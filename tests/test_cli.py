@@ -6,7 +6,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -811,6 +814,29 @@ def test_nan_radius_is_invalid_input(tmp_path, capsys):
         net_path.write_text(text.replace('"radius": ', f'"radius": {radius}, "r": '))
         code, _out, err = run(capsys, "decompose", "--network", str(net_path))
         assert code == 1 and "radius" in err
+
+
+@pytest.mark.parametrize("coord", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_position_is_invalid_input(tmp_path, coord):
+    """A NaN position passes both unit-square bounds.  Unchecked, it
+    reaches ``np.bincount`` as cell 2^63 - 1, which writes out of bounds
+    and can abort the interpreter, so the command runs in a subprocess."""
+    net_path = tmp_path / "net.json"
+    net_path.write_text(
+        f'{{"positions": [[0.5, {coord}], [0.2, 0.3], [0.4, 0.4]], "radius": 0.9, "n": 3}}'
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from noisynet.cli import main; "
+        f"sys.exit(main(['decompose', '--network', {str(net_path)!r}]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == "error: positions must be finite\n"
 
 
 def test_tree_collapse_on_unordered_is_check_failure(tmp_path, capsys):

@@ -284,8 +284,8 @@ def test_sampled_channel_law_with_masks(case):
 #: trials per input: one-coordinate (``noisy_copy_d1``) and two-coordinate
 #: (``noisy_copy``) regeneration masks on the packed path
 _SAMPLED_LAW_SHA256 = {
-    "noisy_copy": "d1b4351857e379bb1ec6bbf99855e364db67224c9bb9c3199aff2936fb870ac9",
-    "noisy_copy_d1": "7136980610e6f0be50a46e8afe9ed717fa48beebc121fb3d7fd24a4dba903ead",
+    "noisy_copy": "cdafd226f0fca6ca54a12aa3c98a4ffbdce96cb56c613c4d0396fb4b6e5205c6",
+    "noisy_copy_d1": "32a804b8068738439ce71c36eb30f826f2b013209426ab0ef3e3868508137bad",
 }
 
 
@@ -319,16 +319,16 @@ def _not_received():
 #: every law was counted from unpacked codes: trial counts around a word
 #: boundary, and an output whose pad lanes are set
 _ONE_BIT_LAW_SHA256 = {
-    ("star_xor", 1): "fb0d43c33d0bebb6079feae55666d2c3fa506f3060153858faafa63d972754c4",
-    ("star_xor", 63): "ba7be5283bc0225ffe49a3b9755d3251c08917516a36063e7e2878e2b31869fd",
-    ("star_xor", 64): "7c6b307022097f556e5f1275fda7fb4048de2d20fd39f9d5244aacb5f525e64a",
-    ("star_xor", 65): "9ba8a80db7d4cdcb1ed72d1245f9942dbab3e6411ed9d62cdc14c27f80106a4d",
-    ("star_xor", 1000): "61ec4b789bcea524686a60d095c73c0a7ed9728e013b90cf407f728a634c807b",
-    ("not_received", 1): "f192dc7d8f8e51b5782248598724a065ac9cf30d5ae200fd886c79b0940c2fc6",
-    ("not_received", 63): "ef279540f5d4a2458e32709d1e0156a9016a5d0ff80523d20b0537b096f4bde6",
-    ("not_received", 64): "0d6bc98888428643f3f00c2ff4489192aaed4a339f4d2c2c9261d88589d9c225",
-    ("not_received", 65): "ab5b3a087c4dad7458909bcd3729a67526ea5217f600cf15687fd1bfcebe277e",
-    ("not_received", 1000): "15f78fb11cb7beec3d3d0b7237678563309e6ee145e7b2c6bc76ce83ec3ad954",
+    ("star_xor", 1): "94b5e5683baeea24c24128521f595d5bcc874bf4763236cadd45ceb710a40414",
+    ("star_xor", 63): "abfbaff8c3da8bf13ccbd01753700cf13e285569d4fc9482942d85ae7fa4752c",
+    ("star_xor", 64): "85ad21e1bd4ac137a123968e71e111fb9703d762170737f11fbebdc9409190ce",
+    ("star_xor", 65): "3191b5b0427794fcc5f053d26627af22c02a9e60091ab2914e170a89f24d7921",
+    ("star_xor", 1000): "f8e79f79263f8e265b750dc32fafdee9f16634d5dd8a5bcd6589beae854c5382",
+    ("not_received", 1): "c9a2fb79c96caefae3797082eb0820d925a5170c74bcba2446db9484124acb82",
+    ("not_received", 63): "92f2197272ef1f4705d5caaf7906af1dd312d6eba45d30eaf2931dc4468f8382",
+    ("not_received", 64): "141d5128c398c66b12df568c9948a5f0627231ac36c8e1274af8f71e8b2f0dde",
+    ("not_received", 65): "83a8caedb7b308739f4a60510dae8e30b53d0b62966565dd29f9b488ef7fee3b",
+    ("not_received", 1000): "54f336f954c67e7d791f5614aed5bb31b36fe125272e2e662ef330b064cf44f9",
 }
 
 
@@ -352,12 +352,49 @@ def test_one_bit_law_is_the_bincount_of_its_codes(index, trials, seed):
     xs = engine.all_input_assignments(p)
     law = sampled_channel(p, xs, trials, RngStream(seed)).law
     prims = engine._collect_primitives(p)
+    bits = engine._sampled_arrays(prims, trials, RngStream(seed).spawn("mc"))
     for i, x_bits in enumerate(xs):
-        bits = engine._sampled_arrays(prims, trials, RngStream(seed).spawn("mc", i))
         own = {v: engine.ONES if x_bits[v] else 0 for v in engine.input_order(p)}
         values = engine._Sim(p, own, bits, engine.ONES).run(p.all_expressions()[-1:])
         want = np.bincount(engine._codes(values, trials), minlength=2) / trials
         assert np.array_equal(law[i], want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    index=st.integers(0, 10_000),
+    trials=st.integers(1, 200),
+    seed=st.integers(0, 2**32),
+    several=st.booleans(),
+)
+def test_a_sampled_row_does_not_depend_on_the_other_inputs(index, trials, seed, several):
+    """Every input runs on the one draw of the call, so row i of a call
+    over all inputs is the row of a call over input i alone."""
+    p = ri.random_tiny_protocol(RngStream(61), index)
+    xs = engine.all_input_assignments(p)
+    probes = _transcript(p) + p.all_expressions()[-1:] if several else None
+    law = sampled_channel(p, xs, trials, RngStream(seed), probes).law
+    for i, x_bits in enumerate(xs):
+        alone = sampled_channel(p, [x_bits], trials, RngStream(seed), probes).law
+        assert np.array_equal(law[i], alone[0])
+
+
+def test_sampled_channel_draws_the_primitives_once(monkeypatch):
+    p = star_xor(3)
+    calls = Counter()
+    sampled_arrays = engine._sampled_arrays
+
+    def counted(*args):
+        calls["draws"] += 1
+        return sampled_arrays(*args)
+
+    monkeypatch.setattr(engine, "_sampled_arrays", counted)
+    xs = engine.all_input_assignments(p)
+    assert len(xs) == 8
+    sampled_channel(p, xs, 100, RngStream(7))
+    assert calls["draws"] == 1
+    sampled_channel(p, xs, 100, RngStream(7), _transcript(p))
+    assert calls["draws"] == 2
 
 
 def test_error_probability_mc_needs_rng():
@@ -366,6 +403,14 @@ def test_error_probability_mc_needs_rng():
         error_probability(p, parity_of_inputs, method="mc")
     with pytest.raises(ValueError):
         error_probability(p, parity_of_inputs, method="bogus")
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0, math.nan, math.inf])
+def test_error_probability_mc_rejects_a_bad_z(z):
+    """A negative z inverts the Wilson interval, and 0 gives it no width."""
+    p = star_xor(1, reps=1, eps=0.1)
+    with pytest.raises(ValueError, match="z must be finite and positive"):
+        error_probability(p, parity_of_inputs, method="mc", trials=10, rng=RngStream(1), z=z)
 
 
 def test_channel_tv_rejects_unequal_keys_or_columns():

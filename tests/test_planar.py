@@ -286,6 +286,13 @@ def test_positions_validated():
         PlanarNetwork([[0.0, 0.0]], radius=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_positions_are_rejected(bad):
+    """NaN passes both unit-square bounds, so finiteness is checked first."""
+    with pytest.raises(ValueError, match="positions must be finite"):
+        PlanarNetwork([[0.5, bad], [0.2, 0.3]], radius=0.9)
+
+
 def test_network_json_round_trip():
     net = sample_network(20, 0.3, RngStream(3))
     back = PlanarNetwork.from_json(net.to_json())
