@@ -67,7 +67,6 @@ from .trees import (
     Tree,
     collapse_to_read_once,
     merge_superqueries,
-    move_to_root,
     readonce_advantage,
     reorder,
     tree_advantage,

@@ -262,9 +262,10 @@ def advantage_cmd(ctx, protocol_file, method, trials):
     else:
         rng = RngStream(ctx.obj["seed"], ("cli", "advantage"))
 
+        x_bits = {key: dict(zip(engine.input_order(p), key)) for key in mu}
+
         def evaluator(x_key, r):
-            x_bits = dict(zip(engine.input_order(p), x_key))
-            return engine.execute(p, x_bits, r).output
+            return engine.execute(p, x_bits[x_key], r).output
 
         est = adv_mod.advantage_mc(
             evaluator, adv_mod.parity_sign, mu, trials, rng

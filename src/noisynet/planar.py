@@ -121,8 +121,20 @@ class PlanarNetwork:
     @classmethod
     def from_json(cls, text: str) -> "PlanarNetwork":
         obj = json.loads(text)
-        net = cls(obj["positions"], obj["radius"], seed_record=obj.get("seed"))
-        if net.n_nodes != obj["n"]:
+        if not isinstance(obj, dict):
+            raise ValueError("a network file must hold a JSON object")
+        positions, radius, n = (obj.get(key) for key in ("positions", "radius", "n"))
+        # a bool is no number; the constructor rejects NaN and infinities
+        if not (isinstance(positions, list) and all(
+                isinstance(q, list) and len(q) == 2 and {type(c) for c in q} <= {int, float}
+                for q in positions)):
+            raise ValueError("network key 'positions' must be a list of [x, y] number pairs")
+        if type(radius) not in (int, float):
+            raise ValueError(f"network key 'radius' must be a number, got {radius!r}")
+        if type(n) is not int:
+            raise ValueError(f"network key 'n' must be an int, got {n!r}")
+        net = cls(positions, radius, seed_record=obj.get("seed"))
+        if net.n_nodes != n:
             raise ValueError("node count mismatch in network file")
         return net
 

@@ -207,18 +207,13 @@ def _walk(t, state, levels, support=None):
     return owner, paths, nodes, masks
 
 
-def _sums(w, state, j):
-    """Per path: the sum of block j's weights (one row per owner) that
-    its choices admit."""
-    owner, _paths, _nodes, masks = state
-    return (w[owner] * masks.get(j, True)).sum(axis=1)
-
-
 def _products(ws, state):
-    """Per path: prod_j of the admitted block-j weight sums, block order."""
-    prod = np.ones(len(state[0]))
+    """Per path: prod_j of the sums of block j's weights (one row per
+    owner) that its choices admit, block order."""
+    owner, _paths, _nodes, masks = state
+    prod = np.ones(len(owner))
     for j, w in enumerate(ws):
-        prod = prod * _sums(w, state, j)
+        prod = prod * (w[owner] * masks.get(j, True)).sum(axis=1)
     return prod
 
 
@@ -269,9 +264,7 @@ def _move_below(t, cut, spaces):
     candidates are the last-level nodes it reaches; the one whose branch
     has the largest |beta(v)| goes up to level ``cut``, ties toward the
     first in path order.  Its children all share the path's own copy of
-    the subtree minus the last level.  Returns the tree and the search:
-    (candidate walk, alphas, children's signs b, the chosen candidate of
-    each path).
+    the subtree minus the last level.
 
     A block not queried above ``cut`` keeps ``mu`` rather than
     ``mu / mu.sum()``, and ``mu.sum()`` need not be exactly 1.0.  The
@@ -291,12 +284,6 @@ def _move_below(t, cut, spaces):
     signed = [m * np.array(sp.h, dtype=float) for m, sp in zip(mus, spaces)]
     cand = _walk(t, _roots(above[2]), range(cut, last), [m != 0 for m in mus])
     owner, _paths, nodes, _masks = cand
-    alpha = np.ones(len(owner))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(len(spaces)):
-            if j != target:
-                pj = _sums(mus[j], cand, j)
-                alpha = np.where(pj <= 0.0, 0.0, alpha * (_sums(signed[j], cand, j) / pj))
     # the optimal signs of the candidates' children; a pruned child's
     # product has a zero factor, so it signs +1 like an unreached leaf
     corr = _products(signed, _walk(t, cand, [last]))
@@ -338,40 +325,12 @@ def _move_below(t, cut, spaces):
         kids.append(inverse.reshape(len(at), -1))
         owner, at = keys // n_next, keys % n_next
     kids[-1] = np.zeros_like(kids[-1])  # the new last level reaches the leaf
-    out = Tree(
+    return Tree(
         t.blocks[:cut] + (target,) + t.blocks[cut:last],
         t.rows[:cut] + (t.rows[last],) + t.rows[cut:last],
         row_of,
         kids,
     )
-    return out, (cand, alpha, b, star)
-
-
-def move_to_root(t, spaces):
-    """Move the last level's block (queried nowhere else) to the root.
-
-    Among the nodes querying that block at the last level, the branch
-    function with the largest |beta(v)| is promoted, where
-    beta(v) = E[h(X_block) b(branch_v(X_block))] and b is the optimal
-    sign weighting of the input tree; ties break toward the first node
-    in path order.  Returns (tree, witness weighting, info), with the
-    promoted node's path as ``info["chosen_path"]``.  The witness b_hat
-    certifies adv(out) >= adv(in): its correlation equals
-    E[|alpha|] |beta(v*)| >= adv(in).
-    """
-    lb = level_blocks(t)
-    if not lb:
-        raise ValueError("depth-0 tree has nothing to move")
-    if lb[-1] in lb[:-1]:
-        raise ValueError("target block must be queried only at the last level")
-    count_paths(t)
-    out, (cand, alpha, b, star) = _move_below(t, 0, spaces)
-    paths, s = cand[1].tolist(), int(star[0])
-    w = (np.where(alpha >= 0, 1.0, -1.0)[:, None] * b[s]).tolist()
-    witness = {
-        (c, *path): w[i][c] for i, path in enumerate(paths) for c in range(b.shape[1])
-    }
-    return out, witness, {"chosen_path": tuple(paths[s])}
 
 
 def merge_superqueries(t):
@@ -472,7 +431,7 @@ def reorder(t, spaces):
         merged, record = merge_superqueries(current)
         lb = level_blocks(merged)
         cut = max((i + 1 for i, b in enumerate(lb[:-1]) if b == lb[-1]), default=0)
-        new_merged, _search = _move_below(merged, cut, spaces)
+        new_merged = _move_below(merged, cut, spaces)
         current = expand_superqueries(new_merged, record[:cut] + record[-1:] + record[cut:-1])
         adv_after, _ = tree_advantage(current, spaces)
         cert.append(

@@ -91,18 +91,18 @@ def test_criterion_3_rearrangement():
         d = 1 + int(r.spawn("d").integers(6))
         spaces = ri.random_spaces(r, k, max_size=2)
 
-        # move_to_root postconditions on a tree meeting its precondition
+        # a last block queried nowhere else moves to the root in reorder's
+        # first step, when the tree has an alternation
         mlevels = random_move_to_root_levels(r, k, min(d, 4))
         mt = random_tree_for_levels(r, spaces, mlevels)
         a0, _ = trees.tree_advantage(mt, spaces)
-        moved, witness, _info = trees.move_to_root(mt, spaces)
+        moved, mcert = trees.reorder(mt, spaces)
         a_m, _ = trees.tree_advantage(moved, spaces)
-        corr = trees.leaf_correlations(moved, spaces)
-        attained = abs(sum(witness[p] * v for p, v in corr.items()))
-        if trees.level_blocks(moved)[0] != mlevels[-1] or a_m < a0 - 1e-9:
+        if len(mcert) > 1 and (mcert[0]["cut_level"] != 0
+                               or mcert[0]["advantage_after"] < a0 - 1e-9):
             violations.append((i, "move_to_root"))
-        if attained < a0 - 1e-9 or not functions_covered(moved, mt):
-            violations.append((i, "witness"))
+        if a_m < a0 - 1e-9 or not functions_covered(moved, mt):
+            violations.append((i, "advantage or functions"))
 
         # reorder on a fully random oblivious tree
         t, _levels = ri.random_oblivious_tree(r, spaces, d)

@@ -839,6 +839,25 @@ def test_non_finite_position_is_invalid_input(tmp_path, coord):
     assert out.stderr == "error: positions must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("[[0.5, 0.5]]", "object"),
+        ('{"positions": [[0.5, 0.5]], "radius": "0.3", "n": 1}', "'radius'"),
+        ('{"positions": [[0.5, 0.5]], "radius": null, "n": 1}', "'radius'"),
+        ('{"radius": 0.3, "n": 1}', "'positions'"),
+        ('{"positions": [[0.5, 0.5]], "radius": 0.3}', "'n'"),
+    ],
+)
+def test_malformed_network_file_is_invalid_input(tmp_path, capsys, text, key):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(text)
+    code, out, err = run(capsys, "decompose", "--network", str(net_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+    assert "Traceback" not in err
+
+
 def test_tree_collapse_on_unordered_is_check_failure(tmp_path, capsys):
     spaces = [uniform_bit_space(), uniform_bit_space()]
     t = bit_tree([0, 1, 0])

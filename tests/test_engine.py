@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import operator
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -811,6 +812,49 @@ def test_plan_is_kept_per_protocol():
     execute(p, {0: 0, 1: 0}, RngStream(62))
     assert p.__dict__["_plan"] is plan
     assert "_plan" not in dataclasses.replace(p, eps=0.3).__dict__
+
+
+def test_run_is_compiled_on_the_first_execute_and_kept(monkeypatch):
+    p = star_xor(2, reps=2, eps=0.2)
+    assert "_run" not in p.__dict__
+    built = []
+    compile_run = engine._compile
+    monkeypatch.setattr(engine, "_compile", lambda q: built.append(q) or compile_run(q))
+    execute(p, {0: 1, 1: 0}, RngStream(61))
+    run = p.__dict__["_run"]
+    execute(p, {0: 0, 1: 0}, RngStream(62))
+    assert p.__dict__["_run"] is run and built == [p]
+    assert "_run" not in dataclasses.replace(p, eps=0.3).__dict__
+
+
+def test_run_source_holds_no_protocol_text():
+    """The compiled function's constants are ints, floats and None, and
+    it reads only its own locals and the names its namespace binds."""
+    p = _every_form_protocol()
+    execute(p, engine.all_input_assignments(p)[0], RngStream(63))
+    code = p.__dict__["_run"].__code__
+    assert {type(c) for c in code.co_consts} <= {int, float, type(None)}
+    fixed = {"rng", "numpy_generator", "random", "tolist", "bisect_right", "ExecutionTrace", "int"}
+    assert all(n in fixed or re.fullmatch(r"(node|cdf)\d+", n) for n in code.co_names)
+    assert all(re.fullmatch(r"[uv]\d+|m|x_bits|rng", n) for n in code.co_varnames)
+
+
+def test_missing_input_node_is_a_key_error():
+    p = star_xor(2, reps=1, eps=0.1)
+    for _compiled in (False, True):
+        with pytest.raises(KeyError):
+            execute(p, {0: 1}, RngStream(65))
+    assert "_run" in p.__dict__
+
+
+@pytest.mark.parametrize("form", ["Xor", "And", "Or"])
+def test_an_empty_fold_compiles_nothing(form):
+    q = star_xor(1, reps=1, eps=0.1)
+    q.output_expr = getattr(exprs, form)(())  # set past validate, which rejects it
+    for _attempt in range(2):
+        with pytest.raises(TypeError):
+            execute(q, {0: 1}, RngStream(67))
+    assert "_run" not in q.__dict__
 
 
 def _run_program(prog: dict, leaves) -> list:

@@ -26,7 +26,6 @@ from noisynet.trees import (
     leaf_law,
     level_blocks,
     merge_superqueries,
-    move_to_root,
     query_multiset,
     readonce_advantage,
     reorder,
@@ -247,60 +246,57 @@ def test_merge_makes_runs_single_levels():
     assert [len(record[i][1]) for i in range(2)] == [2, 3]
 
 
-# -- move_to_root ------------------------------------------------------------
+# -- move-to-root steps of reorder -------------------------------------------
 
 
-def test_move_to_root_postconditions_random():
+def test_reorder_moves_a_fresh_last_block_to_the_root():
+    """A last block queried nowhere else goes to the root in reorder's
+    first step (cut level 0) and stays there; the rest keeps its order
+    up to the later steps, which all cut below the root."""
     rng = RngStream(51)
     for i in range(30):
         r = rng.spawn("case", i)
-        k = 1 + int(r.spawn("k").integers(3))
         d = 1 + int(r.spawn("d").integers(4))
-        levels = random_move_to_root_levels(r, k, d)
-        spaces = ri.random_spaces(r, k, max_size=2)
+        levels = random_move_to_root_levels(r, 3, d)
+        a, b = sorted(set(range(3)) - {levels[-1]})
+        levels = [a, b, a] + levels  # an alternation, so reorder takes steps
+        spaces = ri.random_spaces(r, 3, max_size=2)
         t = random_tree_for_levels(r, spaces, levels)
         a0, _ = tree_advantage(t, spaces)
-        out, witness, info = move_to_root(t, spaces)
-        assert level_blocks(out)[0] == levels[-1]
-        assert level_blocks(out)[1:] == levels[:-1]
-        a1, _ = tree_advantage(out, spaces)
-        assert a1 >= a0 - 1e-9
-        # the witness weighting already attains at least the input advantage
-        corr = leaf_correlations(out, spaces)
-        attained = abs(sum(witness[p] * v for p, v in corr.items()))
-        assert attained >= a0 - 1e-9
-        assert a1 >= attained - 1e-9
+        out, cert = reorder(t, spaces)
+        assert cert[0]["cut_level"] == 0 and cert[0]["advantage_before"] == a0
+        assert all(step["cut_level"] > 0 for step in cert[1:-1])
+        assert level_blocks(out)[0] == levels[-1] and is_ordered(out)
+        for step in cert[:-1]:
+            assert step["advantage_after"] >= step["advantage_before"] - 1e-9
+        assert tree_advantage(out, spaces)[0] == cert[-1]["advantage"] >= a0 - 1e-9
         assert functions_covered(out, t)
 
 
-def test_move_to_root_branch_dependent_choice():
-    """Two last-level nodes with different branch functions: the promoted
-    branch must be the one with the larger correlation."""
+def test_reorder_promotes_the_branch_with_the_larger_correlation():
+    """Two last-level nodes with different branch functions on block 1:
+    the step that moves block 1 below its first query promotes the one
+    with the larger correlation.  Promoting the constant one would drop
+    the advantage from 0.9 to 0.8; the identity gives 1."""
     sp0 = uniform_bit_space()
     sp1 = BlockSpace((0, 1), (0.9, 0.1), (1, -1))
     id_branch = (0, 1)
     const_branch = (0, 0)
-    # root's left child asks the informative query, its right child the
+    # the root reads block 1 and learns nothing; its child reads block 0,
+    # whose left child asks the informative query, its right child the
     # useless one
     t = Tree(
-        [0, 1],
-        [[(0, 1)], [id_branch, const_branch]],
-        [[0], [0, 1]],
-        [[[0, 1]], [[0, 0], [0, 0]]],
+        [1, 0, 1],
+        [[const_branch], [id_branch], [id_branch, const_branch]],
+        [[0], [0], [0, 1]],
+        [[[0]], [[0, 1]], [[0, 0], [0, 0]]],
     )
-    out, witness, info = move_to_root(t, [sp0, sp1])
-    assert level_blocks(out)[0] == 1
-    assert out.branch(0, 0) == id_branch
-    assert info["chosen_path"] == (0,)
-    a0, _ = tree_advantage(t, [sp0, sp1])
-    a1, _ = tree_advantage(out, [sp0, sp1])
-    assert a1 >= a0 - 1e-12
-
-
-def test_move_to_root_rejects_repeated_block():
-    t = bit_tree([0, 1, 0])
-    with pytest.raises(ValueError):
-        move_to_root(t, [uniform_bit_space(), uniform_bit_space()])
+    out, cert = reorder(t, [sp0, sp1])
+    assert level_blocks(out) == [1, 1, 0]
+    assert out.branch(1, 0) == id_branch
+    assert cert[0]["cut_level"] == 1
+    assert cert[0]["advantage_before"] == pytest.approx(0.9, abs=1e-12)
+    assert cert[0]["advantage_after"] == pytest.approx(1.0, abs=1e-12)
 
 
 # -- reorder / collapse ------------------------------------------------------
