@@ -34,12 +34,14 @@ program written once per protocol (``_plan``) by running ``_Sim`` over
 places of the run (``_Fn``), one step per connective, so plan and passes
 read every atom through one function and :func:`exprs.evaluate` alone
 says what a form means.  The first ``execute`` compiles the plan into one
-function (``_compile``) kept on the protocol.  A run of ``star_xor(3,
-reps=3)`` then takes about 2 µs, against 5 µs for a loop over the steps;
-an Xor of 2,000 received bits takes 95 ms on its first run (35 ms
-looping) and 185 µs later on (345 µs; 2-core VM, Python 3.11).  The
-passes interpret the schedule instead: a ``chain`` round runs about 1,000
-protocols and 580 probe sets about once each, and a prototype that
+function (``_compile``) kept on the protocol, which takes its doubles
+from the stream's block (``RngStream.uniforms``).  A run of
+``star_xor(3, reps=3)`` (23 steps) then takes about 1.5 µs, against
+2.1 µs with one ``random(k)`` call per run and 5 µs for a loop over the
+steps; an Xor of 2,000 received bits takes 95 ms on its first run
+(35 ms looping) and 185 µs later on (345 µs; 2-core VM, Python 3.11).
+The passes interpret the schedule instead: a ``chain`` round runs about
+1,000 protocols and 580 probe sets about once each, and a prototype that
 compiled them too made that round slower (2.09 to 2.38 s at seed 1,
 0.22 s of it compiling).
 
@@ -339,7 +341,9 @@ class _Sim:
             flip, eps = link
             val = self.one ^ self.sent[t] if flip else self.sent[t]
             if eps is not None:
-                val = val ^ self.bits[("chan", node, t)]
+                noise = self.bits[("chan", node, t)]
+                # a sent int 0 reads as the noise column itself, not a copy
+                val = noise if type(val) is int and not val else val ^ noise
         self._rx[key] = val
         return val
 
@@ -506,7 +510,7 @@ def sampled_channel(p: Protocol, inputs, trials: int, rng, probes=None) -> Chann
 # -- sampled execution ------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionTrace:
     sent: list  # the bit of each transmission, in schedule order
     output: int
@@ -558,7 +562,8 @@ def _plan(p: Protocol) -> tuple:
     ``(op, i, j)`` per connective that appends ``op(v[i], v[j])``, and
     ``places`` the places of the transmissions' bits, then the output's.
     ``_Sim`` runs once over :class:`_Fn` places to write it, so a subterm
-    is computed once however often it is read."""
+    is computed once however often it is read, and :func:`_live` drops the
+    steps nothing reads."""
     if "_plan" in p.__dict__:
         return p.__dict__["_plan"]
     prims = _collect_primitives(p)
@@ -575,10 +580,29 @@ def _plan(p: Protocol) -> tuple:
         else:
             cdf = np.cumsum(pr.probs)
             draws.append(((cdf / cdf[-1]).tolist(), len(pr.columns)))
-    steps = tuple(k for k in prog if type(k) is tuple)
-    places = tuple(b.i if type(b) is _Fn else b for b in [*sim.sent, out])
+    places = [b.i if type(b) is _Fn else b for b in [*sim.sent, out]]
+    steps, places = _live(prog, places)
     p.__dict__["_plan"] = inputs, tuple(draws), steps, places
     return p.__dict__["_plan"]
+
+
+def _live(prog: dict, places: list) -> tuple:
+    """The steps of ``prog`` that ``places`` read, directly or through
+    later steps, renumbered in order, and ``places`` renumbered with them:
+    an operand that a constant folds away (``x & 0``) leaves its steps
+    unread."""
+    steps = [k for k in prog if type(k) is tuple]
+    base = len(prog) - len(steps)
+    live = set(places)
+    for at in range(len(steps) - 1, -1, -1):
+        if base + at in live:
+            live.update(steps[at][1:])
+    where, kept = list(range(base)), []  # the new place of each old one
+    for at, (op, i, j) in enumerate(steps):
+        where.append(base + len(kept))
+        if base + at in live:
+            kept.append((op, where[i], where[j]))
+    return tuple(kept), tuple(where[k] for k in places)
 
 
 _SYMBOLS = {operator.xor: "^", operator.and_: "&", operator.or_: "|"}
@@ -610,7 +634,7 @@ def _compile(p: Protocol):
     us = ", ".join(f"u{k}" for k in range(len(draws)))
     exec("\n    ".join([
         "def run(x_bits, rng):",
-        f"[{us}] = rng.numpy_generator().random({len(draws)}).tolist()",
+        f"[{us}] = rng.uniforms({len(draws)})",
         *(f"v{i} = {value}" for i, value in enumerate(rhs, 2)),
         f"return ExecutionTrace([{', '.join(sent)}], {output})",
     ]), env)

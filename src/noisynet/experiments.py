@@ -21,7 +21,7 @@ import numpy as np
 from . import advantage as adv_mod
 from . import planar, random_instances, reductions, trees
 from .engine import error_probability, parity_of_inputs
-from .errors import EmptyS2, UndersizedCell
+from .errors import EmptyS2, UndersizedCell, fits
 from .noise import MAX_REGEN_T, iid_noisy_law, regen_output_law, regen_table
 from .protocol import star_xor
 from .rng import RngStream
@@ -110,19 +110,6 @@ _PARAM_SCHEMAS = {
 }
 
 
-def _fits(value, like, interval: str) -> bool:
-    """Whether a JSON value has the type of its default ``like`` (a float
-    takes an int, a bool is no int, a list's items fit its first item) and
-    lies, or each of its items lies, in ``interval``."""
-    if isinstance(like, list):
-        return isinstance(value, list) and all(_fits(v, like[0], interval) for v in value)
-    if type(value) not in {int, type(like)}:
-        return False
-    lo, hi = (float(b) for b in interval[1:-1].split(","))
-    return (lo < value if interval[0] == "(" else lo <= value) and (
-        value < hi if interval[-1] == ")" else value <= hi)
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -143,7 +130,7 @@ class ExperimentConfig:
             if key not in schema:
                 raise ValueError(f"unknown parameter {key!r} for {self.experiment}")
             like, interval = schema[key]
-            if not _fits(value, like, interval):
+            if not fits(value, like, interval):
                 raise ValueError(f"{self.experiment} param {key!r} must be like {like!r} and lie in "
                                  f"{interval}, got {value!r}")
         self.params = {key: like for key, (like, _i) in schema.items()} | self.params

@@ -164,7 +164,9 @@ def _at_least(k: int, bits: list, one):
 
     A ripple-carry counter keeps the running count as little-endian bit
     slices, so no sum can wrap; the count is then compared with ``k`` from
-    its low bit up."""
+    its low bit up.  It computes no bit it drops: no carry out of the top
+    bit unless the count gains a bit, and after the last addend no sum
+    bit below k's lowest 1, which the comparison does not read."""
     if k <= 0:
         return one
     if k > len(bits):
@@ -172,16 +174,20 @@ def _at_least(k: int, bits: list, one):
     # ints are 0/1, or only 0 among words, so their plain sum is exact
     if all(type(b) is int for b in bits):
         return one if sum(bits) >= k else 0
+    low = (k & -k).bit_length() - 1
     count: list = []
     for j, carry in enumerate(bits, 1):
+        grows = j & (j - 1) == 0  # j is a power of two: the count gains a bit
         for i, c in enumerate(count):
-            count[i], carry = c ^ carry, c & carry
-        if j & (j - 1) == 0:  # j is a power of two: the count gains a bit
+            if j < len(bits) or i >= low:  # the last sums below low go unread
+                count[i] = c ^ carry
+            if grows or i < len(count) - 1:  # else the carry out of the top is 0
+                carry = c & carry
+        if grows:
             count.append(carry)
     # compare from the low bit up, ge meaning "count >= k" on the bits seen
     # so far: where k has a 1 the count needs a 1 as well, where k has a 0 a
     # 1 in the count settles it.  Below k's lowest 1 the answer is yes.
-    low = (k & -k).bit_length() - 1
     ge = count[low]
     for i in range(low + 1, len(count)):
         ge = count[i] & ge if k >> i & 1 else count[i] | ge

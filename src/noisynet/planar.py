@@ -19,8 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyS2, UndersizedCell
+from .errors import EmptyS2, UndersizedCell, check_fields
 from .rng import RngStream
+
+
+#: The keys a network file must hold, each as ``(like, interval)`` for
+#: :func:`errors.check_fields`
+_NETWORK_FIELDS = {"positions": ([[0.0]], ""), "radius": (0.0, ""), "n": (0, "")}
 
 
 class PlanarNetwork:
@@ -120,21 +125,12 @@ class PlanarNetwork:
 
     @classmethod
     def from_json(cls, text: str) -> "PlanarNetwork":
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("a network file must hold a JSON object")
-        positions, radius, n = (obj.get(key) for key in ("positions", "radius", "n"))
         # a bool is no number; the constructor rejects NaN and infinities
-        if not (isinstance(positions, list) and all(
-                isinstance(q, list) and len(q) == 2 and {type(c) for c in q} <= {int, float}
-                for q in positions)):
-            raise ValueError("network key 'positions' must be a list of [x, y] number pairs")
-        if type(radius) not in (int, float):
-            raise ValueError(f"network key 'radius' must be a number, got {radius!r}")
-        if type(n) is not int:
-            raise ValueError(f"network key 'n' must be an int, got {n!r}")
-        net = cls(positions, radius, seed_record=obj.get("seed"))
-        if net.n_nodes != n:
+        obj = check_fields(json.loads(text), _NETWORK_FIELDS, "network")
+        if any(len(q) != 2 for q in obj["positions"]):
+            raise ValueError("network key 'positions' must hold [x, y] pairs")
+        net = cls(obj["positions"], obj["radius"], seed_record=obj.get("seed"))
+        if net.n_nodes != obj["n"]:
             raise ValueError("node count mismatch in network file")
         return net
 

@@ -18,6 +18,8 @@ import numpy as np
 
 #: Generator family identifier; it changes whenever a seed would name other draws.
 RNG_VERSION = "philox4x64-sha256-v5"
+#: Most doubles :meth:`RngStream.uniforms` draws in one block.
+MAX_BLOCK = 4096
 
 
 def _key_text(part) -> str:
@@ -59,12 +61,15 @@ def _keyed_generator():
 class RngStream:
     """A keyed, counter-based random stream.
 
-    Streams are value-like: they carry no shared state and may be handed to
-    other threads.  ``spawn`` derives an independent substream by extending
-    the key tuple; the parent stream is unaffected.  The Philox key is the
-    first 16 bytes of the sha256 of ``str(seed)`` followed by ``\\x1f`` and
-    the text of each key part; a stream keeps those bytes, so a substream
-    hashes them with only its own parts appended.
+    ``spawn`` derives an independent substream by extending the key tuple;
+    the parent stream is unaffected.  The Philox key is the first 16 bytes
+    of the sha256 of ``str(seed)`` followed by ``\\x1f`` and the text of
+    each key part; a stream keeps those bytes, so a substream hashes them
+    with only its own parts appended.
+
+    A stream is mutable: its generator advances with every draw, and
+    :meth:`uniforms` keeps a block of drawn doubles.  Use one stream from
+    one thread at a time, and give each thread its own ``spawn``.
     """
 
     def __init__(self, seed: int, key: tuple = ()):
@@ -79,6 +84,9 @@ class RngStream:
         for part in parts:
             self._text += b"\x1f" + _key_text(part).encode()
         self._gen = _keyed_generator()(hashlib.sha256(self._text).digest()[:16])
+        # the doubles of the last uniforms block, the count served, and the
+        # generator state before the block when it may be left unfinished
+        self._block, self._pos, self._saved = [], 0, None
 
     def spawn(self, *subkey) -> "RngStream":
         """Independent substream keyed by ``key + subkey``."""
@@ -87,14 +95,56 @@ class RngStream:
         child._extend(subkey)
         return child
 
+    def uniforms(self, k: int) -> list:
+        """The next ``k`` doubles of ``random()``, as a list of floats.
+
+        They are served from a block drawn with one ``random(n)``: the
+        first block holds exactly the first request, each later one twice
+        the last, up to ``MAX_BLOCK`` (or the request, if larger).  A block
+        larger than its request keeps the generator state it started from,
+        so any other read first puts the generator just after the doubles
+        served (:meth:`_sync`): a seed names the same draws whatever the
+        reads interleave."""
+        block, pos = self._block, self._pos
+        end = pos + k
+        if end <= len(block):
+            self._pos = end
+            return block[pos:end]
+        need = end - len(block)  # the doubles the next block serves
+        size = 2 * len(block)
+        if size > MAX_BLOCK:
+            size = MAX_BLOCK
+        if size > need:
+            self._saved = self._gen.bit_generator.state
+        else:
+            size = need
+        new = self._gen.random(size).tolist()
+        self._block, self._pos = new, need
+        if pos < len(block) or size > need:
+            return block[pos:] + new[:need]
+        return new  # used up, so never read again
+
+    def _sync(self):
+        """Rewind the generator to just after the doubles served from the
+        block, and drop the block's rest."""
+        if self._pos < len(self._block):
+            bitgen = self._gen.bit_generator
+            bitgen.state = self._saved
+            bitgen.random_raw(self._pos)  # random() reads one raw word per double
+        self._block, self._pos, self._saved = [], 0, None
+
     def random(self, size=None):
+        self._sync()
         return self._gen.random(size)
 
     def integers(self, low, high=None, size=None):
+        self._sync()
         return self._gen.integers(low, high, size=size)
 
     def numpy_generator(self) -> np.random.Generator:
-        """Expose the underlying generator for bulk numpy sampling."""
+        """Expose the underlying generator for bulk numpy sampling, at the
+        stream's position; it stays there until the next ``uniforms``."""
+        self._sync()
         return self._gen
 
     def __repr__(self):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TreeCapExceeded
+from .errors import TreeCapExceeded, check_fields
 
 MAX_TREE_PATHS = 2**16
 
@@ -513,7 +513,17 @@ def _tuples(v):
     return tuple(v) if isinstance(v, list) else v
 
 
+#: The keys of a tree file, of each of its spaces and of each of its
+#: nodes, each as ``(like, interval)`` for :func:`errors.check_fields`
+_TREE_FIELDS = {"version": (1, "[1, 1]"), "spaces": ([{}], ""), "nodes": ([{}], ""),
+                "root": (0, "[-1, inf)")}
+_SPACE_FIELDS = {"values": ([], ""), "probs": ([0.0], "[0, 1]"), "h": ([0], "[-1, 1]")}
+_NODE_FIELDS = {"block": (0, "[0, inf)"), "branch": ([0], "[0, inf)"),
+                "children": ([0], "[-1, inf)")}
+
+
 def _space_from_json(d: dict) -> BlockSpace:
+    check_fields(d, _SPACE_FIELDS, "tree space")
     return BlockSpace(
         values=tuple(_tuples(v) for v in d["values"]),
         probs=tuple(d["probs"]),
@@ -553,12 +563,12 @@ def tree_to_json(t, spaces, meta=None) -> str:
 def tree_from_json(text: str):
     """Read a tree text; rejects a tree that is unbalanced, not
     oblivious, reaches one node at two depths, or does not fit its block
-    spaces (ValueError)."""
-    doc = json.loads(text)
-    if doc.get("version") != 1:
-        raise ValueError("unsupported tree file version")
+    spaces, and a file that misses or mistypes a key (ValueError)."""
+    doc = check_fields(json.loads(text), _TREE_FIELDS, "tree file")
     spaces = [_space_from_json(d) for d in doc["spaces"]]
-    nodes = doc["nodes"]
+    nodes = [check_fields(nd, _NODE_FIELDS, "tree node") for nd in doc["nodes"]]
+    if doc["root"] >= len(nodes):
+        raise ValueError(f"tree file key 'root' must name a node, got {doc['root']}")
     if any(c != -1 and not 0 <= c < i for i, nd in enumerate(nodes) for c in nd["children"]):
         raise ValueError("node order in tree file is not topological")
     blocks, rows, kids = [], [], []

@@ -894,6 +894,70 @@ def test_tree_advantage_rejects_malformed_file(tmp_path, capsys, case):
     assert code == 1 and err
 
 
+_ALTERNATING_TREE = Path(__file__).parent / "data" / "alternating_tree.json"
+
+
+def _edited_tree(edit) -> str:
+    doc = json.loads(_ALTERNATING_TREE.read_text())
+    return json.dumps(edit(doc))
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: [doc], "tree file must be a JSON object, got [{"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "spaces"},
+     "tree file key 'spaces' is missing"),
+    (lambda doc: doc["nodes"][0].update(children=5) or doc,
+     "tree node key 'children' must be like [0] in [-1, inf), got 5"),
+    (lambda doc: doc | {"root": len(doc["nodes"])}, "tree file key 'root' must name a node, got 31"),
+], ids=["top-level-list", "no-spaces", "children-a-number", "root-past-nodes"])
+def test_tree_names_the_key_of_a_malformed_file(tmp_path, capsys, edit, error):
+    path = tmp_path / "t.json"
+    path.write_text(_edited_tree(edit))
+    code, out, err = run(capsys, "tree", str(path), "--advantage")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+
+def _json_paths(value, path=()):
+    """The path of ``value`` and of every value inside it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+#: Values a mutation puts in place of one value of a tree file
+_MUTANT_VALUES = [None, True, -2, -1, 0, 1, 5, 99, 0.5, float("nan"), "x", [], [1], [[0]], {}]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_tree_keeps_the_exit_contract_on_mutated_files(tmp_path, capsys, data):
+    """A tree file with one value deleted or replaced: the exit code is 0,
+    1 or 2, exit 1 prints exactly one ``error:`` line, and no exception
+    escapes."""
+    doc = json.loads(_ALTERNATING_TREE.read_text())
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    value = data.draw(st.sampled_from(_MUTANT_VALUES))
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    tree_path = tmp_path / "t.json"
+    tree_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "tree", str(tree_path), "--reorder", "--collapse", "--advantage")
+    assert code in (0, 1, 2)
+    assert code != 1 or (err.startswith("error: ") and err.count("\n") == 1), err
+    assert "Traceback" not in out + err
+
+
 def test_tree_requires_an_action(tmp_path, capsys):
     spaces = [uniform_bit_space()]
     t = bit_tree([0])

@@ -834,7 +834,7 @@ def test_run_source_holds_no_protocol_text():
     execute(p, engine.all_input_assignments(p)[0], RngStream(63))
     code = p.__dict__["_run"].__code__
     assert {type(c) for c in code.co_consts} <= {int, float, type(None)}
-    fixed = {"rng", "numpy_generator", "random", "tolist", "bisect_right", "ExecutionTrace", "int"}
+    fixed = {"rng", "uniforms", "bisect_right", "ExecutionTrace", "int"}
     assert all(n in fixed or re.fullmatch(r"(node|cdf)\d+", n) for n in code.co_names)
     assert all(re.fullmatch(r"[uv]\d+|m|x_bits|rng", n) for n in code.co_varnames)
 
@@ -909,6 +909,29 @@ def test_plan_is_linear_in_the_forms():
     q.output_expr = exprs.Table(tuple(exprs.Received(t) for t in range(12)), tuple(bits))
     assert _plan_size(q) <= 12 + 1 + 3 * (2**12 - 1)
     _assert_plan_matches_sim(q, 40, RngStream(79, ("plan-table",)))
+
+
+def _unread_steps(p) -> list:
+    """The steps of ``p``'s plan whose bit no later step and no place reads."""
+    inputs, _draws, steps, places = engine._plan(p)
+    cols = sum(len(pr.columns) for pr in engine._collect_primitives(p))
+    base = 2 + cols + len(inputs)
+    read = set(places).union(*(step[1:] for step in steps))
+    return [step for at, step in enumerate(steps) if base + at not in read]
+
+
+def test_plan_keeps_only_steps_that_are_read():
+    """An operand that a constant folds away (``x & 0``) leaves its steps
+    behind while ``_Sim`` writes the plan; the plan drops them."""
+    x = exprs.Xor((exprs.Rand(0), exprs.Rand(1)))
+    q = star_xor(1, reps=1, eps=0.2)
+    q.output_expr = exprs.Or((exprs.And((x, exprs.Const(0))), exprs.Rand(2)))
+    # one step is left: the centre's send, the leaf's bit read through noise
+    assert _plan_size(q) == 1 and _unread_steps(q) == []
+    _assert_plan_matches_sim(q, 8, RngStream(89, ("plan-dead",)))
+    assert _unread_steps(_every_form_protocol()) == []
+    for index in range(300):
+        assert _unread_steps(ri.random_tiny_protocol(RngStream(5), index)) == [], index
 
 
 def test_execute_runs_a_wide_fold():

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisynet import engine, exprs
+from noisynet.protocol import InputRole, Protocol
+from noisynet.rng import RngStream
 from noisynet.exprs import (
     And,
     Const,
@@ -220,3 +222,50 @@ def test_packed_evaluation_matches_scalar_evaluation(width, e, seed):
     for i in range(width):
         want = exprs.evaluate(e, lambda atom: int(columns[atom][i]))
         assert got[i] == want
+
+
+def _one_node_protocol(output_expr) -> Protocol:
+    """One node, no transmissions, whose output is ``output_expr``."""
+    return Protocol(
+        n_nodes=1, adjacency={0: set()}, roles={0: InputRole(1)}, schedule=[],
+        output_node=0, output_expr=output_expr, eps=0.1,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["bit", "bit", "zero", "one"]), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_at_least_is_the_count_in_every_domain(kinds, data):
+    """``_at_least(k, bits, one)`` is ``sum >= k`` for k from -1 to n + 1,
+    each bit free or a constant 0 or 1: on 0/1 arrays over every
+    assignment of the free bits, on packed words mixed with int 0 and
+    ``ONES``, and through a compiled ``execute``."""
+    n = len(kinds)
+    k = data.draw(st.integers(-1, n + 1))
+    free = [i for i, kind in enumerate(kinds) if kind == "bit"]
+    rows = 2 ** len(free)
+    cols = {i: (np.arange(rows) >> j) & 1 for j, i in enumerate(free)}
+    count = sum(cols.values(), np.full(rows, kinds.count("one")))
+    want = (count >= k).astype(int)
+    consts = {"zero": 0, "one": 1}
+    bits = [cols[i] if i in cols else consts[kind] for i, kind in enumerate(kinds)]
+    assert np.array_equal(np.broadcast_to(exprs._at_least(k, bits, 1), rows), want)
+    consts["one"] = engine.ONES
+    words = [engine._to_words(cols[i]) if i in cols else consts[kind] for i, kind in enumerate(kinds)]
+    assert np.array_equal(engine._codes([exprs._at_least(k, words, engine.ONES)], rows), want)
+    args = [Rand(i) if kind == "bit" else Const(int(kind == "one")) for i, kind in enumerate(kinds)]
+    p = _one_node_protocol(Thresh(tuple(args), k))
+    for run in range(8):
+        drawn = RngStream(run, ("count",)).random(len(free)) < 0.5
+        expected = int(drawn.sum() + kinds.count("one") >= k)
+        assert engine.execute(p, {0: 0}, RngStream(run, ("count",))).output == expected
+
+
+def test_maj_of_three_costs_four_plan_steps():
+    """Two steps add the first two bits; the third adds only the carry
+    into the top bit and the top bit itself, without a carry out of it."""
+    p = _one_node_protocol(Maj((Rand(0), Rand(1), Rand(2))))
+    _inputs, _draws, steps, _places = engine._plan(p)
+    assert len(steps) == 4

@@ -7,9 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import noisynet
-from noisynet.rng import RNG_VERSION, RngStream
+from noisynet.rng import MAX_BLOCK, RNG_VERSION, RngStream
 
 
 def test_same_seed_and_key_reproduce():
@@ -145,3 +147,58 @@ def test_import_loads_neither_numpy_random_nor_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+#: One read of a stream: ``uniforms(k)``, ``random(n)``, ``integers(0, hi,
+#: n)``, ``random_raw(n)`` on its generator, or a ``spawn`` and two reads
+#: of the child
+_READS = st.one_of(
+    st.tuples(st.just("uniforms"), st.integers(0, 40)),
+    st.tuples(st.just("random"), st.none() | st.integers(0, 8)),
+    st.tuples(st.just("integers"), st.integers(1, 2**40), st.integers(0, 5)),
+    st.tuples(st.just("raw"), st.integers(0, 8)),
+    st.tuples(st.just("spawn"), st.integers(0, 3)),
+)
+
+
+def _read(stream, op, buffered: bool) -> list:
+    """The values of one read; unbuffered, ``uniforms(k)`` is ``random(k)``."""
+    kind, *args = op
+    if kind == "uniforms":
+        return stream.uniforms(args[0]) if buffered else stream.random(args[0]).tolist()
+    if kind == "random":
+        return np.asarray(stream.random(args[0])).tolist()
+    if kind == "integers":
+        return stream.integers(0, args[0], size=args[1]).tolist()
+    if kind == "raw":
+        return stream.numpy_generator().bit_generator.random_raw(args[0]).tolist()
+    child = stream.spawn("child", args[0])
+    return [_read(child, ("uniforms", 2), buffered), child.random(1).tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), reads=st.lists(_READS, max_size=30))
+# blocks of 3 and 6 used up at once, one of 12 used up by two requests
+@example(seed=1, reads=[("uniforms", 3), ("uniforms", 6), ("uniforms", 5),
+                        ("uniforms", 7), ("random", 2), ("uniforms", 4)])
+# a request crossing into a block of 12, which a raw read and then an
+# integers read rewind
+@example(seed=2, reads=[("uniforms", 3), ("uniforms", 2), ("uniforms", 7), ("raw", 5),
+                        ("uniforms", 1), ("uniforms", 4), ("integers", 10, 3), ("uniforms", 9)])
+def test_uniforms_serve_the_draws_of_an_unbuffered_stream(seed, reads):
+    """Any interleaving of reads gives the values the same reads give on a
+    fresh stream that never buffers: a seed names the same draws."""
+    s, ref = RngStream(seed, ("blocks",)), RngStream(seed, ("blocks",))
+    for op in reads:
+        assert _read(s, op, True) == _read(ref, op, False), op
+    assert s.random(3).tolist() == ref.random(3).tolist()
+
+
+def test_uniforms_blocks_grow_to_max_block():
+    s, ref = RngStream(3), RngStream(3)
+    assert s.uniforms(9) == ref.random(9).tolist() and len(s._block) == 9
+    got = [u for _ in range(999) for u in s.uniforms(9)]
+    assert got == ref.random(9 * 999).tolist()
+    assert len(s._block) == MAX_BLOCK
+    assert s.uniforms(MAX_BLOCK + 5) == ref.random(MAX_BLOCK + 5).tolist()
+    assert s.integers(2**40, size=3).tolist() == ref.integers(2**40, size=3).tolist()
