@@ -181,10 +181,10 @@ def _read(stream, op, buffered: bool) -> list:
 # blocks of 3 and 6 used up at once, one of 12 used up by two requests
 @example(seed=1, reads=[("uniforms", 3), ("uniforms", 6), ("uniforms", 5),
                         ("uniforms", 7), ("random", 2), ("uniforms", 4)])
-# a request crossing into a block of 12, which a raw read and then an
-# integers read rewind
+# a request crossing into a block of 12, which a raw read rewinds; then a
+# block of 2 half served, which an integers read rewinds
 @example(seed=2, reads=[("uniforms", 3), ("uniforms", 2), ("uniforms", 7), ("raw", 5),
-                        ("uniforms", 1), ("uniforms", 4), ("integers", 10, 3), ("uniforms", 9)])
+                        ("uniforms", 1), ("uniforms", 1), ("integers", 10, 3), ("uniforms", 9)])
 def test_uniforms_serve_the_draws_of_an_unbuffered_stream(seed, reads):
     """Any interleaving of reads gives the values the same reads give on a
     fresh stream that never buffers: a seed names the same draws."""
@@ -195,6 +195,8 @@ def test_uniforms_serve_the_draws_of_an_unbuffered_stream(seed, reads):
 
 
 def test_uniforms_blocks_grow_to_max_block():
+    """Blocks double from the first request up to MAX_BLOCK; a larger
+    request is one block of its own size."""
     s, ref = RngStream(3), RngStream(3)
     assert s.uniforms(9) == ref.random(9).tolist() and len(s._block) == 9
     got = [u for _ in range(999) for u in s.uniforms(9)]
