@@ -29,19 +29,17 @@ is counted on the words instead: the popcount of the output bit over the
 first ``trials`` lanes is the count of code 1, the same integer that
 ``np.bincount`` of the unpacked codes gives.
 
-``execute`` samples one run on Python ints through a straight-line
-program written once per protocol (``_plan``) by running ``_Sim`` over
-places of the run (``_Fn``), one step per connective, so plan and passes
-read every atom through one function and :func:`exprs.evaluate` alone
-says what a form means.  The first ``execute`` compiles the plan into one
-function (``_compile``) kept on the protocol, which takes its doubles
-from the stream's block (``RngStream.uniforms``).  A run of
-``star_xor(3, reps=3)`` (23 steps) then takes about 1.5 µs, against
-2.1 µs with one ``random(k)`` call per run and 5 µs for a loop over the
-steps; an Xor of 2,000 received bits takes 95 ms on its first run
-(35 ms looping) and 185 µs later on (345 µs; 2-core VM, Python 3.11).
-The passes interpret the schedule instead: a ``chain`` round runs about
-1,000 protocols and 580 probe sets about once each, and a prototype that
+``execute`` samples one run on Python ints through one straight-line
+function per protocol, generated on its first call (``_compile``) by
+running ``_Sim`` once over places of the run (``_Fn``), one step per
+connective, so the generator and the passes read every atom through one
+function and :func:`exprs.evaluate` alone says what a form means.  The
+function takes its doubles from the stream's block
+(``RngStream.uniforms``).  A run of ``star_xor(3, reps=3)`` (23 steps)
+takes about 1.5 µs; an Xor of 2,000 received bits takes 95 ms on its
+first run and 185 µs later on (2-core VM, Python 3.11).  The passes
+interpret the schedule instead: a ``chain`` round runs about 1,000
+protocols and 580 probe sets about once each, and a prototype that
 compiled them too made that round slower (2.09 to 2.38 s at seed 1,
 0.22 s of it compiling).
 
@@ -75,7 +73,6 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,7 +304,7 @@ class _Sim:
     ``x_bits`` maps each input node to its bit, and ``one`` is the value
     of a 1 bit, in the columns' domain: packed words (one input per run of
     rows) and ``one = ONES`` in the exact and sampled passes; with
-    ``one = 1``, :class:`_Fn` places write :func:`_plan`'s program, 0/1
+    ``one = 1``, :class:`_Fn` places write :func:`_compile`'s steps, 0/1
     ints give the tests' reference run for :func:`execute`, and 0/1 arrays
     with a preset ``sent`` evaluate one level of ``reductions.to_xnd_tree``.
     """
@@ -517,11 +514,12 @@ class ExecutionTrace:
 
 
 class _Fn:
-    """Place ``i`` of a run list ``v``, whose places past the leaves the
-    program ``prog`` fills: a dict from each step ``(op, i, j)``, the bit
-    ``op(v[i], v[j])``, to its place, in order.  ``^ & |`` with another
-    place add a step, or share an equal one, and return its place; a 0/1
-    int operand folds, and ``x ^ 1`` reads the 1 at place 1."""
+    """Place ``i`` of a run, whose places past the leaves the program
+    ``prog`` fills: a dict from each step ``(op, i, j)``, the bit
+    ``v{i} op v{j}`` for an operator symbol ``"^"``, ``"&"`` or ``"|"``, to
+    its place, in order.  ``^ & |`` with another place add a step, or share
+    an equal one, and return its place; a 0/1 int operand folds, and
+    ``x ^ 1`` reads the 1 at place 1."""
 
     def __init__(self, prog: dict, i: int):
         self.prog, self.i = prog, i
@@ -533,39 +531,38 @@ class _Fn:
 
     def __xor__(self, o):
         if type(o) is int:
-            return self._join(_Fn(self.prog, 1), operator.xor) if o else self
-        return self._join(o, operator.xor)
+            return self._join(_Fn(self.prog, 1), "^") if o else self
+        return self._join(o, "^")
 
     def __and__(self, o):
         if type(o) is int:
             return self if o else 0
-        return self._join(o, operator.and_)
+        return self._join(o, "&")
 
     def __or__(self, o):
         if type(o) is int:
             return 1 if o else self
-        return self._join(o, operator.or_)
+        return self._join(o, "|")
 
     __rxor__, __rand__, __ror__ = __xor__, __and__, __or__
 
 
-def _plan(p: Protocol) -> tuple:
-    """``(inputs, draws, steps, places)``: the program :func:`_compile`
-    turns into a function, built once and kept on the protocol as
-    ``_plan``, as :func:`_collect_primitives` keeps its table.
+def _compile(p: Protocol):
+    """The protocol's run as one function ``run(x_bits, rng)``, kept on the
+    protocol as ``_run``, as :func:`_collect_primitives` keeps its table.
 
-    A run is one list ``v`` of 0/1 ints: 0 and 1 at places 0 and 1, then
-    the bit columns of the primitives in table order, then the bits of the
-    input nodes ``inputs``, in :func:`input_order`.  ``draws`` holds p_1 per
-    two-outcome primitive, the normalised cumulative sum and the width per
-    wider mask.  ``steps`` is a straight-line program over ``v``, one
-    ``(op, i, j)`` per connective that appends ``op(v[i], v[j])``, and
-    ``places`` the places of the transmissions' bits, then the output's.
-    ``_Sim`` runs once over :class:`_Fn` places to write it, so a subterm
-    is computed once however often it is read, and :func:`_live` drops the
-    steps nothing reads."""
-    if "_plan" in p.__dict__:
-        return p.__dict__["_plan"]
+    Place i of a run is the local ``v{i}`` (0 and 1 are literals): the bit
+    columns of the primitives in table order, then the bits of the input
+    nodes in :func:`input_order`, each set by one statement after one
+    draw, then one step per connective.  ``_Sim`` runs once over
+    :class:`_Fn` places to write the steps, so a subterm is computed once
+    however often it is read; one backward pass keeps the steps that the
+    transmissions and the output read, directly or through later steps (an
+    operand that a constant folds away, ``x & 0``, leaves its steps
+    unread), under their own place numbers.  The source holds only ints,
+    ``repr``s of floats (which round-trip), the three operator symbols and
+    local names; the input nodes and the masks' CDF lists reach it through
+    its namespace, never as text."""
     prims = _collect_primitives(p)
     cols = [col for pr in prims for col in pr.columns]
     inputs = input_order(p)
@@ -573,69 +570,33 @@ def _plan(p: Protocol) -> tuple:
     reads = [_Fn(prog, i) for i in prog]
     sim = _Sim(p, dict(zip(inputs, reads[2 + len(cols):])), dict(zip(cols, reads[2:])), 1)
     [out] = sim.run(p.all_expressions()[-1:])
-    draws = []
-    for pr in prims:
-        if pr.size == 2:
-            draws.append(float(pr.probs[1]))
-        else:
-            cdf = np.cumsum(pr.probs)
-            draws.append(((cdf / cdf[-1]).tolist(), len(pr.columns)))
     places = [b.i if type(b) is _Fn else b for b in [*sim.sent, out]]
-    steps, places = _live(prog, places)
-    p.__dict__["_plan"] = inputs, tuple(draws), steps, places
-    return p.__dict__["_plan"]
-
-
-def _live(prog: dict, places: list) -> tuple:
-    """The steps of ``prog`` that ``places`` read, directly or through
-    later steps, renumbered in order, and ``places`` renumbered with them:
-    an operand that a constant folds away (``x & 0``) leaves its steps
-    unread."""
-    steps = [k for k in prog if type(k) is tuple]
-    base = len(prog) - len(steps)
-    live = set(places)
-    for at in range(len(steps) - 1, -1, -1):
-        if base + at in live:
-            live.update(steps[at][1:])
-    where, kept = list(range(base)), []  # the new place of each old one
-    for at, (op, i, j) in enumerate(steps):
-        where.append(base + len(kept))
-        if base + at in live:
-            kept.append((op, where[i], where[j]))
-    return tuple(kept), tuple(where[k] for k in places)
-
-
-_SYMBOLS = {operator.xor: "^", operator.and_: "&", operator.or_: "|"}
-
-
-def _compile(p: Protocol):
-    """The protocol's :func:`_plan` as one function ``run(x_bits, rng)``,
-    kept on the protocol as ``_run``: place i of the run list is the local
-    ``v{i}``, set by one statement (0 and 1 are literals), after one draw.
-    The source holds only ints, ``repr``s of floats (which round-trip), the
-    three operator symbols and local names; the input nodes and the masks'
-    CDF lists reach it through its namespace, never as text."""
-    inputs, draws, steps, places = _plan(p)
     env = {"bisect_right": bisect.bisect_right, "ExecutionTrace": ExecutionTrace}
-    rhs = []  # the value of each place from 2 on
-    for k, d in enumerate(draws):
-        if type(d) is float:
-            rhs.append(f"1 if u{k} < {d!r} else 0")
+    rhs = []  # the value of each leaf, from place 2 on
+    for k, pr in enumerate(prims):
+        if pr.size == 2:
+            rhs.append(f"1 if u{k} < {float(pr.probs[1])!r} else 0")
         else:  # bit j of the mask is noise.mask_bit(m, w, j)
-            env[f"cdf{k}"], w = d
+            cdf, w = np.cumsum(pr.probs), len(pr.columns)
+            env[f"cdf{k}"] = (cdf / cdf[-1]).tolist()
             index = f"(m := bisect_right(cdf{k}, u{k}))"
             rhs += [f"{'m' if j else index} >> {w - 1 - j} & 1" for j in range(w)]
     for k, node in enumerate(inputs):
         env[f"node{k}"] = node
         rhs.append(f"int(x_bits[node{k}])")
-    name = ["0", "1"] + [f"v{i}" for i in range(2, 2 + len(rhs) + len(steps))]
-    rhs += [f"{name[i]} {_SYMBOLS[op]} {name[j]}" for op, i, j in steps]
-    *sent, output = (name[k] for k in places)
-    us = ", ".join(f"u{k}" for k in range(len(draws)))
+    name = ["0", "1"] + [f"v{i}" for i in range(2, len(prog))]
+    live, steps = set(places), []
+    for key, i in reversed(prog.items()):
+        if type(key) is tuple and i in live:
+            op, a, b = key
+            live.update((a, b))
+            steps.append(f"v{i} = {name[a]} {op} {name[b]}")
+    *sent, output = (name[i] for i in places)
     exec("\n    ".join([
         "def run(x_bits, rng):",
-        f"[{us}] = rng.uniforms({len(draws)})",
+        f"[{', '.join(f'u{k}' for k in range(len(prims)))}] = rng.uniforms({len(prims)})",
         *(f"v{i} = {value}" for i, value in enumerate(rhs, 2)),
+        *reversed(steps),
         f"return ExecutionTrace([{', '.join(sent)}], {output})",
     ]), env)
     p.__dict__["_run"] = env["run"]

@@ -1,5 +1,16 @@
-"""Package-wide exception types, and the one JSON check every file reader
-shares (:func:`check_fields`)."""
+"""Package-wide exception types, and the JSON reading every file reader
+shares (:func:`load_json`, :func:`check_fields`)."""
+
+import json
+
+
+def load_json(text: str):
+    """``json.loads(text)``; a document nested too deep to decode is a
+    ``ValueError``, as a malformed one is, not a ``RecursionError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def fits(value, like, interval: str = "") -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 from . import advantage as adv_mod
 from . import planar, random_instances, reductions, trees
 from .engine import error_probability, parity_of_inputs
-from .errors import EmptyS2, UndersizedCell, fits
+from .errors import EmptyS2, UndersizedCell, fits, load_json
 from .noise import MAX_REGEN_T, iid_noisy_law, regen_output_law, regen_table
 from .protocol import star_xor
 from .rng import RngStream
@@ -141,7 +141,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
-            obj = json.loads(text)
+            obj = load_json(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config line {exc.lineno}: {exc.msg}") from exc
         if not isinstance(obj, dict) or "experiment" not in obj:

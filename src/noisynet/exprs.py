@@ -23,7 +23,8 @@ and is generic over the domain of bits it returns, given the value of a
 * ``one=1`` with 0/1 numpy arrays -- one bit per element (truth tables);
 * ``one`` = all-ones ``uint64`` with packed words -- 64 rows per machine
   word (bit-slicing, Biham 1997), the exact engine's enumeration grid.
-* ``one=1`` with places of a run list (``engine._Fn``) -- a compiled plan.
+* ``one=1`` with places of a run (``engine._Fn``) -- the steps of
+  ``engine.execute``'s generated function.
 
 Every connective is written with ``^ & |`` and ``one`` only: ``Not`` is
 ``one ^ x``, ``Maj`` and ``Thresh`` add their arguments with a bit-sliced
@@ -383,9 +384,13 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse the textual expression syntax emitted by :func:`to_text`."""
+    """Parse the textual expression syntax emitted by :func:`to_text`; an
+    expression nested too deep to parse is an ``ExprSyntaxError``."""
     parser = _Parser(text)
-    expr = parser.expr()
+    try:
+        expr = parser.expr()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply") from None
     if parser.pos != len(parser.text):
         parser.error("trailing input")
     return expr

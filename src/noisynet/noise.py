@@ -28,6 +28,8 @@ import math
 
 import numpy as np
 
+from .errors import load_json
+
 #: Largest supported regeneration block: the engine enumerates all 2^t
 #: outcomes of a mask source.
 MAX_REGEN_T = 20
@@ -85,7 +87,7 @@ class RegenTable:
 
     @classmethod
     def from_json(cls, text: str) -> "RegenTable":
-        obj = json.loads(text)
+        obj = load_json(text)
         if not isinstance(obj, dict) or set(obj) != {"t", "epsilon", "probs"}:
             raise ValueError("a table holds exactly t, epsilon and probs")
         t, probs = obj["t"], obj["probs"]

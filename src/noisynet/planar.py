@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyS2, UndersizedCell, check_fields
+from .errors import EmptyS2, UndersizedCell, check_fields, load_json
 from .rng import RngStream
 
 
@@ -126,7 +126,7 @@ class PlanarNetwork:
     @classmethod
     def from_json(cls, text: str) -> "PlanarNetwork":
         # a bool is no number; the constructor rejects NaN and infinities
-        obj = check_fields(json.loads(text), _NETWORK_FIELDS, "network")
+        obj = check_fields(load_json(text), _NETWORK_FIELDS, "network")
         if any(len(q) != 2 for q in obj["positions"]):
             raise ValueError("network key 'positions' must hold [x, y] pairs")
         net = cls(obj["positions"], obj["radius"], seed_record=obj.get("seed"))
@@ -282,18 +282,13 @@ class Decomposition:
 
     @classmethod
     def from_json(cls, text: str) -> "Decomposition":
-        obj = json.loads(text)
-        return cls(
-            n=obj["n"],
-            k=obj["k"],
-            d=obj["d"],
-            D=obj["D"],
-            input_blocks=obj["input_blocks"],
-            aux_blocks=obj["aux_blocks"],
-            aux0=obj["aux0"],
-            cells=[tuple(c) for c in obj.get("cells", [])],
-            fixed_bit=obj.get("fixed_bit", 0),
-        )
+        """Read :meth:`to_json`'s text; a missing or mistyped key is a ``ValueError``."""
+        schema = {"n": (0, ""), "k": (0, ""), "d": (0.0, ""), "D": (0.0, ""),
+                  "input_blocks": ([[0]], ""), "aux_blocks": ([[0]], ""), "aux0": ([0], ""),
+                  "cells": ([[0]], ""), "fixed_bit": (0, "[0, 1]")}
+        obj = check_fields(load_json(text), schema, "decomposition")
+        return cls(**{key: obj[key] for key in schema if key != "cells"},
+                   cells=[tuple(c) for c in obj["cells"]])
 
 
 def decompose(net: PlanarNetwork, tx_counts: dict, T: int) -> Decomposition:

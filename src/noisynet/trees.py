@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TreeCapExceeded, check_fields
+from .errors import TreeCapExceeded, check_fields, load_json
 
 MAX_TREE_PATHS = 2**16
 
@@ -564,7 +564,7 @@ def tree_from_json(text: str):
     """Read a tree text; rejects a tree that is unbalanced, not
     oblivious, reaches one node at two depths, or does not fit its block
     spaces, and a file that misses or mistypes a key (ValueError)."""
-    doc = check_fields(json.loads(text), _TREE_FIELDS, "tree file")
+    doc = check_fields(load_json(text), _TREE_FIELDS, "tree file")
     spaces = [_space_from_json(d) for d in doc["spaces"]]
     nodes = [check_fields(nd, _NODE_FIELDS, "tree node") for nd in doc["nodes"]]
     if doc["root"] >= len(nodes):

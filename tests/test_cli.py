@@ -839,6 +839,40 @@ def test_non_finite_position_is_invalid_input(tmp_path, coord):
     assert out.stderr == "error: positions must be finite\n"
 
 
+_DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["tree", "{}"], _DEEP_JSON),
+        (["decompose", "--network", "{}"], _DEEP_JSON),
+        (["--config", "{}", "experiment"], _DEEP_JSON),
+        (["run-protocol", "--protocol-file", "{}"], f"nodes 1\nmasksrc 0 {_DEEP_JSON}\n"),
+        (["run-protocol", "--protocol-file", "{}"],
+         "nodes 1\ntx 0 := " + "not(" * 5000 + "in" + ")" * 5000 + "\n"),
+    ],
+    ids=["tree", "network", "config", "masksrc", "tx"],
+)
+def test_deeply_nested_file_is_invalid_input(tmp_path, argv, text):
+    """A file nested deeper than the readers recurse exits 1 with one
+    ``error:`` line, not a ``RecursionError`` traceback; the command runs in
+    a subprocess, with the interpreter's own recursion limit."""
+    path = tmp_path / "deep.txt"
+    path.write_text(text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [a.format(path) for a in argv]
+    code = f"import sys; from noisynet.cli import main; sys.exit(main({argv!r}))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 1, out.stderr[-300:]
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1, out.stderr[-300:]
+    assert "nested too deeply" in out.stderr
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

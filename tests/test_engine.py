@@ -1,6 +1,7 @@
 """Exact and sampled protocol execution against closed-form oracles."""
 
 import dataclasses
+import dis
 import hashlib
 import itertools
 import math
@@ -804,16 +805,6 @@ def test_plan_matches_sim_on_random_protocols(index, stage):
     _assert_plan_matches_sim(p, 24, RngStream(59, ("plan-random", index, stage)))
 
 
-def test_plan_is_kept_per_protocol():
-    p = star_xor(2, reps=2, eps=0.2)
-    assert "_plan" not in p.__dict__
-    execute(p, {0: 1, 1: 0}, RngStream(61))
-    plan = p.__dict__["_plan"]
-    execute(p, {0: 0, 1: 0}, RngStream(62))
-    assert p.__dict__["_plan"] is plan
-    assert "_plan" not in dataclasses.replace(p, eps=0.3).__dict__
-
-
 def test_run_is_compiled_on_the_first_execute_and_kept(monkeypatch):
     p = star_xor(2, reps=2, eps=0.2)
     assert "_run" not in p.__dict__
@@ -859,11 +850,12 @@ def test_an_empty_fold_compiles_nothing(form):
 
 def _run_program(prog: dict, leaves) -> list:
     """The run list of a ``_Fn`` program: 0, 1, ``leaves``, then each step."""
+    ops = {"^": operator.xor, "&": operator.and_, "|": operator.or_}
     v = [0, 1, *leaves]
     for step in prog:
         if type(step) is tuple:
             op, i, j = step
-            v.append(op(v[i], v[j]))
+            v.append(ops[op](v[i], v[j]))
     return v
 
 
@@ -890,44 +882,50 @@ def test_fn_operators_match_ints():
     assert len(prog) == size
 
 
-def _plan_size(p) -> int:
-    _inputs, _draws, steps, _places = engine._plan(p)
-    return len(steps)
+def _steps(p) -> list:
+    """The steps of ``p``'s compiled run: its ``v{i}`` locals past the
+    leaves, which are 0, 1, the primitives' columns and the input bits."""
+    execute(p, dict.fromkeys(engine.input_order(p), 0), RngStream(0))
+    leaves = 2 + len(engine.input_order(p))
+    leaves += sum(len(pr.columns) for pr in engine._collect_primitives(p))
+    names = p.__dict__["_run"].__code__.co_varnames
+    return [n for n in names if re.fullmatch(r"v\d+", n) and int(n[1:]) >= leaves]
 
 
 def test_plan_is_linear_in_the_forms():
-    """The plan has one step per connective of the forms ``_Sim`` builds, a
-    shared subterm once: a ``Maj`` of r bits is a ripple counter of at most
+    """The compiled run has one step per connective of the forms ``_Sim``
+    builds, a shared subterm once: a ``Maj`` of r bits is a ripple counter of at most
     2 ceil(log2(r + 1)) steps per bit, a ``Table`` of n arguments at most
     three steps per node of its 2^n-leaf mux tree."""
     p = star_xor(2, reps=31, eps=0.2)
     # per leaf: 31 noisy links and one counter; then one xor of the two
-    assert _plan_size(p) <= 2 * (31 + 2 * 5 * 31) + 1
+    assert len(_steps(p)) <= 2 * (31 + 2 * 5 * 31) + 1
     _assert_plan_matches_sim(p, 40, RngStream(71, ("plan-maj",)))
     q = star_xor(1, reps=12, eps=0.2)
     bits = np.random.default_rng(73).integers(0, 2, 2**12).tolist()
     q.output_expr = exprs.Table(tuple(exprs.Received(t) for t in range(12)), tuple(bits))
-    assert _plan_size(q) <= 12 + 1 + 3 * (2**12 - 1)
+    assert len(_steps(q)) <= 12 + 1 + 3 * (2**12 - 1)
     _assert_plan_matches_sim(q, 40, RngStream(79, ("plan-table",)))
+    assert len(_steps(star_xor(3, reps=3))) == 23
 
 
 def _unread_steps(p) -> list:
-    """The steps of ``p``'s plan whose bit no later step and no place reads."""
-    inputs, _draws, steps, places = engine._plan(p)
-    cols = sum(len(pr.columns) for pr in engine._collect_primitives(p))
-    base = 2 + cols + len(inputs)
-    read = set(places).union(*(step[1:] for step in steps))
-    return [step for at, step in enumerate(steps) if base + at not in read]
+    """The step locals of ``p``'s compiled run that are stored but never
+    loaded: bits that no later step, transmission or output reads."""
+    steps = _steps(p)
+    ops = [(ins.opname, ins.argval) for ins in dis.get_instructions(p.__dict__["_run"])]
+    loaded = {name for op, name in ops if op.startswith("LOAD_FAST")}
+    return [name for op, name in ops if op == "STORE_FAST" and name in steps and name not in loaded]
 
 
 def test_plan_keeps_only_steps_that_are_read():
     """An operand that a constant folds away (``x & 0``) leaves its steps
-    behind while ``_Sim`` writes the plan; the plan drops them."""
+    behind while ``_Sim`` writes them; the compiled run drops them."""
     x = exprs.Xor((exprs.Rand(0), exprs.Rand(1)))
     q = star_xor(1, reps=1, eps=0.2)
     q.output_expr = exprs.Or((exprs.And((x, exprs.Const(0))), exprs.Rand(2)))
     # one step is left: the centre's send, the leaf's bit read through noise
-    assert _plan_size(q) == 1 and _unread_steps(q) == []
+    assert len(_steps(q)) == 1 and _unread_steps(q) == []
     _assert_plan_matches_sim(q, 8, RngStream(89, ("plan-dead",)))
     assert _unread_steps(_every_form_protocol()) == []
     for index in range(300):
@@ -948,7 +946,7 @@ def test_execute_runs_a_wide_fold():
         output_expr=wide,
         eps=0.2,
     )
-    assert _plan_size(p) == 2000 + 1999
+    assert len(_steps(p)) == 2000 + 1999
     _assert_plan_matches_sim(p, 4, RngStream(83, ("plan-xor",)))
 
 

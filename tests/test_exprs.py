@@ -1,5 +1,7 @@
 """Expression DSL: evaluation, substitution, and text round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,5 +269,7 @@ def test_maj_of_three_costs_four_plan_steps():
     """Two steps add the first two bits; the third adds only the carry
     into the top bit and the top bit itself, without a carry out of it."""
     p = _one_node_protocol(Maj((Rand(0), Rand(1), Rand(2))))
-    _inputs, _draws, steps, _places = engine._plan(p)
-    assert len(steps) == 4
+    engine.execute(p, {0: 0}, RngStream(0))
+    names = p.__dict__["_run"].__code__.co_varnames
+    # the v{i} locals past the leaves: three Rand bits and the input bit
+    assert sum(re.fullmatch(r"v\d+", n) is not None for n in names) - 4 == 4

@@ -350,6 +350,36 @@ def test_decompose_uniform_counts_properties():
     assert back.cells == dec.cells
 
 
+_DEC = Decomposition(2, 1, 1.5, 3, [[0, 1]], [[2]], [3], [(1, 1)], fixed_bit=1)
+
+
+def _dec_json(**change) -> str:
+    """``_DEC``'s file with keys replaced, and dropped where the value is ``None``."""
+    obj = {**json.loads(_DEC.to_json()), **change}
+    return json.dumps({k: v for k, v in obj.items() if v is not None})
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("[]", "object"),
+        ("{}", "'n'"),
+        (_dec_json(k="1"), "'k'"),
+        (_dec_json(cells=[1]), "'cells'"),
+        (_dec_json(fixed_bit=2), "'fixed_bit'"),
+        (_dec_json(fixed_bit=None), "'fixed_bit'"),
+    ],
+    ids=["list", "empty", "k", "cells", "fixed_bit", "no-fixed_bit"],
+)
+def test_decomposition_file_is_checked(text, key):
+    with pytest.raises(ValueError, match=rf"^decomposition (must be a JSON {key}|key {key})"):
+        Decomposition.from_json(text)
+
+
+def test_decomposition_reads_its_json():
+    assert Decomposition.from_json(_DEC.to_json()) == _DEC
+
+
 @pytest.mark.parametrize(
     "cells, ok",
     [
